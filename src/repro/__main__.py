@@ -618,7 +618,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command.add_argument(
             "--no-engine",
             action="store_true",
-            help="disable the steering-matrix cache and use the direct "
+            help="disable the steering cache and use the direct "
             "rebuild-per-fix Eq. 17 path",
         )
         command.add_argument(

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.analysis.contracts import shaped
 from repro.core.observations import ChannelObservations
+from repro.errors import LocalizationError
 from repro.obs import STANDARD_METRICS, get_observer
 from repro.rf.antenna import Anchor
 from repro.utils.geometry2d import Point, distance
@@ -94,7 +95,13 @@ def correct_phase_offsets(
 
     Returns:
         The corrected channels ``alpha`` ready for likelihood mapping.
+
+    Raises:
+        LocalizationError: NaN or Inf in either channel set, naming the
+            first anchor affected -- before any likelihood work, which
+            would otherwise fail later with a misleading no-peak error.
     """
+    _reject_non_finite(observations)
     m = observations.master_index
     tag = observations.tag_to_anchor  # (I, J, K)
     master = observations.master_to_anchor  # (I, J, K)
@@ -119,6 +126,19 @@ def correct_phase_offsets(
         alpha=alpha,
         anchor_baselines_m=anchor_baselines(observations.anchors, m),
     )
+
+
+def _reject_non_finite(observations: ChannelObservations) -> None:
+    """Raise :class:`LocalizationError` on NaN/Inf CSI (see caller)."""
+    for name in ("tag_to_anchor", "master_to_anchor"):
+        finite = np.isfinite(getattr(observations, name)).all(axis=(1, 2))
+        if not finite.all():
+            i = int(np.argmin(finite))
+            label = observations.anchors[i].name
+            raise LocalizationError(
+                f"non-finite CSI in {name} of anchor {i}"
+                + (f" ({label})" if label else "")
+            )
 
 
 @shaped(dtype=np.complexfloating, alpha=("I", "J", "K"))

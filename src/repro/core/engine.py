@@ -1,31 +1,48 @@
-"""Steering-matrix engine: amortize the Eq. 17 geometry across fixes.
+"""Steering engine: amortize the Eq. 17 geometry across fixes.
 
 Every ``locate()`` call evaluates Eq. 17 over the same candidate grid,
 against the same anchor antenna geometry, on the same BLE band plan --
-only the corrected channels ``alpha`` change from fix to fix.  The direct
-path in :mod:`repro.core.likelihood` nevertheless rebuilds the whole
-geometry each time: per-antenna distances over ~10^4 grid points and a
-dense ``exp(1j * outer(relative, wavenumbers))`` steering matrix for each
-of up to 16 antenna/anchor pairs.  This module precomputes those steering
-matrices once per (grid, geometry, band plan) and reduces each subsequent
-fix to one complex matrix-vector product per antenna.
+only the corrected channels ``alpha`` change from fix to fix.  For
+antenna ``j`` of anchor ``i`` the Eq. 17 term is
 
-Two tricks keep the one-time build cheap and bounded:
+    T_ij(x) = sum_k alpha_ijk * exp(1j * k_k * d_ij(x)),
 
-* **Blockwise evaluation** -- steering matrices are filled in grid chunks
-  of ``EngineConfig.block_size`` points, so the temporaries of a build
-  never exceed ``block_size x num_bands`` regardless of grid size.
+which depends on the grid point ``x`` only through the scalar relative
+distance ``d_ij(x) = |x - p_ij| - |x - p_00| - baseline_i``: it is a
+1-D *range profile* read at ``d_ij(x)`` -- the paper's angle x
+relative-distance decomposition (Section 5.3, Fig. 6b).  With ``k_c``
+the mid-band wavenumber,
 
-* **Phasor recurrence** -- BLE data channels sit on a uniform 2 MHz
-  frequency lattice (with a 2-step gap where advertising channel 38
-  interleaves), so consecutive steering columns differ by a *constant*
-  per-point phasor ``exp(1j * relative * delta_k)``.  One transcendental
-  ``exp`` per point for the first band, one for the lattice step, and
-  every remaining band is a complex multiply -- instead of ``N x K``
-  transcendental calls.  Because the gaps are exact integer multiples of
-  the base spacing, the recurrence is *exact* up to floating-point
-  rounding (~1e-13 relative), and it falls back to the dense ``exp``
-  automatically for band plans that are not on a lattice.
+    T_ij(x) = exp(1j * k_c * d) * P_ij(d),
+    P_ij(d) = sum_k alpha_ijk * exp(1j * (k_k - k_c) * d),
+
+and ``P`` is band-limited to ``delta = max_k |k_k - k_c|``, so it is
+smooth on the scale ``1 / delta`` (~1.2 m for the 78 MHz BLE plan)
+while the carrier oscillates on the wavelength scale.  The engine
+caches, per (grid, geometry, band plan):
+
+* **a sample matrix** ``exp(1j * outer(d_l, k - k_c))`` over a uniform
+  relative-distance grid ``d_l`` (step ``h``) covering every
+  ``d_ij(x)``; one ``(L x K) @ (K x I*J)`` product turns a fix's
+  corrected channels into every antenna's sampled profile;
+* **a sparse gather per anchor**: a CSR matrix with ``2 * J`` non-zeros
+  per grid point holding the linear-interpolation weights of the two
+  profile samples around each ``d_ij(x)``, with the exact carrier
+  ``exp(1j * k_c * d_ij(x))`` folded in.
+
+A warm fix is one small dense product plus one sparse matvec per
+anchor.  The method works for any band plan: nothing assumes a lattice.
+
+**Error bound and the choice of ``h``.**  Linear interpolation of a
+(complex) function errs by at most ``h^2 / 8 * max |P''|``, and
+``|P''| <= delta^2 * sum_k |alpha_k|``, so each anchor's complex sum --
+and hence its likelihood magnitude -- is within
+``delta^2 * h^2 / 8 * sum_jk |alpha_ijk|`` of the exact Eq. 17.  The
+step is derived from :data:`PROFILE_ERROR_TARGET` through that bound
+(``h <= sqrt(8 * target) / delta``), so there is no tuning knob; a
+1-band plan (``delta = 0``) interpolates a constant exactly and gets the
+two-sample minimum.  :meth:`SteeringEntry.error_bound` evaluates the
+bound for a concrete fix.
 
 Entries live in a :class:`SteeringCache`, an LRU keyed by the full
 geometry signature, so sweeps that alternate between a handful of
@@ -37,12 +54,14 @@ worker threads.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.analysis.contracts import arr, shaped
 from repro.analysis.runtime_locks import guarded_by, make_lock
@@ -53,9 +72,10 @@ from repro.obs import LATENCY_BUCKETS_S, get_observer
 from repro.rf.antenna import Anchor
 from repro.utils.gridmap import Grid2D
 
-#: Largest integer lattice step the recurrence fast path will bridge;
-#: sparser plans (e.g. heavily subsampled band sweeps) build densely.
-MAX_LATTICE_STEP = 16
+#: Interpolation error budget of the range profile, relative to
+#: ``sum |alpha|`` of an anchor (an upper bound on its Eq. 17 peak).
+#: Fixes the sample step: ~1.1 cm for the full 37-band BLE plan.
+PROFILE_ERROR_TARGET = 1e-5
 
 
 @dataclass(frozen=True)
@@ -63,73 +83,14 @@ class EngineConfig:
     """Tuning knobs of the steering engine.
 
     Attributes:
-        block_size: grid points filled per build chunk; bounds the peak
-            temporary memory of a cache-miss build.
         max_entries: LRU capacity in distinct geometry signatures.
     """
 
-    block_size: int = 8192
     max_entries: int = 4
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ConfigurationError("engine block_size must be >= 1")
         if self.max_entries < 1:
             raise ConfigurationError("engine max_entries must be >= 1")
-
-
-def _lattice_steps(
-    wavenumbers: np.ndarray,
-) -> Optional[Tuple[float, np.ndarray]]:
-    """Integer-lattice decomposition of the band plan, if one exists.
-
-    Returns ``(base_step, multiples)`` such that
-    ``wavenumbers[k+1] - wavenumbers[k] == multiples[k] * base_step``
-    exactly (within 1e-9 relative), or None when the spacing is not an
-    integer lattice and the dense build must be used.
-    """
-    if wavenumbers.size < 2:
-        return None
-    diffs = np.diff(wavenumbers)
-    base = float(diffs.min())
-    if base <= 0:
-        return None
-    multiples = np.round(diffs / base)
-    if not np.allclose(diffs, multiples * base, rtol=1e-9, atol=0.0):
-        return None
-    if multiples.max() > MAX_LATTICE_STEP:
-        return None
-    return base, multiples.astype(int)
-
-
-@shaped(
-    out=arr(("N", "K"), np.complexfloating),
-    relative=("N",),
-    wavenumbers=("K",),
-)
-def _fill_steering_block(
-    out: np.ndarray,
-    relative: np.ndarray,
-    wavenumbers: np.ndarray,
-    lattice: Optional[Tuple[float, np.ndarray]],
-) -> None:
-    """Fill ``out[(n, K)]`` with ``exp(1j * outer(relative, wavenumbers))``.
-
-    With a lattice decomposition the columns are generated by the phasor
-    recurrence (two ``exp`` evaluations per point, then one complex
-    multiply per lattice step); without one the dense outer/exp runs.
-    """
-    if lattice is None:
-        out[...] = np.exp(1j * np.outer(relative, wavenumbers))
-        return
-    base_step, multiples = lattice
-    column = np.exp(1j * relative * wavenumbers[0])
-    out[:, 0] = column
-    step = np.exp(1j * relative * base_step)
-    for k, multiple in enumerate(multiples, start=1):
-        for _ in range(int(multiple)):
-            column *= step
-        out[:, k] = column
 
 
 def steering_cache_key(
@@ -139,7 +100,7 @@ def steering_cache_key(
     baselines_m: np.ndarray,
     frequencies_hz: np.ndarray,
 ) -> tuple:
-    """Hashable signature of everything the steering matrices depend on.
+    """Hashable signature of everything the steering entry depends on.
 
     The key is a nested tuple of plain floats/ints, so it is picklable:
     the shared-memory backend (:mod:`repro.core.parallel`) ships it to
@@ -159,8 +120,8 @@ def steering_cache_key(
     )
 
 
-#: Backward-compatible alias (pre-process-backend internal name).
-_cache_key = steering_cache_key
+def _wavenumbers(frequencies_hz: np.ndarray) -> np.ndarray:
+    return 2.0 * np.pi * np.asarray(frequencies_hz, dtype=float) / SPEED_OF_LIGHT
 
 
 @dataclass
@@ -168,78 +129,98 @@ class SteeringEntry:
     """Precomputed Eq. 17 geometry for one (grid, anchors, bands) tuple.
 
     Attributes:
-        grid: the candidate-position grid the matrices cover.
-        frequencies_hz: band plan the columns correspond to.
-        reference_distances_m: ``|x - p_00|`` per grid point.
-        matrices: per ``(anchor, antenna)`` steering matrices, each of
-            shape ``(grid.size, num_bands)``.
+        grid: the candidate-position grid the entry covers.
+        frequencies_hz: band plan, shape ``(K,)``.
+        sample_step_m: relative-distance step ``h`` of the profiles.
+        samples: ``exp(1j * outer(d_l, k - k_c))``, shape ``(L, K)``.
+        gathers: per anchor, a CSR matrix of shape ``(grid.size, J * L)``
+            mapping that anchor's stacked antenna profiles to its Eq. 17
+            sum at every grid point (carrier folded in).
         build_seconds: wall-clock cost of the one-time build.
-        used_lattice: whether the phasor-recurrence fast path applied.
     """
 
     grid: Grid2D
     frequencies_hz: np.ndarray
-    reference_distances_m: np.ndarray
-    matrices: Dict[Tuple[int, int], np.ndarray]
+    sample_step_m: float
+    samples: np.ndarray
+    gathers: List[sparse.csr_matrix]
     build_seconds: float
-    used_lattice: bool
 
     @property
     def nbytes(self) -> int:
-        """Memory held by the cached steering matrices."""
-        return sum(m.nbytes for m in self.matrices.values())
+        """Memory held by every cached array of the entry."""
+        return self.samples.nbytes + sum(
+            g.data.nbytes + g.indices.nbytes + g.indptr.nbytes
+            for g in self.gathers
+        )
+
+    @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
+    def error_bound(self, alpha_anchor: np.ndarray) -> float:
+        """Worst-case |engine - exact| of one anchor's Eq. 17 map.
+
+        ``delta^2 * h^2 / 8 * sum |alpha|`` (see the module docstring).
+        """
+        wavenumbers = _wavenumbers(self.frequencies_hz)
+        delta = float(wavenumbers.max() - wavenumbers.min()) / 2.0
+        # Amplitude sink: the bound needs only |alpha|.
+        magnitude = float(np.abs(alpha_anchor).sum())  # repro: noqa[RPR001]
+        return delta**2 * self.sample_step_m**2 / 8.0 * magnitude
+
+    def _likelihoods(
+        self, anchors: Sequence[int], alpha: np.ndarray
+    ) -> np.ndarray:
+        """The shared kernel: ``(B, A, J, K)`` channels -> ``(B, A, N)``.
+
+        One dense product yields every (fix, anchor, antenna) profile;
+        each anchor's gather then serves all B fixes as B columns.
+        """
+        b, a, j, k = alpha.shape
+        profiles = (alpha.reshape(-1, k) @ self.samples.T).reshape(b, a, -1)
+        out = np.empty((b, a, self.grid.size))
+        for pos, anchor in enumerate(anchors):
+            out[:, pos] = np.abs(self.gathers[anchor] @ profiles[:, pos].T).T
+        return out
+
+    @shaped(alpha_batch=arr(("B", "I", "J", "K"), np.complexfloating))
+    def likelihoods(self, alpha_batch: np.ndarray) -> np.ndarray:
+        """Eq. 17 for every anchor of B fixes, shape ``(B, I, size)``.
+
+        Thread-safety: read-only over the immutable cached arrays, safe
+        to call concurrently from evaluation workers.
+        """
+        alpha = np.asarray(alpha_batch)
+        return self._likelihoods(range(alpha.shape[1]), alpha)
 
     @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
     def anchor_likelihood(
         self, anchor_index: int, alpha_anchor: np.ndarray
     ) -> np.ndarray:
-        """Eq. 17 for one anchor: a matvec per antenna, coherently summed.
-
-        Args:
-            anchor_index: which anchor's matrices to use.
-            alpha_anchor: that anchor's corrected channels, shape
-                ``(J, K)``.
-
-        Returns:
-            Non-negative likelihood per grid point, shape ``(size,)``.
-        """
+        """Eq. 17 for one anchor of one fix, shape ``(size,)``."""
         alpha = np.asarray(alpha_anchor)
-        total = np.zeros(self.grid.size, dtype=complex)
-        for j in range(alpha.shape[0]):
-            total += self.matrices[(anchor_index, j)] @ alpha[j]
-        return np.abs(total)
+        return self._likelihoods((anchor_index,), alpha[None, None])[0, 0]
 
     @shaped(alpha_batch=arr(("B", "J", "K"), np.complexfloating))
     def anchor_likelihood_batch(
         self, anchor_index: int, alpha_batch: np.ndarray
     ) -> np.ndarray:
-        """Eq. 17 for one anchor over a whole batch of fixes at once.
+        """Eq. 17 for one anchor over B fixes, shape ``(B, size)``.
 
-        Stacks B fixes' corrected channels so each antenna contributes
-        one ``(size, K) @ (K, B)`` matmul -- a single BLAS call serves
-        the entire batch, and the ~``size x K`` steering matrix streams
-        through memory once per batch instead of once per fix.
-
-        Args:
-            anchor_index: which anchor's matrices to use.
-            alpha_batch: corrected channels of B fixes for this anchor,
-                shape ``(B, J, K)``.
-
-        Returns:
-            Non-negative likelihood per fix and grid point, shape
-            ``(B, size)``.  Row ``b`` equals
-            ``anchor_likelihood(anchor_index, alpha_batch[b])`` up to
-            floating-point reordering of the K-band reduction inside
-            BLAS (observed < 1e-12 relative).
-
-        Thread-safety: read-only over the immutable steering matrices,
-        safe to call concurrently from evaluation workers.
+        Row ``b`` equals ``anchor_likelihood(anchor_index,
+        alpha_batch[b])`` up to floating-point reordering inside BLAS.
         """
         alpha = np.asarray(alpha_batch)
-        total = np.zeros((self.grid.size, alpha.shape[0]), dtype=complex)
-        for j in range(alpha.shape[1]):
-            total += self.matrices[(anchor_index, j)] @ alpha[:, j, :].T
-        return np.abs(total.T)
+        return self._likelihoods((anchor_index,), alpha[:, None])[:, 0]
+
+
+def _profile_grid(span: float, delta: float) -> Tuple[int, float]:
+    """``(num_samples, step)`` meeting :data:`PROFILE_ERROR_TARGET`."""
+    if delta > 0.0:
+        max_step = math.sqrt(8.0 * PROFILE_ERROR_TARGET) / delta
+        num_samples = max(2, math.ceil(span / max_step) + 1)
+    else:
+        num_samples = 2  # a 1-band profile is constant: exact anyway
+    step = span / (num_samples - 1) if span > 0.0 else 1.0
+    return num_samples, step
 
 
 @shaped(baselines_m=("I",), frequencies_hz=("K",))
@@ -249,47 +230,66 @@ def build_steering_entry(
     master_index: int,
     baselines_m: np.ndarray,
     frequencies_hz: np.ndarray,
-    config: Optional[EngineConfig] = None,
 ) -> SteeringEntry:
-    """One-time build of the steering matrices for a geometry.
+    """One-time build of the range-profile samples and gathers.
 
-    The relative-distance vector of each antenna (``|x - p_ij| -
-    |x - p_00| - baseline_i``) is computed once, then expanded to the
-    per-band steering matrix blockwise (see module docstring).
+    The relative distances ``d_ij(x)`` of every antenna are computed
+    once; their range fixes the profile sample grid, and each grid
+    point's position on it fixes its interpolation weights.
     """
-    config = config or EngineConfig()
     start = time.perf_counter()
     points = grid.points()
     reference = anchors[master_index].antenna_position(0).as_array()
-    reference_distances = np.linalg.norm(
-        points - reference[None, :], axis=1
+    elements = np.array(
+        [
+            [a.antenna_position(j).as_array() for j in range(a.num_antennas)]
+            for a in anchors
+        ]
+    )  # (I, J, 2)
+    relative = (
+        np.linalg.norm(points - elements[:, :, None, :], axis=-1)
+        - np.linalg.norm(points - reference, axis=1)
+        - np.asarray(baselines_m, dtype=float)[:, None, None]
+    )  # (I, J, N)
+    wavenumbers = _wavenumbers(frequencies_hz)
+    centre = float(wavenumbers.max() + wavenumbers.min()) / 2.0
+    low = float(relative.min())
+    num_samples, step = _profile_grid(
+        float(relative.max()) - low, float(wavenumbers.max()) - centre
     )
-    wavenumbers = (
-        2.0 * np.pi * np.asarray(frequencies_hz, dtype=float)
-        / SPEED_OF_LIGHT
-    )
-    lattice = _lattice_steps(wavenumbers)
-    matrices: Dict[Tuple[int, int], np.ndarray] = {}
-    for i, anchor in enumerate(anchors):
-        baseline = float(baselines_m[i])
-        for j in range(anchor.num_antennas):
-            element = anchor.antenna_position(j).as_array()
-            distances = np.linalg.norm(points - element[None, :], axis=1)
-            relative = distances - reference_distances - baseline
-            matrix = np.empty((grid.size, wavenumbers.size), dtype=complex)
-            for s in range(0, grid.size, config.block_size):
-                block = slice(s, min(s + config.block_size, grid.size))
-                _fill_steering_block(
-                    matrix[block], relative[block], wavenumbers, lattice
-                )
-            matrices[(i, j)] = matrix
+    sample_d = low + step * np.arange(num_samples)
+    samples = np.exp(1j * np.outer(sample_d, wavenumbers - centre))
+    num_antennas = relative.shape[1]
+    row_nnz = 2 * num_antennas
+    offsets = (np.arange(num_antennas) * num_samples)[:, None, None]
+    gathers = []
+    for anchor_relative in relative:  # (J, N)
+        position = (anchor_relative - low) / step
+        left = np.clip(np.floor(position), 0, num_samples - 2)
+        frac = (position - left)[..., None]
+        carrier = np.exp(1j * centre * anchor_relative)[..., None]
+        weights = np.concatenate([1.0 - frac, frac], axis=-1) * carrier
+        columns = offsets + left[..., None] + np.arange(2)
+        # Row-major by grid point: (J, N, 2) -> (N, J, 2).
+        gathers.append(
+            sparse.csr_matrix(
+                (
+                    weights.transpose(1, 0, 2).ravel(),
+                    columns.transpose(1, 0, 2).ravel().astype(np.int32),
+                    np.arange(
+                        0, grid.size * row_nnz + 1, row_nnz, dtype=np.int32
+                    ),
+                ),
+                shape=(grid.size, num_antennas * num_samples),
+            )
+        )
     return SteeringEntry(
         grid=grid,
         frequencies_hz=np.asarray(frequencies_hz, dtype=float).copy(),
-        reference_distances_m=reference_distances,
-        matrices=matrices,
+        sample_step_m=step,
+        samples=samples,
+        gathers=gathers,
         build_seconds=time.perf_counter() - start,
-        used_lattice=lattice is not None,
     )
 
 
@@ -299,11 +299,11 @@ class SteeringCache:
 
     A :class:`~repro.core.localizer.BlocLocalizer` holds one of these
     across ``locate()`` calls, so a sweep over a dataset pays the
-    geometry build once and every later fix runs on matvecs alone.  The
-    cache key covers the grid bounds/resolution, every antenna position,
-    the master/baseline configuration and the exact frequency vector, so
-    any change that would alter the steering matrices is a miss -- never
-    a stale hit.
+    geometry build once and every later fix runs on the cached profile
+    samples and gathers alone.  The cache key covers the grid
+    bounds/resolution, every antenna position, the master/baseline
+    configuration and the exact frequency vector, so any change that
+    would alter the entry is a miss -- never a stale hit.
 
     Attributes:
         config: engine tuning knobs.
@@ -352,7 +352,6 @@ class SteeringCache:
                 corrected.master_index,
                 corrected.anchor_baselines_m,
                 corrected.frequencies_hz,
-                self.config,
             )
             self._entries[key] = entry
             while len(self._entries) > self.config.max_entries:
@@ -370,9 +369,9 @@ class SteeringCache:
         """Pre-insert an externally built entry under its cache key.
 
         Used by the process-pool backend: a worker attaches the parent's
-        published steering matrices from shared memory and seeds them
+        published steering arrays from shared memory and seeds them
         here, so its first ``entry_for`` lookup is a warm hit instead of
-        an 89 MB rebuild.  The key must come from
+        a rebuild.  The key must come from
         :func:`steering_cache_key` over the same geometry the entry was
         built for -- the cache trusts the caller on that pairing.
 
@@ -387,7 +386,7 @@ class SteeringCache:
 
     @property
     def nbytes(self) -> int:
-        """Memory held by all cached steering matrices."""
+        """Memory held by all cached steering entries."""
         with self._lock:
             return sum(e.nbytes for e in self._entries.values())
 
@@ -415,6 +414,5 @@ class SteeringCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "block_size": self.config.block_size,
                 "max_entries": self.config.max_entries,
             }

@@ -108,10 +108,11 @@ def compute_likelihood_map(
         anchor_weights: optional per-anchor weights for the combination
             (default: equal weights, as in the paper).
         engine: optional :class:`~repro.core.engine.SteeringCache`; when
-            given, the per-anchor evaluation runs on its precomputed
-            steering matrices (one matvec per antenna) instead of the
-            direct rebuild-everything path.  Results agree to floating
-            point rounding (~1e-13 relative).
+            given, every anchor is evaluated on its cached range-profile
+            samples and gathers instead of the direct rebuild-everything
+            path.  Each per-anchor map then agrees with the direct one
+            within :meth:`~repro.core.engine.SteeringEntry.error_bound`
+            (``delta^2 h^2 / 8 * sum |alpha|``, 1e-5 of ``sum |alpha|``).
 
     Returns:
         The combined and per-anchor likelihood maps.
@@ -125,24 +126,22 @@ def compute_likelihood_map(
                 "anchor_weights length must match the anchor count"
             )
     if engine is not None:
-        entry = engine.entry_for(corrected, grid)
-        points = reference_distances = None
+        flats = engine.entry_for(corrected, grid).likelihoods(
+            corrected.alpha[None]
+        )[0]
     else:
-        entry = None
         points = grid.points()
         reference = corrected.master_reference_position().as_array()
         reference_distances = np.linalg.norm(
             points - reference[None, :], axis=1
         )
+        flats = [
+            anchor_likelihood_flat(corrected, i, points, reference_distances)
+            for i in range(corrected.num_anchors)
+        ]
     per_anchor = []
     combined = np.zeros(grid.shape)
-    for i in range(corrected.num_anchors):
-        if entry is not None:
-            flat = entry.anchor_likelihood(i, corrected.alpha[i])
-        else:
-            flat = anchor_likelihood_flat(
-                corrected, i, points, reference_distances
-            )
+    for i, flat in enumerate(flats):
         normalised = normalize_peak(grid.reshape(flat))
         per_anchor.append(normalised)
         combined += anchor_weights[i] * normalised
@@ -155,15 +154,15 @@ def compute_likelihood_maps_batched(
     engine: SteeringCache,
     anchor_weights: Optional[np.ndarray] = None,
 ) -> List[LikelihoodMap]:
-    """Eq. 17 for a whole batch of fixes through one matmul per antenna.
+    """Eq. 17 for a whole batch of fixes through one shared kernel call.
 
     All fixes must share the steering geometry (same grid, anchors,
     master, baselines and band plan -- the caller guarantees this; see
     :meth:`~repro.core.localizer.BlocLocalizer.locate_batch`): their
     corrected channels are stacked into a ``(B, anchors, antennas,
-    bands)`` tensor and each anchor is evaluated with
-    :meth:`~repro.core.engine.SteeringEntry.anchor_likelihood_batch`,
-    so one BLAS call per antenna serves every fix in the batch.
+    bands)`` tensor and evaluated with
+    :meth:`~repro.core.engine.SteeringEntry.likelihoods`, the per-fix
+    kernel with B columns instead of one.
 
     Per-map normalisation and anchor combination are identical to
     :func:`compute_likelihood_map`; results agree with the per-fix path
@@ -173,7 +172,7 @@ def compute_likelihood_maps_batched(
         corrected_batch: corrected channels of B fixes, shared geometry.
         grid: candidate-position grid (shared across the batch).
         engine: the steering cache (required -- batching exists to reuse
-            its matrices; use :func:`compute_likelihood_map` per fix for
+            its entry; use :func:`compute_likelihood_map` per fix for
             the direct path).
         anchor_weights: optional per-anchor combination weights.
 
@@ -193,13 +192,12 @@ def compute_likelihood_maps_batched(
                 "anchor_weights length must match the anchor count"
             )
     entry = engine.entry_for(batch[0], grid)
-    alpha = np.stack([c.alpha for c in batch])  # (B, I, J, K)
+    flats = entry.likelihoods(np.stack([c.alpha for c in batch]))
     per_fix_anchor: List[List[np.ndarray]] = [[] for _ in batch]
     combined = np.zeros((len(batch),) + grid.shape)
     for i in range(num_anchors):
-        flat = entry.anchor_likelihood_batch(i, alpha[:, i])  # (B, size)
         for b in range(len(batch)):
-            normalised = normalize_peak(grid.reshape(flat[b]))
+            normalised = normalize_peak(grid.reshape(flats[b, i]))
             per_fix_anchor[b].append(normalised)
             combined[b] += anchor_weights[i] * normalised
     return [

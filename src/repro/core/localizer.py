@@ -111,11 +111,11 @@ class BlocLocalizer:
         bounds: optional fixed grid bounds ``(x_min, x_max, y_min, y_max)``;
             by default the grid covers the anchors' bounding box plus the
             configured margin.
-        engine: steering-matrix cache shared across ``locate()`` calls;
-            the grid, anchor geometry and band plan are invariant over a
-            sweep, so every fix after the first runs on precomputed
-            steering matrices.  Pass ``engine=None`` to force the direct
-            (rebuild-per-call) Eq. 17 path.
+        engine: steering cache shared across ``locate()`` calls; the
+            grid, anchor geometry and band plan are invariant over a
+            sweep, so every fix after the first runs on the cached
+            range-profile samples and gathers.  Pass ``engine=None`` to
+            force the direct (rebuild-per-call) Eq. 17 path.
     """
 
     config: BlocConfig = field(default_factory=BlocConfig)
@@ -252,9 +252,8 @@ class BlocLocalizer:
     ) -> List[Union[LocalizationResult, LocalizationError]]:
         """Run the pipeline on B fixes through one batched Eq. 17 pass.
 
-        The batch's corrected channels are stacked so each antenna's
-        steering matrix is streamed through memory once per batch
-        instead of once per fix (see
+        The batch's corrected channels are stacked so the Eq. 17
+        kernel runs once with a column per fix (see
         :func:`~repro.core.likelihood.compute_likelihood_maps_batched`),
         and peak extraction runs one batched maximum filter.  Eq. 18
         scoring, strategy ordering and refinement match :meth:`locate`

@@ -1,10 +1,11 @@
 """Shared-memory publication of steering entries for process pools.
 
-The steering cache of a default-room sweep holds ~89 MB of complex
-matrices that are *read-only after build* -- exactly the shape of data
-``multiprocessing.shared_memory`` exists for.  This module is the one
-place in the repository that constructs ``SharedMemory`` segments
-(enforced by lint rule RPR011): the evaluation parent publishes a built
+A steering entry (6.7 MB at the sweep's 0.06 m grid: the range-profile
+sample matrix plus one sparse gather per anchor) is *read-only after
+build* -- exactly the shape of data ``multiprocessing.shared_memory``
+exists for.  This module is the one place in the repository that
+constructs ``SharedMemory`` segments (enforced by lint rule RPR011): the
+evaluation parent publishes a built
 :class:`~repro.core.engine.SteeringEntry` into one segment, ships a
 small picklable :class:`SharedSteeringHandle` to each worker process,
 and every worker attaches zero-copy numpy views onto the same physical
@@ -22,7 +23,7 @@ Ownership rules:
   attachment from Python's ``resource_tracker`` (which would otherwise
   unlink the segment when the *first* worker exits) and its ``close``
   only unmaps.
-* All views are marked read-only; Eq. 17 consumers only ever matmul
+* All views are marked read-only; Eq. 17 consumers only ever multiply
   against them.
 """
 
@@ -31,9 +32,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.core.engine import SteeringEntry
@@ -47,6 +49,14 @@ _SEGMENTS: Dict[str, int] = {}  # guarded-by: _SEGMENTS_LOCK
 _SEGMENTS_LOCK = make_lock("parallel._SEGMENTS_LOCK")
 
 
+#: Byte alignment of every packed array inside a segment.
+_ALIGN = 16
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ALIGN) * _ALIGN
+
+
 @dataclass(frozen=True)
 class SharedSteeringHandle:
     """Everything a worker needs to attach a published steering entry.
@@ -54,43 +64,46 @@ class SharedSteeringHandle:
     A handle is a small picklable value object: segment name, the
     :func:`~repro.core.engine.steering_cache_key` the entry belongs
     under, the grid/band-plan scalars to reconstruct metadata, and the
-    ``(anchor, antenna)`` layout of the packed matrices.
+    layout of the packed arrays.
 
     Attributes:
         name: shared-memory segment name (attach-by-name).
         cache_key: steering-cache key of the published geometry.
         grid_params: ``(x_min, x_max, y_min, y_max, resolution)``.
-        frequencies_hz: band plan of the matrix columns.
-        matrix_keys: ``(anchor, antenna)`` keys in packing order.
-        num_points: grid points per matrix (rows).
-        num_bands: bands per matrix (columns).
+        frequencies_hz: band plan of the entry.
+        sample_step_m: range-profile sample step of the entry.
+        layout: ``(shape, dtype)`` of each packed array, in packing
+            order: the profile samples, then each anchor's gather as
+            CSR ``data``, ``indices``, ``indptr``.
+        gather_shape: ``(grid points, J * L)`` of every gather.
         build_seconds: build cost of the original entry (carried along
             so worker-side cache stats stay meaningful).
-        used_lattice: whether the phasor-recurrence fast path applied.
     """
 
     name: str
     cache_key: tuple
     grid_params: Tuple[float, float, float, float, float]
     frequencies_hz: Tuple[float, ...]
-    matrix_keys: Tuple[Tuple[int, int], ...]
-    num_points: int
-    num_bands: int
+    sample_step_m: float
+    layout: Tuple[Tuple[Tuple[int, ...], str], ...]
+    gather_shape: Tuple[int, int]
     build_seconds: float
-    used_lattice: bool
 
     @property
     def nbytes(self) -> int:
-        """Total payload size of the segment."""
-        point_bytes = np.dtype(np.float64).itemsize
-        matrix_bytes = (
-            self.num_points * self.num_bands
-            * np.dtype(np.complex128).itemsize
+        """Total payload size of the segment (alignment included)."""
+        return sum(
+            _aligned(int(np.prod(shape)) * np.dtype(dtype).itemsize)
+            for shape, dtype in self.layout
         )
-        return (
-            self.num_points * point_bytes
-            + len(self.matrix_keys) * matrix_bytes
-        )
+
+
+def _entry_arrays(entry: SteeringEntry) -> List[np.ndarray]:
+    """Every cached array of an entry, in packing order."""
+    arrays = [entry.samples]
+    for gather in entry.gathers:
+        arrays.extend((gather.data, gather.indices, gather.indptr))
+    return arrays
 
 
 def _entry_from_buffer(
@@ -103,26 +116,26 @@ def _entry_from_buffer(
     without it a garbage-collected ``SharedMemory`` would munmap the
     pages under the live views -- a segfault, not an exception.
     """
-    buf = shm.buf
-    n, k = handle.num_points, handle.num_bands
-    reference = np.ndarray((n,), dtype=np.float64, buffer=buf, offset=0)
-    reference.flags.writeable = False
-    offset = reference.nbytes
-    matrices: Dict[Tuple[int, int], np.ndarray] = {}
-    for key in handle.matrix_keys:
-        matrix = np.ndarray(
-            (n, k), dtype=np.complex128, buffer=buf, offset=offset
+    arrays = []
+    offset = 0
+    for shape, dtype in handle.layout:
+        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=offset)
+        view.flags.writeable = False
+        arrays.append(view)
+        offset += _aligned(view.nbytes)
+    gathers = [
+        sparse.csr_matrix(
+            tuple(arrays[s:s + 3]), shape=handle.gather_shape, copy=False
         )
-        matrix.flags.writeable = False
-        matrices[key] = matrix
-        offset += matrix.nbytes
+        for s in range(1, len(arrays), 3)
+    ]
     entry = SteeringEntry(
         grid=Grid2D(*handle.grid_params),
         frequencies_hz=np.asarray(handle.frequencies_hz, dtype=float),
-        reference_distances_m=reference,
-        matrices=matrices,
+        sample_step_m=handle.sample_step_m,
+        samples=arrays[0],
+        gathers=gathers,
         build_seconds=handle.build_seconds,
-        used_lattice=handle.used_lattice,
     )
     entry._shm_keepalive = shm
     return entry
@@ -247,23 +260,12 @@ def publish_steering_entry(
 ) -> SharedSteeringSegment:
     """Publish a built steering entry into one shared-memory segment.
 
-    Packs the reference-distance vector and every ``(anchor, antenna)``
-    steering matrix contiguously into a fresh segment and returns the
-    owning (refcounted) :class:`SharedSteeringSegment`; ship
+    Packs the profile samples and every anchor's CSR gather arrays
+    contiguously into a fresh segment and
+    returns the owning (refcounted) :class:`SharedSteeringSegment`; ship
     ``segment.handle`` to workers and :func:`attach_steering` there.
-
-    Raises:
-        ConfigurationError: inconsistent matrix shapes in the entry.
     """
-    matrix_keys = tuple(sorted(entry.matrices))
-    n = int(entry.reference_distances_m.shape[0])
-    k = int(np.asarray(entry.frequencies_hz).shape[0])
-    for key in matrix_keys:
-        if entry.matrices[key].shape != (n, k):
-            raise ConfigurationError(
-                f"steering matrix {key} has shape "
-                f"{entry.matrices[key].shape}, expected {(n, k)}"
-            )
+    arrays = _entry_arrays(entry)
     grid = entry.grid
     handle_fields = dict(
         cache_key=cache_key,
@@ -273,32 +275,22 @@ def publish_steering_entry(
         frequencies_hz=tuple(
             float(f) for f in np.asarray(entry.frequencies_hz)
         ),
-        matrix_keys=matrix_keys,
-        num_points=n,
-        num_bands=k,
+        sample_step_m=float(entry.sample_step_m),
+        layout=tuple((a.shape, a.dtype.str) for a in arrays),
+        gather_shape=entry.gathers[0].shape,
         build_seconds=float(entry.build_seconds),
-        used_lattice=bool(entry.used_lattice),
     )
-    total = (
-        n * np.dtype(np.float64).itemsize
-        + len(matrix_keys) * n * k * np.dtype(np.complex128).itemsize
-    )
+    total = sum(_aligned(a.nbytes) for a in arrays)
     shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
     try:
         offset = 0
-        reference = np.ndarray(
-            (n,), dtype=np.float64, buffer=shm.buf, offset=offset
-        )
-        reference[...] = entry.reference_distances_m
-        offset += reference.nbytes
-        for key in matrix_keys:
-            matrix = np.ndarray(
-                (n, k), dtype=np.complex128, buffer=shm.buf, offset=offset
+        for array in arrays:
+            view = np.ndarray(
+                array.shape, dtype=array.dtype, buffer=shm.buf, offset=offset
             )
-            matrix[...] = entry.matrices[key]
-            offset += matrix.nbytes
-            del matrix  # writable views must not outlive publication
-        del reference
+            view[...] = array
+            offset += _aligned(view.nbytes)
+            del view  # writable views must not outlive publication
         handle = SharedSteeringHandle(name=shm.name, **handle_fields)
     except BaseException:  # repro: noqa[RPR008] -- cleanup-and-reraise; even KeyboardInterrupt must not leak the segment
         # A failed fill must not leak the freshly created segment: no

@@ -1,10 +1,10 @@
 """Micro-batching: coalesce concurrent locate requests into one batch.
 
-Eq. 17 is a stack of matvecs over one scenario's steering matrices, and
-the batched backend streams each matrix through memory once per *batch*
-instead of once per fix.  Under concurrent load, requests that arrive
-within a few milliseconds of each other can therefore share one
-``locate_batch`` call for close to the cost of one fix.
+The batched Eq. 17 kernel serves a whole batch of one scenario's fixes
+in one call (a column per fix), amortising the per-call orchestration
+of the pipeline.  Under concurrent load, requests that arrive within a
+few milliseconds of each other can therefore share one
+``locate_batch`` call.
 
 Mechanics: callers submit observations and block on a per-request
 future; a background worker drains the queue, gathers until either

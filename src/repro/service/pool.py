@@ -1,13 +1,14 @@
 """Warm localizer pool keyed by scenario (anchor geometry).
 
-The expensive part of a BLoc fix is not Eq. 17's matvecs -- it is
-building the steering matrices for a (grid, anchors, band plan) tuple,
-~89 MB of precomputation at the paper's 5 cm grid.  The pool pays that
-build once per scenario key and keeps the result warm: every scenario
-maps to exactly one :class:`~repro.core.engine.SteeringCache` entry in
-one cache shared across the pool, so concurrent requests against the
-same geometry all ride the same matrices and the second request for a
-key never rebuilds.
+The expensive part of a BLoc fix is not the warm Eq. 17 kernel -- it
+is building the steering entry for a (grid, anchors, band plan) tuple:
+range-profile samples plus one sparse gather per anchor, 9.4 MB at the
+paper's 5 cm grid and 2.8 MB at the service's 0.1 m default.  The pool
+pays that build once per scenario key and keeps the result warm: every
+scenario maps to exactly one :class:`~repro.core.engine.SteeringCache`
+entry in one cache shared across the pool, so concurrent requests
+against the same geometry all ride the same entry and the second
+request for a key never rebuilds.
 
 Scenarios are server-side configuration (name -> testbed factory), not
 request payload: a client names ``"vicon"`` and ships only channels,

@@ -6,10 +6,11 @@ the GIL even though the Eq. 17 matmuls release it.  This backend fans
 fixes out over worker *processes* instead, with two tricks keeping the
 fan-out cheap:
 
-* the ~89 MB steering cache is built once in the parent and **published
-  into POSIX shared memory** (:mod:`repro.core.parallel`); every worker
-  attaches read-only numpy views onto the same physical pages instead of
-  rebuilding or copying, so N workers cost one cache, not N;
+* the steering entry (6.7 MB at the 0.06 m sweep grid) is built once in
+  the parent and **published into POSIX shared memory**
+  (:mod:`repro.core.parallel`); every worker attaches read-only numpy
+  views onto the same physical pages instead of rebuilding or copying,
+  so N workers cost one cache, not N;
 * observability crosses the process boundary as plain data -- each
   worker runs its own :class:`~repro.obs.trace.Tracer` at a disjoint
   span-id offset (``pid * 2**32``) and ships finished spans plus a

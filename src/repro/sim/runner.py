@@ -21,8 +21,8 @@ DESIGN.md's backend matrix):
   shared memory -- the escape hatch from the GIL for the pure-Python
   part of a sweep;
 * ``batch_size=B`` stacks B fixes into one batched Eq. 17 evaluation
-  (:meth:`~repro.core.localizer.BlocLocalizer.locate_batch`), turning
-  per-fix matvecs into one matmul per antenna.
+  (:meth:`~repro.core.localizer.BlocLocalizer.locate_batch`): the
+  Eq. 17 kernel runs once with a column per fix.
 
 Both keep dataset order, per-fix failure containment and merged
 observability, and combine with each other.

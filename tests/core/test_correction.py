@@ -7,6 +7,9 @@ realisations, and must equal the product of the true physical channels.
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.correction import (
     residual_offset_spread,
 )
 from repro.core.observations import ChannelObservations
+from repro.errors import LocalizationError
 from repro.rf.antenna import Anchor
 from repro.sim import ChannelMeasurementModel
 from repro.utils.geometry2d import Point
@@ -181,3 +185,37 @@ class TestEndToEndCancellation:
                 model.measure(tag, round_index=round_index).tag_to_anchor
             )
         assert not np.allclose(raw[0], raw[1], atol=1e-3)
+
+
+class TestNonFiniteCsi:
+    """NaN/Inf CSI is a typed error naming the anchor, raised up front."""
+
+    @pytest.mark.parametrize("field", ["tag_to_anchor", "master_to_anchor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_cell_rejected(self, rng, field, bad):
+        observations, _, _ = make_observations(rng)
+        getattr(observations, field)[2, 1, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            with pytest.raises(LocalizationError) as info:
+                correct_phase_offsets(observations)
+        assert f"non-finite CSI in {field} of anchor 2 (A2)" in str(
+            info.value
+        )
+
+    def test_first_affected_anchor_named(self, rng):
+        observations, _, _ = make_observations(rng)
+        observations.tag_to_anchor[1, 0, 0] = np.nan
+        observations.tag_to_anchor[2, 0, 0] = np.nan
+        with pytest.raises(LocalizationError, match="anchor 1 "):
+            correct_phase_offsets(observations)
+
+    def test_locate_fails_typed_before_likelihood(self, observations):
+        from repro.core.localizer import BlocLocalizer
+
+        broken = dataclasses.replace(
+            observations, tag_to_anchor=observations.tag_to_anchor.copy()
+        )
+        broken.tag_to_anchor[0, 0, 0] = np.nan
+        with pytest.raises(LocalizationError, match="non-finite CSI"):
+            BlocLocalizer().locate(broken)

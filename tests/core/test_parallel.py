@@ -50,8 +50,15 @@ def _shm_names():
         return set()
 
 
+def _entry_arrays(entry):
+    arrays = [entry.samples]
+    for gather in entry.gathers:
+        arrays += [gather.data, gather.indices, gather.indptr]
+    return arrays
+
+
 class TestPublishAttach:
-    def test_round_trip_is_bit_exact(self, entry):
+    def test_round_trip_is_bit_exact(self, entry, corrected):
         owner = publish_steering_entry(entry, "key")
         try:
             attached = attach_steering(owner.handle)
@@ -59,14 +66,21 @@ class TestPublishAttach:
             assert np.array_equal(
                 clone.frequencies_hz, entry.frequencies_hz
             )
-            assert np.array_equal(
-                clone.reference_distances_m, entry.reference_distances_m
-            )
-            assert set(clone.matrices) == set(entry.matrices)
-            for key, matrix in entry.matrices.items():
-                assert np.array_equal(clone.matrices[key], matrix)
+            assert clone.sample_step_m == entry.sample_step_m
+            assert len(clone.gathers) == len(entry.gathers)
+            for ours, theirs in zip(
+                _entry_arrays(clone), _entry_arrays(entry)
+            ):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+            for ours, theirs in zip(clone.gathers, entry.gathers):
+                assert ours.shape == theirs.shape
             assert clone.grid.shape == entry.grid.shape
-            assert clone.used_lattice == entry.used_lattice
+            assert clone.nbytes == entry.nbytes
+            alpha = np.stack([corrected.alpha, 2j * corrected.alpha])
+            assert np.array_equal(
+                clone.likelihoods(alpha), entry.likelihoods(alpha)
+            )
             attached.close()
         finally:
             owner.close()
@@ -75,23 +89,25 @@ class TestPublishAttach:
         owner = publish_steering_entry(entry, "key")
         try:
             attached = attach_steering(owner.handle)
-            key = next(iter(attached.entry.matrices))
-            with pytest.raises(ValueError):
-                attached.entry.matrices[key][0, 0] = 0
-            with pytest.raises(ValueError):
-                attached.entry.reference_distances_m[0] = 0.0
+            for array in _entry_arrays(attached.entry):
+                with pytest.raises(ValueError):
+                    array[0] = 0
             attached.close()
         finally:
             owner.close()
 
-    def test_handle_carries_shape_facts(self, entry, grid):
+    def test_handle_carries_shape_facts(self, entry, grid, corrected):
         owner = publish_steering_entry(entry, "key")
         try:
             handle = owner.handle
             assert handle.cache_key == "key"
-            assert handle.num_points == grid.size
-            assert handle.num_bands == entry.frequencies_hz.size
-            assert handle.nbytes > 0
+            assert handle.layout[0] == (entry.samples.shape, "<c16")
+            # First gather's CSR data: two taps per antenna per point.
+            nnz = 2 * corrected.num_antennas * grid.size
+            assert handle.layout[1] == ((nnz,), "<c16")
+            assert len(handle.layout) == 1 + 3 * corrected.num_anchors
+            assert handle.gather_shape == entry.gathers[0].shape
+            assert handle.nbytes >= entry.nbytes
         finally:
             owner.close()
 
@@ -116,16 +132,16 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             owner.retain()
 
-    def test_attachment_survives_owner_unlink(self, entry):
+    def test_attachment_survives_owner_unlink(self, entry, corrected):
         # POSIX shm semantics: unlink removes the name, the pages live
         # until the last mapping drops.  An attached reader must keep
         # working after the owner is gone.
         owner = publish_steering_entry(entry, "key")
         attached = attach_steering(owner.handle)
         owner.close()
-        key = next(iter(entry.matrices))
+        alpha = corrected.alpha[None]
         assert np.array_equal(
-            attached.entry.matrices[key], entry.matrices[key]
+            attached.entry.likelihoods(alpha), entry.likelihoods(alpha)
         )
         attached.close()
 
@@ -136,9 +152,9 @@ class TestLifecycle:
         try:
             clone = attach_steering(owner.handle).entry
             gc.collect()  # drops the AttachedSteering wrapper
-            key = next(iter(entry.matrices))
-            assert np.array_equal(clone.matrices[key], entry.matrices[key])
-            assert float(clone.reference_distances_m[0]) >= 0.0
+            assert np.array_equal(
+                clone.gathers[-1].data, entry.gathers[-1].data
+            )
         finally:
             owner.close()
 

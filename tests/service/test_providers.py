@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,25 @@ class TestProviderChain:
         decision = chain.locate(degraded)
         assert decision.provider in ("aoa", "rssi")
         assert any("bloc" in r for r in decision.fallback_reasons)
+
+    @pytest.mark.parametrize("field", ["tag_to_anchor", "master_to_anchor"])
+    def test_non_finite_csi_gets_typed_fallback(
+        self, chain, observations, field
+    ):
+        broken = dataclasses.replace(
+            observations, **{field: getattr(observations, field).copy()}
+        )
+        getattr(broken, field)[1, 0, 5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
+            clean, degraded = chain.locate_batch([observations, broken])
+        assert clean.provider == "bloc"
+        assert isinstance(degraded, LocateDecision)
+        assert degraded.provider in ("aoa", "rssi")
+        assert any(
+            f"bloc: non-finite CSI in {field} of anchor 1" in reason
+            for reason in degraded.fallback_reasons
+        )
 
     def test_fallback_position_stays_in_room(self, chain, observations):
         degraded = inject_band_outage(

@@ -211,19 +211,16 @@ class TestProcessBackend:
         ]
 
 
+def _shm_names():
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except OSError:
+        return set()
+
+
 class TestWorkerCrash:
     def test_crash_leaves_no_shm_and_clean_failure_reasons(self, dataset):
-        def shm_names():
-            try:
-                return {
-                    n
-                    for n in os.listdir("/dev/shm")
-                    if n.startswith("psm_")
-                }
-            except OSError:
-                return set()
-
-        before = shm_names()
+        before = _shm_names()
         localizer = CrashingBloc(
             config=BlocConfig(grid_resolution_m=0.5)
         )
@@ -238,7 +235,7 @@ class TestWorkerCrash:
         assert all(r.estimate is None for r in run.records)
         # The owner segment was unlinked in the sweep's finally block.
         assert active_segments() == ()
-        assert shm_names() <= before
+        assert _shm_names() <= before
 
 
 class TestBatchedEvaluate:
@@ -291,6 +288,26 @@ class TestEquivalence:
             assert abs(ours.error_m - ref.error_m) < 1e-9
             assert abs(ours.estimate.x - ref.estimate.x) < 1e-9
             assert abs(ours.estimate.y - ref.estimate.y) < 1e-9
+
+    def test_process_workers_share_the_published_entry(
+        self, small_dataset
+    ):
+        from repro.obs import observed
+
+        before = _shm_names()
+        with observed() as obs:
+            process = evaluate(
+                _bloc(), small_dataset, workers=2, backend="process"
+            )
+        assert process.num_failed == 0
+        # The parent's build is the sweep's only miss: every worker
+        # lookup hits the entry attached from shared memory.
+        assert obs.metrics.get("engine.cache_misses").value == 1
+        assert obs.metrics.get("engine.cache_hits").value == len(
+            small_dataset
+        )
+        assert active_segments() == ()
+        assert _shm_names() <= before
 
     def test_process_batched_matches_serial(self, small_dataset):
         serial = evaluate(_bloc(), small_dataset)
