@@ -16,6 +16,7 @@ from repro.core import (
     compute_likelihood_map,
     correct_phase_offsets,
 )
+from repro.constants import SPEED_OF_LIGHT
 from repro.core.engine import PROFILE_ERROR_TARGET
 from repro.core.likelihood import anchor_likelihood_flat
 from repro.errors import ConfigurationError
@@ -172,6 +173,52 @@ class TestCachedMapMatchesDirect:
         )
         assert with_engine.position.y == pytest.approx(
             without.position.y, abs=1e-4
+        )
+
+    def test_non_lattice_band_plan_builds_densely(self, grid, corrected):
+        # Off-lattice band spacings need no special path: the entry covers
+        # every grid point and its maps match the direct Eq. 17 path.
+        freqs = np.array([2.40e9, 2.41e9, 2.41e9 + 1.7e6])
+        fix = dataclasses.replace(
+            corrected,
+            frequencies_hz=freqs,
+            alpha=corrected.alpha[:, :, :3],
+        )
+        entry = SteeringCache().entry_for(fix, grid)
+        assert len(entry.gathers) == fix.num_anchors
+        for i in range(fix.num_anchors):
+            assert entry.gathers[i].shape[0] == grid.size
+            exact = _direct_flat(fix, grid, i)
+            engine = entry.anchor_likelihood(i, fix.alpha[i])
+            assert np.abs(engine - exact).max() <= (
+                entry.error_bound(fix.alpha[i]) + 1e-9 * exact.max()
+            )
+
+
+class TestBlockwiseBuild:
+    def test_recurrence_matches_dense_exp(self, corrected, grid):
+        # The gather applied to the sampled profile reproduces the complex
+        # dense steering sum sum_k alpha_k * exp(1j * k_k * d), phase
+        # included, within the interpolation bound.
+        entry = SteeringCache().entry_for(corrected, grid)
+        points = grid.points()
+        wavenumbers = (
+            2.0 * np.pi * corrected.frequencies_hz / SPEED_OF_LIGHT
+        )
+        reference = corrected.master_reference_position().as_array()
+        refd = np.linalg.norm(points - reference[None, :], axis=1)
+        element = corrected.anchors[1].antenna_position(2).as_array()
+        relative = (
+            np.linalg.norm(points - element[None, :], axis=1)
+            - refd
+            - float(corrected.anchor_baselines_m[1])
+        )
+        alpha = np.zeros_like(corrected.alpha[1])
+        alpha[2] = corrected.alpha[1, 2]
+        dense = np.exp(1j * np.outer(relative, wavenumbers)) @ alpha[2]
+        engine = entry.gathers[1] @ (alpha @ entry.samples.T).ravel()
+        assert np.abs(engine - dense).max() <= (
+            entry.error_bound(alpha) + 1e-9 * np.abs(dense).max()
         )
 
 
