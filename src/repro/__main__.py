@@ -845,7 +845,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             type=float,
             default=5.0,
             metavar="MS",
-            help="micro-batcher: max coalescing wait (default: 5 ms)",
+            help="micro-batcher: upper bound on the coalescing wait; a "
+            "batch is held open only for requests already admitted "
+            "(default: 5 ms)",
         )
 
     serve = sub.add_parser(

@@ -221,6 +221,14 @@ class CheckedLock:
         """Whether the *calling* thread holds the lock."""
         return self._owner == threading.get_ident()
 
+    def _is_owned(self) -> bool:
+        """``threading.Condition`` hook: whether the caller holds the lock.
+
+        Without it a ``Condition`` over a CheckedLock probes ownership
+        with a non-blocking re-acquire, which the order check rejects.
+        """
+        return self.held_by_current_thread()
+
     def __enter__(self) -> bool:
         return self.acquire()
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Type, Union
 
+from repro.core.observations import ChannelObservations
 from repro.errors import LocalizationError
 from repro.obs import LATENCY_BUCKETS_S, Observability, get_observer
 from repro.obs.health import AnchorHealthMonitor
@@ -69,6 +70,11 @@ from repro.service.schema import (
     parse_locate_request,
 )
 from repro.service.telemetry import AccuracyTelemetry
+
+#: Write buffer of one connection (bytes): every response the service
+#: sends -- a locate fix, an error envelope, the stats or metrics
+#: document (a few kB) -- fits, so each leaves in a single socket write.
+RESPONSE_BUFFER_BYTES = 64 * 1024
 
 #: (status, body, extra headers) -- what every handler returns.  The
 #: body is a JSON dict on every route except ``GET /metrics``, whose
@@ -138,7 +144,9 @@ class ServiceConfig:
     Attributes:
         rate_per_s / burst: token-bucket parameters per API key.
         api_keys: optional allowlist; None accepts any key.
-        max_batch / max_wait_s: micro-batcher coalescing window.
+        max_batch / max_wait_s: micro-batcher batch size and the upper
+            bound on how long a batch is held open for announced
+            requests (a lone request does not wait).
         access_log_path: NDJSON access log (None disables logging).
         access_log_max_bytes: size threshold at which the access log
             rotates to ``<path>.1`` (one generation kept).
@@ -401,6 +409,12 @@ class LocalizationService:
                     trace_id,
                     span_id,
                 )
+            # Admitted: announce the request so the scenario's batcher
+            # holds a batch open for it while its body decodes; any
+            # decode failure withdraws the announcement.
+            batcher = self._batcher_for(request.scenario)
+            batcher.announce()
+            observations: Optional[ChannelObservations] = None
             try:
                 observations = decode_observations(
                     request.observations,
@@ -426,6 +440,9 @@ class LocalizationService:
                     trace_id,
                     span_id,
                 )
+            finally:
+                if observations is None:
+                    batcher.withdraw()
             # The batch runs on the batcher's worker thread under its
             # own linked trace; the wait span measures how long this
             # request blocked on coalescing + the shared locate_batch.
@@ -436,8 +453,8 @@ class LocalizationService:
             with observer.span(
                 "service.batch_wait", trace_id=trace_id
             ) as wait_span:
-                outcome = self._batcher_for(request.scenario).locate(
-                    observations, context
+                outcome = batcher.locate(
+                    observations, context, announced=True
                 )
                 if wait_span is not None:
                     wait_span.set(
@@ -658,6 +675,15 @@ def _handler_for(service: LocalizationService) -> Type[BaseHTTPRequestHandler]:
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # One send per response, never held back: the status line,
+        # headers and body collect in the write buffer until
+        # handle_one_request flushes after each method, and Nagle is
+        # off.  Written as two sends with Nagle on, the body waits for
+        # the client's ACK of the header segment -- which a
+        # delayed-ACKing keep-alive client holds for ~40 ms.
+        disable_nagle_algorithm = True
+        wbufsize = RESPONSE_BUFFER_BYTES
+
         # The NDJSON access log supersedes BaseHTTPRequestHandler's
         # stderr chatter.
 
@@ -696,8 +722,27 @@ def _handler_for(service: LocalizationService) -> Type[BaseHTTPRequestHandler]:
                     (404, error_body("not_found", self.path), {})
                 )
                 return
-            length = int(self.headers.get("Content-Length") or 0)
-            if length <= 0:
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown: answer, then close
+                # rather than parse its bytes as the next request.
+                self._send(
+                    (
+                        400,
+                        error_body(
+                            "invalid_request",
+                            "Content-Length must be a non-negative "
+                            "integer",
+                            field="Content-Length",
+                        ),
+                        {"Connection": "close"},
+                    )
+                )
+                return
+            if length == 0:
                 self._send(
                     (
                         400,
@@ -718,7 +763,7 @@ def _handler_for(service: LocalizationService) -> Type[BaseHTTPRequestHandler]:
                             "payload_too_large",
                             f"body exceeds {MAX_BODY_BYTES} bytes",
                         ),
-                        {},
+                        {"Connection": "close"},
                     )
                 )
                 return

@@ -7,24 +7,32 @@ few milliseconds of each other can therefore share one
 ``locate_batch`` call.
 
 Mechanics: callers submit observations and block on a per-request
-future; a background worker drains the queue, gathers until either
-``max_batch`` requests are pending or ``max_wait_s`` has elapsed since
-the first one, runs the provider chain's ``locate_batch`` once, and
-resolves each future with its own entry.  A lone request under no load
-waits at most ``max_wait_s`` (default 5 ms) -- the deliberate latency
-price of batching -- and failures stay per-future because the chain
+future; a background worker takes every queued request (up to
+``max_batch``), runs the provider chain's ``locate_batch`` once, and
+resolves each future with its own entry.  The worker only waits for
+requests it *knows* are coming: a caller that has passed admission
+announces itself (:meth:`~MicroBatcher.announce`) before decoding its
+body, then either submits -- which consumes the announcement in the
+same locked step as the enqueue -- or withdraws
+(:meth:`~MicroBatcher.withdraw`).  While announced requests are
+outstanding the worker holds the batch open, for at most ``max_wait_s``
+(default 5 ms) from taking its first request; with none outstanding it
+runs at once.  ``max_wait_s`` is therefore an upper bound on the
+coalescing delay, not a fixed sleep: a lone request under no load is
+served without waiting.  Failures stay per-future because the chain
 returns per-fix errors rather than raising.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.core.observations import ChannelObservations
 from repro.errors import LocalizationError, ReproError
 from repro.obs import get_observer
@@ -37,8 +45,10 @@ BatchFn = Callable[
     List[Union[LocateDecision, LocalizationError]],
 ]
 
-#: Queue sentinel that tells the worker to exit.
-_CLOSE = object()
+#: One queued request: observations, its future, its trace context.
+_Item = Tuple[
+    ChannelObservations, "Future[BatchedOutcome]", Optional[TraceContext]
+]
 
 
 @dataclass(frozen=True)
@@ -66,11 +76,15 @@ class BatchedOutcome:
     batch_span_id: int = 0
 
 
+@guarded_by("_lock", "_queue", "_announced", "_closed")
 class MicroBatcher:
     """One scenario's request coalescer.
 
-    Thread-safety: ``submit`` may be called from any number of server
-    threads; the single worker thread owns batching state.
+    Thread-safety: ``announce``/``withdraw``/``submit`` may be called
+    from any number of server threads; the queue, the count of announced
+    requests and the closed flag share one lock, whose condition wakes
+    the single worker thread.  Batch statistics are written by the
+    worker only.
     """
 
     def __init__(
@@ -92,69 +106,95 @@ class MicroBatcher:
         self.batches_total = 0
         self.requests_total = 0
         self.largest_batch = 0
-        self._queue: "queue.Queue[object]" = queue.Queue()
-        self._closed = threading.Event()
+        self._lock = make_lock("MicroBatcher._lock")
+        self._wakeup = threading.Condition(self._lock)
+        self._queue: Deque[_Item] = deque()
+        self._announced = 0
+        self._closed = False
         self._worker = threading.Thread(
             target=self._run, name=f"{name}-worker", daemon=True
         )
         self._worker.start()
 
+    def announce(self) -> None:
+        """Tell the worker one more request is on its way to ``submit``.
+
+        A caller that announces must later either ``submit(...,
+        announced=True)`` or :meth:`withdraw`; until then the worker
+        may hold a batch open for it (at most ``max_wait_s``).
+        """
+        with self._lock:
+            self._announced += 1
+
+    def withdraw(self) -> None:
+        """Cancel one announcement (the request failed before submit)."""
+        with self._lock:
+            self._announced = max(0, self._announced - 1)
+            self._wakeup.notify()
+
     def submit(
         self,
         observations: ChannelObservations,
         context: Optional[TraceContext] = None,
+        announced: bool = False,
     ) -> "Future[BatchedOutcome]":
         """Enqueue one request; the future resolves with its outcome.
 
         ``context`` carries the submitting request's trace identity: the
         shared batch span records every member's trace id
         (``member_trace_ids``), so the batch subtree is reachable from
-        each member's trace reconstruction.
+        each member's trace reconstruction.  ``announced`` consumes the
+        caller's earlier :meth:`announce` in the same locked step as the
+        enqueue, so the worker never sees the request as neither
+        announced nor queued.
 
         Raises:
             ReproError: when the batcher is already closed.
         """
-        if self._closed.is_set():
-            raise ReproError("batcher is closed")
         future: "Future[BatchedOutcome]" = Future()
-        self._queue.put((observations, future, context))
+        with self._lock:
+            if announced:
+                self._announced = max(0, self._announced - 1)
+            if self._closed:
+                raise ReproError("batcher is closed")
+            self._queue.append((observations, future, context))
+            self._wakeup.notify()
         return future
 
     def locate(
         self,
         observations: ChannelObservations,
         context: Optional[TraceContext] = None,
+        announced: bool = False,
     ) -> BatchedOutcome:
         """Submit and block until the outcome is ready."""
-        return self.submit(observations, context).result()
+        return self.submit(observations, context, announced).result()
 
-    def _gather(
-        self,
-    ) -> Optional[
-        List[Tuple[ChannelObservations, Future, Optional[TraceContext]]]
-    ]:
-        """Collect one batch; None means the close sentinel arrived."""
-        first = self._queue.get()
-        if first is _CLOSE:
-            return None
-        pending: List[
-            Tuple[ChannelObservations, Future, Optional[TraceContext]]
-        ] = [first]  # type: ignore[list-item]
-        remaining = self.max_wait_s
-        while len(pending) < self.max_batch and remaining > 0:
-            started = time.perf_counter()
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is _CLOSE:
-                # Re-enqueue so the next loop iteration exits cleanly
-                # after this batch is served.
-                self._queue.put(_CLOSE)
-                break
-            pending.append(item)  # type: ignore[arg-type]
-            remaining -= time.perf_counter() - started
-        return pending
+    def _gather(self) -> Optional[List[_Item]]:
+        """Collect one batch; None means closed with nothing queued.
+
+        Blocks until a request is queued, then keeps the batch open --
+        for at most ``max_wait_s`` from that moment -- only while it is
+        short of ``max_batch`` and announced requests have yet to
+        arrive.
+        """
+        with self._lock:
+            while not self._queue:
+                if self._closed:
+                    return None
+                self._wakeup.wait()
+            deadline = time.perf_counter() + self.max_wait_s
+            while (
+                len(self._queue) < self.max_batch
+                and self._announced > 0
+                and not self._closed
+            ):
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    break
+                self._wakeup.wait(remaining)
+            size = min(len(self._queue), self.max_batch)
+            return [self._queue.popleft() for _ in range(size)]
 
     def _run(self) -> None:
         """Worker loop: gather -> one locate_batch -> resolve futures.
@@ -207,19 +247,28 @@ class MicroBatcher:
                 )
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop the worker after the in-flight batch completes."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._queue.put(_CLOSE)
+        """Stop the worker once every queued request is served.
+
+        Outstanding announcements no longer hold a batch open; a caller
+        that submits after this raises :class:`ReproError`.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._wakeup.notify()
         self._worker.join(timeout=timeout_s)
 
     def info(self) -> dict:
         """Plain-data batcher statistics for /v1/stats.
 
         ``mean_batch`` is the occupancy (requests per locate_batch
-        call); ``queue_depth`` is the instantaneous backlog.
+        call); ``queue_depth`` is the instantaneous backlog and
+        ``announced`` the requests announced but not yet submitted.
         """
+        with self._lock:
+            queue_depth = len(self._queue)
+            announced = self._announced
         return {
             "max_batch": self.max_batch,
             "max_wait_s": self.max_wait_s,
@@ -231,5 +280,6 @@ class MicroBatcher:
                 if self.batches_total
                 else None
             ),
-            "queue_depth": self._queue.qsize(),
+            "queue_depth": queue_depth,
+            "announced": announced,
         }

@@ -94,6 +94,30 @@ class TestCheckedLock:
             worker.join()
         assert seen == {"held": False, "locked": True}
 
+    def test_condition_waits_and_wakes(self, registry):
+        lock = CheckedLock("T._lock", registry)
+        condition = threading.Condition(lock)
+        ready = []
+
+        def producer():
+            with lock:
+                ready.append(True)
+                condition.notify()
+
+        with lock:
+            worker = threading.Thread(target=producer)
+            worker.start()
+            assert condition.wait_for(lambda: ready, timeout=5.0)
+            assert lock.held_by_current_thread()
+            assert registry.held_names() == ("T._lock",)
+        worker.join()
+        assert registry.held_names() == ()
+
+    def test_condition_wait_requires_the_lock(self, registry):
+        condition = threading.Condition(CheckedLock("T._lock", registry))
+        with pytest.raises(RuntimeError):
+            condition.wait(timeout=0.01)
+
     def test_repr_names_the_rank(self, registry):
         assert "T._lock" in repr(CheckedLock("T._lock", registry))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -22,6 +23,7 @@ from repro.service import (
     encode_observations,
     make_server,
 )
+from repro.service.schema import MAX_BODY_BYTES
 from repro.sim.interference import inject_band_outage
 
 
@@ -235,6 +237,44 @@ class TestAllowlist:
         assert status == 200
 
 
+class TestBatchAnnouncements:
+    """Admitted requests announce themselves to the scenario's batcher;
+    none may be left outstanding, or later lone requests would wait out
+    the whole window."""
+
+    @pytest.fixture()
+    def slow_window_service(self, service_pool):
+        service = LocalizationService(
+            pool=service_pool,
+            config=ServiceConfig(
+                rate_per_s=10_000.0, burst=10_000, max_wait_s=5.0
+            ),
+        )
+        yield service
+        service.close()
+
+    def test_decode_failure_withdraws(
+        self, slow_window_service, observations, locate_body
+    ):
+        encoded = encode_observations(observations)
+        encoded["tag_to_anchor"] = encoded["tag_to_anchor"][:-1]
+        bad = json.dumps(
+            {"scenario": "vicon", "observations": encoded}
+        ).encode()
+        status, _, _ = slow_window_service.handle_locate(bad)
+        assert status == 400
+        _, stats, _ = slow_window_service.handle_stats()
+        assert stats["batchers"]["vicon"]["announced"] == 0
+        # With the 5 s window, a leaked announcement would hold this
+        # request for seconds; served, it ran as a batch of one.
+        status, payload, _ = slow_window_service.handle_locate(locate_body)
+        assert status == 200
+        assert payload["batch_size"] == 1
+        assert payload["latency_s"] < 2.5
+        _, stats, _ = slow_window_service.handle_stats()
+        assert stats["batchers"]["vicon"]["announced"] == 0
+
+
 class TestProviderFallbackOverHttp:
     def test_band_outage_degrades_not_500(
         self, live_server, observations
@@ -324,3 +364,151 @@ class TestIntrospectionRoutes:
         assert payload["pool"]["engine"]["entries"] >= 1
         assert "allowed_total" in payload["ratelimit"]
         assert "vicon" in payload["batchers"]
+
+
+def _post_with_length(
+    host: str, port: int, content_length: str
+) -> Tuple[int, dict, Dict[str, str]]:
+    """POST with a hand-written Content-Length header and no body."""
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        connection.putrequest("POST", "/v1/locate")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        payload = json.loads(response.read().decode("utf-8"))
+        headers = {k.lower(): v for k, v in response.getheaders()}
+        return response.status, payload, headers
+    finally:
+        connection.close()
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("content_length", ["abc", "-5"])
+    def test_invalid_length_is_400_envelope(
+        self, live_server, content_length
+    ):
+        host, port = live_server
+        status, payload, headers = _post_with_length(
+            host, port, content_length
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["field"] == "Content-Length"
+        # The body's extent is unknown, so the connection is not reused.
+        assert headers.get("connection") == "close"
+
+    def test_oversized_length_is_413_and_closes(self, live_server):
+        host, port = live_server
+        status, payload, headers = _post_with_length(
+            host, port, str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert payload["error"]["code"] == "payload_too_large"
+        # The body was never read, so it must not be parsed as the
+        # connection's next request.
+        assert headers.get("connection") == "close"
+
+    def test_server_survives_invalid_length(self, live_server):
+        host, port = live_server
+        _post_with_length(host, port, "abc")
+        status, payload = _get(host, port, "/v1/health")
+        assert status == 200
+        assert payload["status"] == "ok"
+
+
+class TestTransport:
+    """The socket-level shape of responses, counted deterministically."""
+
+    @pytest.fixture()
+    def counted_server(self, service_app):
+        """A live server whose handlers record TCP_NODELAY and writes.
+
+        Each accepted connection appends one record: the server-side
+        socket's TCP_NODELAY value and the sizes of the handler's
+        socket writes, in order.
+        """
+        connections: list = []
+        lock = threading.Lock()
+        server = make_server(service_app, host="127.0.0.1", port=0)
+        base = server.RequestHandlerClass
+
+        class CountingHandler(base):  # type: ignore[misc,valid-type]
+            def setup(self) -> None:
+                super().setup()
+                record = {
+                    "nodelay": self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ),
+                    "writes": [],
+                }
+                with lock:
+                    connections.append(record)
+                # Buffered: count the raw socket writes under the
+                # buffer; unbuffered: count the writer's sendalls.
+                sink = getattr(self.wfile, "raw", self.wfile)
+                write = sink.write
+
+                def counting_write(data):
+                    record["writes"].append(len(data))
+                    return write(data)
+
+                sink.write = counting_write
+
+        server.RequestHandlerClass = CountingHandler
+        thread = threading.Thread(
+            target=server.serve_forever, daemon=True
+        )
+        thread.start()
+        host, port = server.server_address[:2]
+        yield str(host), int(port), connections
+        server.shutdown()
+        server.server_close()
+
+    def test_accepted_socket_has_nodelay(self, counted_server):
+        host, port, connections = counted_server
+        status, _ = _get(host, port, "/v1/health")
+        assert status == 200
+        assert len(connections) == 1
+        assert connections[0]["nodelay"] != 0
+
+    def test_locate_response_is_one_write(
+        self, counted_server, locate_body
+    ):
+        host, port, connections = counted_server
+        status, payload, _ = _post(host, port, locate_body)
+        assert status == 200
+        assert payload["provider"] == "bloc"
+        assert len(connections[0]["writes"]) == 1
+
+    def test_error_response_is_one_write(self, counted_server):
+        host, port, connections = counted_server
+        status, payload, _ = _post(host, port, b"{definitely not json")
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert len(connections[0]["writes"]) == 1
+
+    def test_keep_alive_back_to_back_posts(
+        self, counted_server, locate_body
+    ):
+        host, port, connections = counted_server
+        connection = http.client.HTTPConnection(host, port, timeout=30.0)
+        try:
+            statuses = []
+            for _ in range(3):
+                connection.request(
+                    "POST",
+                    "/v1/locate",
+                    body=locate_body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                json.loads(response.read().decode("utf-8"))
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [200, 200, 200]
+        # One connection carried all three, one write per response.
+        assert len(connections) == 1
+        assert len(connections[0]["writes"]) == 3

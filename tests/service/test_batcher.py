@@ -133,3 +133,67 @@ def test_info_shape():
     assert info["max_batch"] == 3
     assert info["requests_total"] == 1
     assert info["batches_total"] == 1
+
+
+class TestAnnouncedWindow:
+    """The window waits only for announced requests, up to max_wait_s."""
+
+    def test_lone_request_does_not_wait_out_the_window(self):
+        fn = RecordingBatchFn()
+        batcher = MicroBatcher(fn, max_batch=8, max_wait_s=0.5)
+        try:
+            started = time.perf_counter()
+            outcome = batcher.locate("obs")
+            elapsed = time.perf_counter() - started
+        finally:
+            batcher.close()
+        assert outcome.batch_size == 1
+        assert elapsed < 0.25
+
+    def test_announced_request_joins_the_open_batch(self):
+        fn = RecordingBatchFn()
+        batcher = MicroBatcher(fn, max_batch=8, max_wait_s=0.5)
+        try:
+            batcher.announce()
+            first = batcher.submit("first")
+            time.sleep(0.02)  # let the worker take "first" and wait
+            second = batcher.submit("second", announced=True)
+            outcomes = [f.result(timeout=5.0) for f in (first, second)]
+        finally:
+            batcher.close()
+        assert [o.batch_size for o in outcomes] == [2, 2]
+        assert [o.decision for o in outcomes] == [
+            ("ok", "first"),
+            ("ok", "second"),
+        ]
+        assert fn.batches == [2]
+
+    def test_withdrawn_announcement_does_not_hold_requests(self):
+        fn = RecordingBatchFn()
+        batcher = MicroBatcher(fn, max_batch=8, max_wait_s=0.5)
+        try:
+            batcher.announce()
+            held = batcher.submit("held")
+            time.sleep(0.02)
+            started = time.perf_counter()
+            batcher.withdraw()
+            assert held.result(timeout=5.0).batch_size == 1
+            # The next lone request finds nothing announced either.
+            lone = batcher.locate("lone")
+            elapsed = time.perf_counter() - started
+        finally:
+            batcher.close()
+        assert lone.batch_size == 1
+        assert elapsed < 0.25
+        assert fn.batches == [1, 1]
+
+    def test_close_with_outstanding_announcement_exits(self):
+        batcher = MicroBatcher(
+            RecordingBatchFn(), max_batch=8, max_wait_s=60.0
+        )
+        batcher.announce()
+        future = batcher.submit("obs")
+        time.sleep(0.02)
+        batcher.close(timeout_s=5.0)
+        assert not batcher._worker.is_alive()
+        assert future.result(timeout=1.0).decision == ("ok", "obs")
