@@ -626,8 +626,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             choices=("serial", "thread", "process"),
             default=None,
             help="evaluation backend (default: thread when --workers > 1, "
-            "serial otherwise; process shares the steering cache over "
-            "shared memory)",
+            "serial otherwise; process seeds every worker with the "
+            "parent's steering entry)",
         )
         command.add_argument(
             "--batch-size",

@@ -784,10 +784,6 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
         "BlocLocalizer.locate",
         "BlocLocalizer.locate_batch",
     ),
-    "repro/core/parallel.py": (
-        "SharedSteeringSegment.retain",
-        "SharedSteeringSegment.close",
-    ),
     "repro/obs/metrics.py": (
         "Counter.inc",
         "Counter.merge",
@@ -859,48 +855,6 @@ class MissingThreadSafetyTag(Rule):
                     f"{qual} is reachable from the evaluate() worker "
                     f"pool but its docstring does not document "
                     f"thread-safety",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RPR011 -- SharedMemory construction outside the shm engine module
-# ---------------------------------------------------------------------------
-
-
-class DirectSharedMemory(Rule):
-    """RPR011: direct SharedMemory use outside repro/core/parallel.py."""
-
-    id = "RPR011"
-    title = "SharedMemory constructed outside the shm engine module"
-    rationale = (
-        "Segment ownership -- who unlinks, who merely unmaps, how the "
-        "3.11 resource tracker is kept from unlinking a live segment -- "
-        "is centralised in repro/core/parallel.py; a stray "
-        "SharedMemory(...) elsewhere re-opens every /dev/shm leak and "
-        "double-unlink bug that module exists to close.  Publish with "
-        "publish_steering_entry(), attach with attach_steering()."
-    )
-    scopes = None
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if ctx.rel.replace("\\", "/").endswith("repro/core/parallel.py"):
-            return False  # the one sanctioned constructor site
-        return super().applies_to(ctx)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name == "SharedMemory" or name.endswith(".SharedMemory"):
-                yield ctx.finding(
-                    self.id,
-                    node,
-                    f"{name}(...) outside repro/core/parallel.py -- "
-                    "publish with publish_steering_entry(), attach with "
-                    "attach_steering()",
                 )
 
 
@@ -984,7 +938,6 @@ ALL_RULES = (
     OverbroadExcept,
     MagicBleConstant,
     MissingThreadSafetyTag,
-    DirectSharedMemory,
     UntracedServiceHandler,
 )
 

@@ -103,9 +103,10 @@ def steering_cache_key(
     """Hashable signature of everything the steering entry depends on.
 
     The key is a nested tuple of plain floats/ints, so it is picklable:
-    the shared-memory backend (:mod:`repro.core.parallel`) ships it to
-    worker processes alongside the segment name, and workers seed their
-    local caches under the very same key (see :meth:`SteeringCache.seed`).
+    the process backend (:mod:`repro.sim.procpool`) hands it to worker
+    processes together with the parent-built entry, and workers seed
+    their local caches under the very same key (see
+    :meth:`SteeringCache.seed`).
     """
     anchor_signature = tuple(
         tuple(float(v) for v in anchor.antenna_array().ravel())
@@ -368,8 +369,8 @@ class SteeringCache:
     def seed(self, key: tuple, entry: SteeringEntry) -> None:
         """Pre-insert an externally built entry under its cache key.
 
-        Used by the process-pool backend: a worker attaches the parent's
-        published steering arrays from shared memory and seeds them
+        Used by the process-pool backend: each worker's pool
+        initializer receives the parent's built entry and seeds it
         here, so its first ``entry_for`` lookup is a warm hit instead of
         a rebuild.  The key must come from
         :func:`steering_cache_key` over the same geometry the entry was

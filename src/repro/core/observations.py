@@ -56,6 +56,8 @@ class ChannelObservations:
 
     def __post_init__(self):
         self.frequencies_hz = np.asarray(self.frequencies_hz, dtype=float)
+        if self.frequencies_hz.size < 1:
+            raise MeasurementError("need at least one frequency band")
         self.tag_to_anchor = np.asarray(self.tag_to_anchor, dtype=complex)
         self.master_to_anchor = np.asarray(self.master_to_anchor, dtype=complex)
         if self.band_snr_db is not None:

@@ -7,10 +7,12 @@ fixes out over worker *processes* instead, with two tricks keeping the
 fan-out cheap:
 
 * the steering entry (6.7 MB at the 0.06 m sweep grid) is built once in
-  the parent and **published into POSIX shared memory**
-  (:mod:`repro.core.parallel`); every worker attaches read-only numpy
-  views onto the same physical pages instead of rebuilding or copying,
-  so N workers cost one cache, not N;
+  the parent and handed to every worker through the pool initializer,
+  which seeds it into the worker's own cache.  Under ``fork`` (the
+  start method picked wherever it exists) initializer arguments are
+  inherited rather than pickled, so the workers read the parent's array
+  pages copy-on-write -- N workers cost one cache, not N; under
+  ``spawn`` the plain-numpy entry pickles to each worker once;
 * observability crosses the process boundary as plain data -- each
   worker runs its own :class:`~repro.obs.trace.Tracer` at a disjoint
   span-id offset (``pid * 2**32``) and ships finished spans plus a
@@ -26,9 +28,7 @@ fan-out cheap:
 
 A worker crash (OOM kill, segfault) breaks the pool.  The sweep then
 records every unfinished fix as a failure with a clean
-``failure_reason`` -- a dead worker is data, not a crash of the sweep --
-and the ``finally`` block closes the owning shared-memory segment, so
-nothing leaks into ``/dev/shm``.
+``failure_reason`` -- a dead worker is data, not a crash of the sweep.
 """
 
 from __future__ import annotations
@@ -41,15 +41,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.engine import SteeringCache, steering_cache_key
+from repro.core.engine import SteeringCache, SteeringEntry, steering_cache_key
 from repro.core.observations import ChannelObservations
-from repro.core.parallel import (
-    AttachedSteering,
-    SharedSteeringHandle,
-    SharedSteeringSegment,
-    attach_steering,
-    publish_steering_entry,
-)
 from repro.errors import LocalizationError
 from repro.obs import MetricsRegistry, Observability, get_observer, install
 from repro.obs.trace import Span, SpanHandle, Tracer
@@ -73,12 +66,12 @@ class _SweepSpec:
     Attributes:
         localizer: the scheme under test, with any steering cache
             stripped (caches hold locks and are not picklable; workers
-            get theirs via ``steering`` or ``rebuild_engine``).
-        steering: handle of the published steering segment, or None
-            when nothing was published.
-        rebuild_engine: give the worker a private empty
-            :class:`~repro.core.engine.SteeringCache` (subset sweeps,
-            unpublishable geometries).
+            get a fresh one when ``had_engine`` is set).
+        steering: ``(steering_cache_key, entry)`` built in the parent,
+            seeded into each worker's cache; None leaves that cache
+            empty (subset sweeps, an un-correctable probe fix).
+        had_engine: the localizer carried a
+            :class:`~repro.core.engine.SteeringCache`.
         parent: span handle the worker parents its spans under.
         observe: whether the parent sweep runs observed.
         label: report label, forwarded into per-fix spans.
@@ -87,8 +80,8 @@ class _SweepSpec:
     """
 
     localizer: runner.Localizer
-    steering: Optional[SharedSteeringHandle]
-    rebuild_engine: bool
+    steering: Optional[Tuple[tuple, SteeringEntry]]
+    had_engine: bool
     parent: Optional[SpanHandle]
     observe: bool
     label: str
@@ -97,26 +90,19 @@ class _SweepSpec:
 
 
 class _WorkerState:
-    """Per-process state assembled by :func:`_init_worker`.
+    """Per-process state assembled by :func:`_init_worker`."""
 
-    Holds the steering attachment for the worker's whole lifetime: the
-    seeded cache entry's numpy views are only valid while the mapping
-    is (see :mod:`repro.core.parallel`); the views die with the process.
-    """
-
-    __slots__ = ("spec", "localizer", "observer", "attached")
+    __slots__ = ("spec", "localizer", "observer")
 
     def __init__(
         self,
         spec: _SweepSpec,
         localizer: runner.Localizer,
         observer: Observability,
-        attached: Optional[AttachedSteering] = None,
     ):
         self.spec = spec
         self.localizer = localizer
         self.observer = observer
-        self.attached = attached
 
 
 #: This worker process's state (None in the parent).  Written exactly
@@ -125,14 +111,11 @@ _WORKER: Optional[_WorkerState] = None
 
 
 def _init_worker(spec: _SweepSpec) -> None:
-    """Pool initializer: attach steering, install worker observability.
+    """Pool initializer: seed the steering cache, install observability.
 
     Runs once per worker process.  The worker tracer's id offset is
     derived from the pid, so merged spans can never collide with the
-    parent's or a sibling's (see :data:`WORKER_ID_STRIDE`).  The
-    steering attachment is deliberately never closed here: it lives as
-    long as the worker, and a worker exit unmaps without unlinking
-    (ownership rules in :mod:`repro.core.parallel`).
+    parent's or a sibling's (see :data:`WORKER_ID_STRIDE`).
     """
     global _WORKER
     observer = Observability(enabled=spec.observe)
@@ -140,17 +123,12 @@ def _init_worker(spec: _SweepSpec) -> None:
         observer.tracer = Tracer(id_offset=os.getpid() * WORKER_ID_STRIDE)
     install(observer)
     localizer = spec.localizer
-    attached = None
-    if spec.steering is not None:
-        attached = attach_steering(spec.steering)
-        cache = SteeringCache()
-        cache.seed(spec.steering.cache_key, attached.entry)
-        localizer = copy.copy(localizer)
-        localizer.engine = cache
-    elif spec.rebuild_engine:
+    if spec.had_engine:
         localizer = copy.copy(localizer)
         localizer.engine = SteeringCache()
-    _WORKER = _WorkerState(spec, localizer, observer, attached)
+        if spec.steering is not None:
+            localizer.engine.seed(*spec.steering)
+    _WORKER = _WorkerState(spec, localizer, observer)
 
 
 def _run_task(
@@ -216,30 +194,23 @@ def _prepare_localizer(
     localizer: runner.Localizer,
     entries: Sequence[ChannelObservations],
     mode: str,
-) -> Tuple[
-    runner.Localizer,
-    Optional[SharedSteeringHandle],
-    bool,
-    Optional[SharedSteeringSegment],
-]:
-    """Strip/publish the localizer's steering cache for shipment.
+) -> Tuple[runner.Localizer, Optional[Tuple[tuple, SteeringEntry]], bool]:
+    """Strip the localizer's steering cache for shipment.
 
-    Returns ``(shipped, steering_handle, rebuild_engine, owner)``.  A
-    localizer carrying a :class:`~repro.core.engine.SteeringCache` is
-    shipped engine-less (caches hold locks); for a plain fix sweep the
-    shared geometry's entry is built here once and published to shared
-    memory, otherwise (anchor subsets, an un-correctable probe fix)
-    workers rebuild into private caches.  The caller must ``close()``
-    the returned owner segment -- in a ``finally`` -- once the sweep is
-    done.
+    Returns ``(shipped, steering, had_engine)``.  A localizer carrying a
+    :class:`~repro.core.engine.SteeringCache` is shipped engine-less
+    (caches hold locks); for a plain fix sweep the shared geometry's
+    entry is built here once and returned with its cache key, otherwise
+    (anchor subsets, an un-correctable probe fix) workers build into
+    private caches.
     """
     engine = getattr(localizer, "engine", None)
     if not isinstance(engine, SteeringCache):
-        return localizer, None, False, None
+        return localizer, None, False
     shipped = copy.copy(localizer)
     shipped.engine = None
     if mode != "fix" or not entries or not hasattr(localizer, "correct"):
-        return shipped, None, True, None
+        return shipped, None, True
     try:
         probe = entries[0]
         corrected = localizer.correct(probe)
@@ -254,10 +225,9 @@ def _prepare_localizer(
         entry = engine.entry_for(corrected, grid)
     except LocalizationError:
         # The probe fix is un-correctable; its record will say so when
-        # the sweep reaches it.  Workers rebuild their own caches.
-        return shipped, None, True, None
-    owner = publish_steering_entry(entry, key)
-    return shipped, owner.handle, False, owner
+        # the sweep reaches it.  Workers build their own caches.
+        return shipped, None, True
+    return shipped, (key, entry), True
 
 
 def process_sweep(
@@ -281,23 +251,21 @@ def process_sweep(
     (cheap start, inherited imports); the code is spawn-safe otherwise.
 
     Fixes lost to a worker crash come back as failure records carrying
-    :data:`WORKER_DIED_REASON`, and the published steering segment is
-    closed in a ``finally``, so even a crashed sweep leaks nothing into
-    ``/dev/shm``.
+    :data:`WORKER_DIED_REASON`.
     """
     observer = get_observer()
     if transform is not None:
         entries = [transform(observations) for observations in entries]
     else:
         entries = list(entries)
-    shipped, steering, rebuild, owner = _prepare_localizer(
+    shipped, steering, had_engine = _prepare_localizer(
         localizer, entries, mode
     )
     parent = observer.tracer.active() if observer.enabled else None
     spec = _SweepSpec(
         localizer=shipped,
         steering=steering,
-        rebuild_engine=rebuild,
+        had_engine=had_engine,
         parent=parent.handle() if parent is not None else None,
         observe=observer.enabled,
         label=label,
@@ -314,34 +282,30 @@ def process_sweep(
     context = multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
     )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = []
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(spec,),
+    ) as pool:
+        futures = []
+        try:
+            for task in tasks:
+                futures.append(pool.submit(_run_task, task))
+        except BrokenProcessPool:
+            pass  # submitted futures still drain below
+        for future in futures:
             try:
-                for task in tasks:
-                    futures.append(pool.submit(_run_task, task))
+                start, task_records, spans, snapshot = future.result()
             except BrokenProcessPool:
-                pass  # submitted futures still drain below
-            for future in futures:
-                try:
-                    start, task_records, spans, snapshot = future.result()
-                except BrokenProcessPool:
-                    continue  # lost fixes become failure records below
-                for offset, record in enumerate(task_records):
-                    records[start + offset] = record
-                if observer.enabled:
-                    if spans:
-                        observer.tracer.absorb(spans)
-                    if snapshot:
-                        observer.metrics.merge_snapshot(snapshot)
-    finally:
-        if owner is not None:
-            owner.close()
+                continue  # lost fixes become failure records below
+            for offset, record in enumerate(task_records):
+                records[start + offset] = record
+            if observer.enabled:
+                if spans:
+                    observer.tracer.absorb(spans)
+                if snapshot:
+                    observer.metrics.merge_snapshot(snapshot)
     for index, observations in enumerate(entries):
         if records[index] is None:
             records[index] = runner.EvaluationRecord(

@@ -17,9 +17,9 @@ Two further levers trade layout for speed without changing results (see
 DESIGN.md's backend matrix):
 
 * ``backend="process"`` fans fixes out over worker *processes* (module
-  :mod:`repro.sim.procpool`), sharing one steering cache through POSIX
-  shared memory -- the escape hatch from the GIL for the pure-Python
-  part of a sweep;
+  :mod:`repro.sim.procpool`), each seeded with the parent's steering
+  entry -- the escape hatch from the GIL for the pure-Python part of a
+  sweep;
 * ``batch_size=B`` stacks B fixes into one batched Eq. 17 evaluation
   (:meth:`~repro.core.localizer.BlocLocalizer.locate_batch`): the
   Eq. 17 kernel runs once with a column per fix.
@@ -665,9 +665,8 @@ def evaluate(
             ``batch_size``).
         backend: ``"serial"``, ``"thread"`` or ``"process"`` (None picks
             thread when ``workers > 1``, serial otherwise).  The process
-            backend runs fixes in worker processes sharing one
-            steering cache through shared memory; see
-            :mod:`repro.sim.procpool`.
+            backend runs fixes in worker processes seeded with the
+            parent's steering entry; see :mod:`repro.sim.procpool`.
         batch_size: stack B fixes into one batched Eq. 17 evaluation
             per task (localizers without ``locate_batch`` silently fall
             back to per-fix calls).  Results match the unbatched path up
@@ -791,8 +790,8 @@ def evaluate_anchor_subsets(
     loop stays serial inside its worker), with the same ordering and
     metric-merging guarantees as :func:`evaluate`; ``backend`` picks the
     thread or process pool as there.  Subset geometries differ per
-    sub-fix, so the process backend skips the shared-memory steering
-    publication and lets each worker build its own cache.
+    sub-fix, so the process backend hands workers no steering entry
+    and lets each one build its own cache.
 
     ``batch_size`` is accepted for signature parity with
     :func:`evaluate` but must stay None: every sub-fix of an entry runs

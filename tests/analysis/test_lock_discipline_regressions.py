@@ -1,10 +1,10 @@
 """Regression tests for the races the concurrency audit fixed.
 
 Rolling out RPR013-015 over the tree surfaced a handful of real
-violations -- unlocked snapshot reads and an exception-path shared
-memory leak.  Each fix gets a behavioural test here so the bug cannot
-quietly return, plus a declaration-integrity sweep over every
-``@guarded_by`` class in the package.
+violations, chiefly unlocked snapshot reads.  Each fix gets a
+behavioural test here so the bug cannot quietly return, plus a
+declaration-integrity sweep over every ``@guarded_by`` class in the
+package.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.core import (
     build_steering_entry,
     correct_phase_offsets,
 )
-from repro.core.parallel import active_segments, publish_steering_entry
 from repro.obs.metrics import MetricsRegistry
 from repro.service.telemetry import AccuracyTelemetry
 from repro.sim import ChannelMeasurementModel
@@ -84,32 +83,6 @@ class TestSteeringCacheInfoSnapshot:
             stop.set()
             for worker in workers:
                 worker.join()
-
-
-class TestPublishFailurePathCleanup:
-    def test_failed_publish_does_not_leak_the_segment(
-        self, entry, monkeypatch
-    ):
-        """A failure between segment creation and handle construction
-        unlinks the segment (the RPR015 exception-path case)."""
-        import repro.core.parallel as parallel
-
-        def explode(*args, **kwargs):
-            raise RuntimeError("planted handle failure")
-
-        monkeypatch.setattr(parallel, "SharedSteeringHandle", explode)
-        before = active_segments()
-        with pytest.raises(RuntimeError, match="planted handle failure"):
-            publish_steering_entry(entry, ("key",))
-        assert active_segments() == before
-
-    def test_successful_publish_still_works(self, entry):
-        segment = publish_steering_entry(entry, ("key",))
-        try:
-            assert segment.handle.name in active_segments()
-        finally:
-            segment.close()
-        assert segment.handle.name not in active_segments()
 
 
 class TestLockedCounterReads:
@@ -203,7 +176,6 @@ class TestGuardDeclarations:
         class actually creates -- a typo'd lock name would silently
         disable both the static and the runtime checks."""
         import repro.core.engine
-        import repro.core.parallel
         import repro.obs.metrics
         import repro.obs.trace
         import repro.service.app
@@ -214,7 +186,6 @@ class TestGuardDeclarations:
 
         classes = [
             repro.core.engine.SteeringCache,
-            repro.core.parallel.SharedSteeringSegment,
             repro.obs.metrics.Counter,
             repro.obs.metrics.Gauge,
             repro.obs.metrics.Histogram,

@@ -151,14 +151,6 @@ class TestRuleFixtures:
         assert "Cache.entry_for" in active[0].message
         assert len([f for f in found if f.suppressed]) == 1
 
-    def test_rpr011_direct_shared_memory(self):
-        found = by_rule(lint_fixture("rpr011.py"), "RPR011")
-        active = [f for f in found if not f.suppressed]
-        assert len(active) == 2
-        messages = " | ".join(f.message for f in active)
-        assert "shared_memory.SharedMemory" in messages
-        assert len([f for f in found if f.suppressed]) == 1
-
     def test_rpr012_untraced_handlers(self):
         found = by_rule(
             lint_fixture("rpr012.py", rel="src/repro/service/app.py"),
@@ -177,17 +169,6 @@ class TestRuleFixtures:
             source, rel="src/repro/service/batcher.py"
         )
         assert by_rule(findings, "RPR012") == []
-
-    def test_rpr011_exempts_the_engine_module(self):
-        source = (
-            "from multiprocessing import shared_memory\n\n\n"
-            "def publish():\n"
-            "    return shared_memory.SharedMemory(create=True, size=16)\n"
-        )
-        findings = LintEngine().lint_source(
-            source, rel="src/repro/core/parallel.py"
-        )
-        assert by_rule(findings, "RPR011") == []
 
 
 class TestScoping:

@@ -55,6 +55,17 @@ class TestConstruction:
                 master_to_anchor=obs.master_to_anchor,
             )
 
+    def test_zero_bands_rejected(self):
+        obs = make_observations()
+        with pytest.raises(MeasurementError, match="at least one"):
+            ChannelObservations(
+                anchors=obs.anchors,
+                master_index=0,
+                frequencies_hz=obs.frequencies_hz[:0],
+                tag_to_anchor=obs.tag_to_anchor[:, :, :0],
+                master_to_anchor=obs.master_to_anchor[:, :, :0],
+            )
+
     def test_bad_master_index(self):
         obs = make_observations()
         with pytest.raises(ConfigurationError):

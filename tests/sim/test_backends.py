@@ -6,13 +6,13 @@ both fork and spawn start methods.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
 import pytest
 
 from repro import BlocConfig, BlocLocalizer
-from repro.core.parallel import active_segments
 from repro.errors import ConfigurationError, LocalizationError
 from repro.sim import DiagnosticsCapture
 from repro.sim.dataset import build_dataset
@@ -233,8 +233,6 @@ class TestWorkerCrash:
         )
         assert all(r.error_m == float("inf") for r in run.records)
         assert all(r.estimate is None for r in run.records)
-        # The owner segment was unlinked in the sweep's finally block.
-        assert active_segments() == ()
         assert _shm_names() <= before
 
 
@@ -301,13 +299,38 @@ class TestEquivalence:
             )
         assert process.num_failed == 0
         # The parent's build is the sweep's only miss: every worker
-        # lookup hits the entry attached from shared memory.
+        # lookup hits the entry seeded through the pool initializer.
         assert obs.metrics.get("engine.cache_misses").value == 1
         assert obs.metrics.get("engine.cache_hits").value == len(
             small_dataset
         )
-        assert active_segments() == ()
         assert _shm_names() <= before
+
+    def test_spawned_workers_get_the_pickled_entry(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.obs import observed
+
+        # process_sweep forks wherever fork exists; hide it so the
+        # initializer's steering entry has to pickle to each worker.
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        serial = evaluate(_bloc(), small_dataset)
+        with observed() as obs:
+            process = evaluate(
+                _bloc(), small_dataset, workers=2, backend="process"
+            )
+        assert [r.error_m for r in serial.records] == [
+            r.error_m for r in process.records
+        ]
+        assert [r.estimate for r in serial.records] == [
+            r.estimate for r in process.records
+        ]
+        assert obs.metrics.get("engine.cache_misses").value == 1
+        assert obs.metrics.get("engine.cache_hits").value == len(
+            small_dataset
+        )
 
     def test_process_batched_matches_serial(self, small_dataset):
         serial = evaluate(_bloc(), small_dataset)
