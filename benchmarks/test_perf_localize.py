@@ -5,12 +5,18 @@ the default 4-anchor / 4-antenna / 37-band scenario:
 
 * direct Eq. 17 path (rebuild geometry every fix) vs a cold steering
   cache (first fix pays the build) vs a warm cache (matvecs only);
-* serial ``evaluate()`` vs ``evaluate(workers=N)``.
+* serial ``evaluate()`` vs the thread, process and batched sweeps;
+* the sampling profiler's overhead on a warm fix.
 
 Each test folds its measurements into ``BENCH_localize.json`` (path
 overridable via ``REPRO_BENCH_JSON``), so successive runs keep the perf
 trajectory comparable.  Scale with ``REPRO_EVAL_POINTS`` /
 ``REPRO_GRID_RES`` like the figure benchmarks.
+
+The tests measure and check correctness only (equal records, cache
+hit/miss counts, equal positions, a monotone batch curve).  Every speed
+and overhead bound is an ``[slo.*]`` rule in ``slo.toml``, gated by
+``python -m repro obs slo --bench BENCH_localize.json``.
 """
 
 from __future__ import annotations
@@ -127,7 +133,10 @@ def _scenario(dataset, localizer) -> dict:
 
 
 def test_perf_steering_cache(dataset, report_sink):
-    """Warm-cache locate must be >= 3x faster than the direct path."""
+    """Direct vs cold vs warm steering-cache locate, same position.
+
+    The warm/direct floor is ``slo.warm_speedup_vs_direct``.
+    """
     observations = dataset.observations[0]
     direct = BlocLocalizer(config=_bloc_config(), engine=None)
     cached = BlocLocalizer(config=_bloc_config())
@@ -166,14 +175,13 @@ def test_perf_steering_cache(dataset, report_sink):
         f"({speedup:.1f}x vs direct)\n"
         f"  cache size        {entry['bytes'] / 1e6:8.1f} MB"
     )
-    assert speedup >= 3.0, (
-        f"warm cache only {speedup:.2f}x faster than the direct path "
-        f"(direct {direct_s:.4f}s, warm {warm_s:.4f}s)"
-    )
 
 
 def test_perf_parallel_evaluate(dataset, report_sink):
-    """Parallel sweep: identical records, measured throughput."""
+    """Thread sweep: identical records, measured throughput.
+
+    The speedup floor is ``slo.thread_speedup_vs_serial``.
+    """
     serial_localizer = BlocLocalizer(config=_bloc_config())
     parallel_localizer = BlocLocalizer(config=_bloc_config())
 
@@ -228,18 +236,13 @@ def test_perf_parallel_evaluate(dataset, report_sink):
            if unreliable else "")
     )
     assert Path(BENCH_JSON_PATH).exists()
-    if not unreliable:
-        # With real cores behind the workers the thread pool must at
-        # least not halve throughput (NumPy releases the GIL in the
-        # likelihood kernels, so some overlap is expected).
-        assert parallel_rate >= 0.5 * serial_rate, (
-            f"parallel sweep slower than half of serial on {cpus} cpus: "
-            f"{parallel_rate:.1f} vs {serial_rate:.1f} fixes/s"
-        )
 
 
 def test_perf_process_backend(dataset, report_sink):
-    """Process backend: identical errors, GIL-free sweep throughput."""
+    """Process backend: identical errors, GIL-free sweep throughput.
+
+    The speedup floor is ``slo.process_speedup_vs_serial``.
+    """
     serial_localizer = BlocLocalizer(config=_bloc_config())
     process_localizer = BlocLocalizer(config=_bloc_config())
 
@@ -289,35 +292,49 @@ def test_perf_process_backend(dataset, report_sink):
            f"{cpus} cpu(s) < {effective} workers]"
            if unreliable else "")
     )
-    if not unreliable:
-        assert speedup >= 1.7, (
-            f"process backend only {speedup:.2f}x serial at "
-            f"workers={effective} on {cpus} cpus "
-            f"(serial {serial_s:.3f}s, process {process_s:.3f}s)"
-        )
+
+
+#: Interleaved sweep rounds of the batched curve; each point reports
+#: its fastest round.
+BATCH_SWEEP_ROUNDS = 5
+
+
+def _best_sweeps(dataset, sizes):
+    """``{size: (run, seconds)}``: each size's fastest sweep.
+
+    Every round sweeps each size once from a fresh localizer, so every
+    timing includes one steering build.  A CI-sized sweep (6 fixes on a
+    0.12 m grid) is a handful of warm fixes long; interleaving spreads
+    a scheduler stall over several sizes' rounds instead of all rounds
+    of one size, and the best round discards it.
+    """
+    best = {}
+    for _ in range(BATCH_SWEEP_ROUNDS):
+        for size in sizes:
+            localizer = BlocLocalizer(config=_bloc_config())
+            start = time.perf_counter()
+            run = evaluate(
+                localizer,
+                dataset,
+                label="serial" if size is None else f"batch{size}",
+                batch_size=size,
+            )
+            elapsed = time.perf_counter() - start
+            if size not in best or elapsed < best[size][1]:
+                best[size] = (run, elapsed)
+    return best
 
 
 def test_perf_batched_evaluate(dataset, report_sink):
-    """Batched Eq. 17: one (B, antennas, grid) matmul serves a batch."""
-    serial_localizer = BlocLocalizer(config=_bloc_config())
+    """Batched Eq. 17: equal errors, a monotone throughput curve.
 
-    start = time.perf_counter()
-    serial_run = evaluate(serial_localizer, dataset, label="serial")
-    serial_s = time.perf_counter() - start
-
+    The B=8 speedup floor is ``slo.batched_speedup_vs_serial``.
+    """
+    sweeps = _best_sweeps(dataset, (None, 2, 4, 8))
+    serial_run, serial_s = sweeps[None]
+    batched_run, batched_s = sweeps[8]
     fixes = len(dataset)
-    curve = {}
-    batched_run = None
-    batched_s = serial_s
-    for size in (2, 4, 8):
-        localizer = BlocLocalizer(config=_bloc_config())
-        start = time.perf_counter()
-        run = evaluate(
-            localizer, dataset, label=f"batch{size}", batch_size=size
-        )
-        elapsed = time.perf_counter() - start
-        curve[str(size)] = fixes / elapsed
-        batched_run, batched_s = run, elapsed
+    curve = {str(size): fixes / sweeps[size][1] for size in (2, 4, 8)}
 
     for ours, ref in zip(batched_run.records, serial_run.records):
         if ref.estimate is None:
@@ -344,7 +361,9 @@ def test_perf_batched_evaluate(dataset, report_sink):
         "speedup_batched_vs_serial": None if unreliable else speedup,
     }
     _update_bench_json(
-        _scenario(dataset, serial_localizer), "batched", data
+        _scenario(dataset, BlocLocalizer(config=_bloc_config())),
+        "batched",
+        data,
     )
     report_sink.append(
         "[perf] batched localizer\n"
@@ -363,10 +382,6 @@ def test_perf_batched_evaluate(dataset, report_sink):
             later >= 0.9 * earlier
             for earlier, later in zip(rates, rates[1:])
         ), f"batched throughput curve is not monotone: {rates}"
-        assert speedup >= 3.0, (
-            f"batch_size=8 only {speedup:.2f}x unbatched serial "
-            f"(serial {serial_s:.3f}s, batched {batched_s:.3f}s)"
-        )
 
 
 def _best_batch_s(localizer, observations, fixes: int, rounds: int) -> float:
@@ -394,7 +409,7 @@ PROFILER_OVERHEAD_REPEATS = 3
 
 
 def test_perf_profiler_overhead(dataset, report_sink):
-    """The sampling profiler must cost < 5% of warm-fix wall time.
+    """Warm-fix wall time with and without the sampling profiler.
 
     The overhead fraction is measured ``PROFILER_OVERHEAD_REPEATS``
     times (baseline and profiled runs interleaved, so slow drift hits
@@ -402,9 +417,9 @@ def test_perf_profiler_overhead(dataset, report_sink):
     profiler thread and the workload fight for the one CPU, so the
     measurement is scheduler noise: the JSON then records
     ``overhead_frac = null`` with ``unreliable_single_core = true`` --
-    the same treatment the sweep benches give their speedups -- and the
-    assertion is skipped, which makes the downstream
-    ``profiler_overhead_frac`` SLO skip instead of flaking CI.
+    the same treatment the sweep benches give their speedups -- which
+    makes the ``slo.profiler_overhead_frac`` ceiling skip instead of
+    flaking CI.
     """
     localizer = BlocLocalizer(config=_bloc_config())
     observations = dataset.observations[0]
@@ -458,9 +473,3 @@ def test_perf_profiler_overhead(dataset, report_sink):
         + (f"\n  [overhead not meaningful: {cpus} cpu(s)]"
            if unreliable else "")
     )
-    if not unreliable:
-        assert overhead_frac < 0.05, (
-            f"profiler overhead {overhead_frac:.1%} (median of "
-            f"{repeats}) exceeds the 5% budget "
-            f"(baseline {baseline_s:.4f}s, profiled {profiled_s:.4f}s)"
-        )

@@ -509,7 +509,7 @@ class MetricNameConvention(Rule):
     id = "RPR005"
     title = "metric name outside the registered namespaces"
     rationale = (
-        "Dashboards and the bench-regression guard key on stable metric "
+        "Dashboards and the SLO gate key on stable metric "
         "names; free-form names silently fork the timeseries.  Names "
         "must be `namespace.snake_case[...]` with a registered "
         "namespace (see METRIC_NAMESPACES)."

@@ -200,17 +200,6 @@ class SteeringEntry:
         alpha = np.asarray(alpha_anchor)
         return self._likelihoods((anchor_index,), alpha[None, None])[0, 0]
 
-    @shaped(alpha_batch=arr(("B", "J", "K"), np.complexfloating))
-    def anchor_likelihood_batch(
-        self, anchor_index: int, alpha_batch: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 17 for one anchor over B fixes, shape ``(B, size)``.
-
-        Row ``b`` equals ``anchor_likelihood(anchor_index,
-        alpha_batch[b])`` up to floating-point reordering inside BLAS.
-        """
-        alpha = np.asarray(alpha_batch)
-        return self._likelihoods((anchor_index,), alpha[:, None])[:, 0]
 
 
 def _profile_grid(span: float, delta: float) -> Tuple[int, float]:

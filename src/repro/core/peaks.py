@@ -168,34 +168,6 @@ def find_peaks(
     return select_peaks(arr, local_max, grid, config)
 
 
-@shaped(stack=("B", "H", "W"))
-def find_peaks_batch(
-    stack: np.ndarray, grid: Grid2D, config: PeakConfig = PeakConfig()
-) -> List[List[Peak]]:
-    """Per-map peaks for a stack of maps, one filter pass for the batch.
-
-    Equivalent to ``[find_peaks(m, grid, config) for m in stack]`` but
-    with the local-maximum filter batched (see
-    :func:`local_maxima_batch`).  A degenerate map raises, as in
-    :func:`find_peaks` -- callers needing per-map error containment
-    (the batched localizer) use the mask + :func:`select_peaks` pair
-    directly.
-
-    Raises:
-        LocalizationError: when any map in the stack is degenerate.
-    """
-    arr = np.asarray(stack, dtype=float)
-    if arr.shape[1:] != grid.shape:
-        raise ConfigurationError(
-            f"map shape {arr.shape[1:]} does not match grid {grid.shape}"
-        )
-    masks = local_maxima_batch(arr, config)
-    return [
-        select_peaks(arr[b], masks[b], grid, config)
-        for b in range(arr.shape[0])
-    ]
-
-
 @shaped(values=("H", "W"))
 def refine_peak_position(
     values: np.ndarray, grid: Grid2D, peak: Peak

@@ -1,19 +1,14 @@
 """Declarative SLOs over the bench JSON and the run ledger.
 
 One TOML file (``slo.toml`` at the repository root) is the single
-source of truth for every performance threshold: the CI bench guard
-(``benchmarks/check_bench_regression.py``) reads its tolerances from
-the ``[bench]`` table, and ``repro obs slo`` evaluates every
-``[slo.<name>]`` rule against the latest ``BENCH_localize.json`` and
-``runs.ndjson`` records, exiting nonzero on any violation so CI can
-gate on it.  Guard and gate cannot drift apart because neither embeds
-a constant.
+source of truth for every performance threshold: ``repro obs slo``
+evaluates every ``[slo.<name>]`` rule against the latest
+``BENCH_localize.json`` and ``runs.ndjson`` records and exits nonzero
+on any violation, which is the only performance gate CI runs.  The
+benchmarks only measure, write the bench JSON and check correctness;
+no speed or overhead bound lives in their code.
 
 Spec format::
-
-    [bench]
-    tolerance = 0.25            # warm/direct ratio regression allowance
-    absolute_tolerance = 0.25   # warm_s_per_fix allowance (--absolute)
 
     [slo.warm_fix_s]
     source = "bench"                        # value from the bench JSON
@@ -30,7 +25,10 @@ Spec format::
 
 ``source = "ledger"`` keys use the namespaced scalar view of
 :func:`repro.obs.ledger.scalar_view` (``metric:...``, ``span:...``,
-``result:...``); the newest record containing the key wins.  Parsed
+``result:...``); the newest record containing the key wins.  Ratio
+rules read the ledger only.  The loader rejects what it cannot
+evaluate: a top-level table other than ``[slo]``, a rule field outside
+:data:`_RULE_FIELDS` and a bench-source ratio all raise.  Parsed
 with :mod:`tomllib` where available (Python >= 3.11) and a built-in
 minimal TOML-subset parser otherwise -- no new dependencies.
 """
@@ -56,6 +54,11 @@ DEFAULT_SLO_PATH = Path(__file__).resolve().parents[3] / "slo.toml"
 
 #: Valid rule sources.
 _SOURCES = ("bench", "ledger")
+
+#: Fields an ``[slo.<name>]`` table may set.
+_RULE_FIELDS = (
+    "source", "key", "kind", "num", "den", "min", "max", "required"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +167,9 @@ class SloRule:
 
 @dataclass
 class SloSpec:
-    """The parsed spec: bench-guard tolerances plus the rule list."""
+    """The parsed spec: where it came from plus the rule list."""
 
     path: Optional[Path] = None
-    bench_tolerance: float = 0.25
-    bench_absolute_tolerance: Optional[float] = None
     rules: List[SloRule] = field(default_factory=list)
 
 
@@ -176,7 +177,8 @@ def load_slo_spec(path: Union[str, Path, None] = None) -> SloSpec:
     """Load and validate an ``slo.toml`` spec.
 
     Raises:
-        ConfigurationError: unreadable file or malformed rule.
+        ConfigurationError: unreadable file, unknown table or rule
+            field, or a malformed rule.
     """
     spec_path = Path(path) if path is not None else DEFAULT_SLO_PATH
     try:
@@ -185,20 +187,23 @@ def load_slo_spec(path: Union[str, Path, None] = None) -> SloSpec:
         raise ConfigurationError(
             f"cannot read SLO spec {spec_path}: {exc}"
         ) from exc
-    bench = data.get("bench") or {}
-    spec = SloSpec(
-        path=spec_path,
-        bench_tolerance=float(bench.get("tolerance", 0.25)),
-        bench_absolute_tolerance=(
-            float(bench["absolute_tolerance"])
-            if "absolute_tolerance" in bench
-            else None
-        ),
-    )
+    unknown_tables = sorted(set(data) - {"slo"})
+    if unknown_tables:
+        raise ConfigurationError(
+            f"{spec_path}: unknown top-level table(s) {unknown_tables}; "
+            "every threshold is an [slo.<name>] rule"
+        )
+    spec = SloSpec(path=spec_path)
     for name, body in (data.get("slo") or {}).items():
         if not isinstance(body, dict):
             raise ConfigurationError(
                 f"{spec_path}: [slo.{name}] must be a table"
+            )
+        unknown_fields = sorted(set(body) - set(_RULE_FIELDS))
+        if unknown_fields:
+            raise ConfigurationError(
+                f"{spec_path}: [slo.{name}] unknown field(s) "
+                f"{unknown_fields}; expected a subset of {_RULE_FIELDS}"
             )
         rule = SloRule(
             name=name,
@@ -232,6 +237,11 @@ def load_slo_spec(path: Union[str, Path, None] = None) -> SloSpec:
         if rule.kind == "ratio" and (not rule.num or not rule.den):
             raise ConfigurationError(
                 f"{spec_path}: [slo.{name}] ratio needs num and den"
+            )
+        if rule.kind == "ratio" and rule.source != "ledger":
+            raise ConfigurationError(
+                f"{spec_path}: [slo.{name}] ratio rules read the ledger; "
+                f"source {rule.source!r} cannot evaluate one"
             )
         if rule.min is None and rule.max is None:
             raise ConfigurationError(
@@ -308,7 +318,7 @@ def evaluate_slos(
         if rule.source == "bench":
             value = (
                 _lookup_bench(bench, rule.key or "")
-                if bench is not None and rule.kind == "value"
+                if bench is not None
                 else None
             )
             missing_reason = (

@@ -777,7 +777,6 @@ def evaluate_anchor_subsets(
     limit: Optional[int] = None,
     workers: Optional[int] = None,
     backend: Optional[str] = None,
-    batch_size: Optional[int] = None,
 ) -> EvaluationRun:
     """Average over all anchor subsets of a given size (Section 8.3).
 
@@ -791,21 +790,11 @@ def evaluate_anchor_subsets(
     metric-merging guarantees as :func:`evaluate`; ``backend`` picks the
     thread or process pool as there.  Subset geometries differ per
     sub-fix, so the process backend hands workers no steering entry
-    and lets each one build its own cache.
-
-    ``batch_size`` is accepted for signature parity with
-    :func:`evaluate` but must stay None: every sub-fix of an entry runs
-    on a *different* anchor geometry, so there is no shared steering
-    matrix for a batched Eq. 17 pass to reuse -- requesting one is a
-    configuration error, not a silent no-op.
+    and lets each one build its own cache.  There is no batched
+    variant: every sub-fix of an entry runs on a different anchor
+    geometry, so no steering matrix is shared for a batch to reuse.
     """
     observer = get_observer()
-    if batch_size is not None:
-        raise ConfigurationError(
-            "anchor-subset sweeps cannot batch: each subset evaluates "
-            "a different anchor geometry, so batch_size must be None "
-            f"(got {batch_size})"
-        )
     entries = _resolve_limit(limit, dataset.observations)
     workers = _resolve_workers(workers, len(entries))
     backend = _resolve_backend(backend, workers, None)

@@ -18,8 +18,8 @@ from repro.core.likelihood import compute_likelihood_maps_batched
 from repro.core.peaks import (
     PeakConfig,
     find_peaks,
-    find_peaks_batch,
     local_maxima_batch,
+    select_peaks,
 )
 from repro.errors import LocalizationError
 from repro.sim import ChannelMeasurementModel
@@ -43,8 +43,8 @@ def localizer():
     return BlocLocalizer(config=BlocConfig(grid_resolution_m=0.3))
 
 
-class TestAnchorLikelihoodBatch:
-    def test_matches_per_fix_path(self, batch, localizer):
+class TestEntryLikelihoods:
+    def test_rows_match_anchor_likelihood(self, batch, localizer):
         corrected = [correct_phase_offsets(o) for o in batch]
         grid = localizer.grid_for(batch[0])
         entry = build_steering_entry(
@@ -54,21 +54,13 @@ class TestAnchorLikelihoodBatch:
             corrected[0].anchor_baselines_m,
             corrected[0].frequencies_hz,
         )
-        alpha = np.stack([c.alpha for c in corrected])
-        for anchor in range(corrected[0].num_anchors):
-            stacked = entry.anchor_likelihood_batch(anchor, alpha[:, anchor])
-            for b, fix in enumerate(corrected):
+        stacked = entry.likelihoods(np.stack([c.alpha for c in corrected]))
+        for b, fix in enumerate(corrected):
+            for anchor in range(fix.num_anchors):
                 single = entry.anchor_likelihood(anchor, fix.alpha[anchor])
                 np.testing.assert_allclose(
-                    stacked[b], single, rtol=1e-12, atol=1e-12
+                    stacked[b, anchor], single, rtol=1e-12, atol=1e-12
                 )
-
-    def test_empty_batch_maps(self, localizer, batch):
-        grid = localizer.grid_for(batch[0])
-        assert (
-            compute_likelihood_maps_batched([], grid, localizer.engine)
-            == []
-        )
 
 
 class TestLikelihoodMapsBatched:
@@ -87,6 +79,13 @@ class TestLikelihoodMapsBatched:
                 batched_map.combined, single.combined, atol=1e-12
             )
 
+    def test_empty_batch_maps(self, localizer, batch):
+        grid = localizer.grid_for(batch[0])
+        assert (
+            compute_likelihood_maps_batched([], grid, localizer.engine)
+            == []
+        )
+
 
 class TestPeaksBatch:
     def test_local_maxima_batch_isolates_maps(self):
@@ -97,15 +96,17 @@ class TestPeaksBatch:
         # Map 0's peak must not suppress map 1's neighbourhood.
         assert masks[0][1, 1] and masks[1][3, 3]
 
-    def test_find_peaks_batch_matches_per_map(self, batch, localizer):
+    def test_maxima_then_select_matches_find_peaks(self, batch, localizer):
+        # The pair locate_batch runs: one batched mask, per-map select.
         corrected = [correct_phase_offsets(o) for o in batch]
         grid = localizer.grid_for(batch[0])
         maps = compute_likelihood_maps_batched(
             corrected, grid, localizer.engine
         )
         stack = np.stack([m.combined for m in maps])
-        batched = find_peaks_batch(stack, grid)
-        for b, peaks in enumerate(batched):
+        masks = local_maxima_batch(stack, PeakConfig())
+        for b in range(len(stack)):
+            peaks = select_peaks(stack[b], masks[b], grid)
             single = find_peaks(stack[b], grid)
             assert [p.position for p in peaks] == [
                 p.position for p in single

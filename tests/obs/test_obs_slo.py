@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.slo import (
+    DEFAULT_SLO_PATH,
     SloRule,
     SloSpec,
     evaluate_slos,
@@ -17,10 +21,6 @@ from repro.obs.slo import (
 
 SPEC_TEXT = """\
 # comment line
-[bench]
-tolerance = 0.3
-absolute_tolerance = 0.5
-
 [slo.warm_fix_s]
 source = "bench"
 key = "steering_cache.warm_s_per_fix"
@@ -39,7 +39,6 @@ required = false
 class TestMinimalTomlParser:
     def test_tables_scalars_arrays_comments(self):
         data = parse_toml_minimal(SPEC_TEXT)
-        assert data["bench"]["tolerance"] == 0.3
         assert data["slo"]["warm_fix_s"]["max"] == 0.1
         assert data["slo"]["hit_rate"]["den"] == [
             "metric:engine.cache_hits",
@@ -65,14 +64,11 @@ class TestLoadSpec:
         # The repository slo.toml must stay inside the parser subset.
         spec = load_slo_spec()
         assert spec.rules, "committed slo.toml defines no rules"
-        assert spec.bench_tolerance > 0
 
     def test_load_from_path(self, tmp_path):
         path = tmp_path / "slo.toml"
         path.write_text(SPEC_TEXT, encoding="utf-8")
         spec = load_slo_spec(path)
-        assert spec.bench_tolerance == 0.3
-        assert spec.bench_absolute_tolerance == 0.5
         by_name = {r.name: r for r in spec.rules}
         assert by_name["warm_fix_s"].max == 0.1
         assert by_name["hit_rate"].kind == "ratio"
@@ -90,12 +86,33 @@ class TestLoadSpec:
             "max = 1\n",  # value rule without key
             'kind = "ratio"\nmin = 0.5\n',  # ratio without num/den
             'key = "a.b"\n',  # no min and no max
+            # A misspelt field must not silently leave the rule required.
+            pytest.param(
+                'key = "a.b"\nmax = 1\nrequried = false\n',
+                id="unknown-field",
+            ),
+            # Ratio rules read ledger scalar views; a bench ratio would
+            # load and then never evaluate.
+            pytest.param(
+                'source = "bench"\nkind = "ratio"\nnum = "a.b"\n'
+                'den = ["a.b"]\nmin = 0.5\n',
+                id="bench-ratio",
+            ),
         ],
     )
     def test_malformed_rules_raise(self, tmp_path, body):
         path = tmp_path / "slo.toml"
         path.write_text(f"[slo.broken]\n{body}", encoding="utf-8")
         with pytest.raises(ConfigurationError):
+            load_slo_spec(path)
+
+    def test_unknown_top_level_table_raises(self, tmp_path):
+        # A stale [bench] table would otherwise load and gate nothing.
+        path = tmp_path / "slo.toml"
+        path.write_text(
+            SPEC_TEXT + "\n[bench]\ntolerance = 0.25\n", encoding="utf-8"
+        )
+        with pytest.raises(ConfigurationError, match="bench"):
             load_slo_spec(path)
 
 
@@ -202,3 +219,63 @@ class TestEvaluate:
         )
         assert "SLO gate: 1 ok, 0 failed, 0 skipped" in text
         assert render_slo_results([]) == "(no SLO rules defined)"
+
+
+#: Every bench-source rule of the committed spec.  Listing them keeps a
+#: threshold from leaving the gate unnoticed.
+COMMITTED_BENCH_RULES = (
+    "warm_fix_s",
+    "warm_speedup_vs_direct",
+    "thread_speedup_vs_serial",
+    "process_speedup_vs_serial",
+    "batched_speedup_vs_serial",
+    "serial_fixes_per_s",
+    "batched_fixes_per_s",
+    "profiler_overhead_frac",
+    "service_p95_s",
+)
+
+
+def committed_bench():
+    path = DEFAULT_SLO_PATH.parent / "BENCH_localize.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def set_dotted(payload, dotted, value):
+    *parents, leaf = dotted.split(".")
+    node = payload
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+
+
+class TestCommittedSpec:
+    def test_bench_rules_are_listed(self):
+        spec = load_slo_spec()
+        names = [r.name for r in spec.rules if r.source == "bench"]
+        assert sorted(names) == sorted(COMMITTED_BENCH_RULES)
+
+    def test_committed_bench_passes(self):
+        results = evaluate_slos(
+            load_slo_spec(), bench=committed_bench(), ledger_records=[]
+        )
+        failed = [(r.rule.name, r.detail) for r in results
+                  if r.status == "fail"]
+        assert not failed
+        assert slo_exit_code(results) == 0
+
+    @pytest.mark.parametrize("name", COMMITTED_BENCH_RULES)
+    def test_planted_out_of_bound_value_fails(self, name):
+        rule = {r.name: r for r in load_slo_spec().rules}[name]
+        planted = (
+            rule.min / 2.0 - 1.0 if rule.min is not None
+            else rule.max * 2.0 + 1.0
+        )
+        bench = copy.deepcopy(committed_bench())
+        set_dotted(bench, rule.key, planted)
+        results = evaluate_slos(
+            load_slo_spec(), bench=bench, ledger_records=[]
+        )
+        status = {r.rule.name: r.status for r in results}
+        assert status[name] == "fail"
+        assert slo_exit_code(results) == 1

@@ -185,16 +185,6 @@ class TestParallelEvaluate:
                 PerfectOracle(), dataset, subset_size=3, limit=-1
             )
 
-    def test_anchor_subsets_batch_size_rejected(self, dataset):
-        # Sub-fixes evaluate different anchor geometries, so a batched
-        # Eq. 17 pass has nothing to share; asking for one must be a
-        # loud error rather than a silently ignored knob.
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="cannot batch"):
-            evaluate_anchor_subsets(
-                PerfectOracle(), dataset, subset_size=3, batch_size=4
-            )
 
 
 class FailsForSmallSubsets:
