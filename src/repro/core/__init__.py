@@ -38,7 +38,7 @@ from repro.core.engine import (
 )
 from repro.core.entropy import (
     negentropy,
-    peak_neighborhood_entropy,
+    neighborhood_negentropy,
     shannon_entropy,
 )
 from repro.core.likelihood import (
@@ -106,7 +106,7 @@ __all__ = [
     "music_angles",
     "music_spectrum",
     "negentropy",
-    "peak_neighborhood_entropy",
+    "neighborhood_negentropy",
     "range_resolution_m",
     "refine_peak_position",
     "score_peaks",

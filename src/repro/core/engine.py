@@ -25,13 +25,15 @@ caches, per (grid, geometry, band plan):
   relative-distance grid ``d_l`` (step ``h``) covering every
   ``d_ij(x)``; one ``(L x K) @ (K x I*J)`` product turns a fix's
   corrected channels into every antenna's sampled profile;
-* **a sparse gather per anchor**: a CSR matrix with ``2 * J`` non-zeros
-  per grid point holding the linear-interpolation weights of the two
-  profile samples around each ``d_ij(x)``, with the exact carrier
-  ``exp(1j * k_c * d_ij(x))`` folded in.
+* **one stacked sparse gather**: a block-diagonal CSR matrix of shape
+  ``(I * N, I * J * L)`` whose row ``i * N + n`` holds the ``2 * J``
+  linear-interpolation weights of the two profile samples around each
+  ``d_ij(x_n)``, with the exact carrier ``exp(1j * k_c * d_ij(x))``
+  folded in.
 
-A warm fix is one small dense product plus one sparse matvec per
-anchor.  The method works for any band plan: nothing assumes a lattice.
+A warm fix is one small dense product plus one sparse matvec over every
+anchor at once.  The method works for any band plan: nothing assumes a
+lattice.
 
 **Error bound and the choice of ``h``.**  Linear interpolation of a
 (complex) function errs by at most ``h^2 / 8 * max |P''|``, and
@@ -58,7 +60,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -102,6 +104,11 @@ def steering_cache_key(
 ) -> tuple:
     """Hashable signature of everything the steering entry depends on.
 
+    Anchors enter through the fields that define their antenna
+    positions (centre, boresight, element count and spacing), not the
+    positions themselves: equal fields give equal positions, so an
+    unequal key can at worst cost a rebuild, never a stale hit.
+
     The key is a nested tuple of plain floats/ints, so it is picklable:
     the process backend (:mod:`repro.sim.procpool`) hands it to worker
     processes together with the parent-built entry, and workers seed
@@ -109,15 +116,15 @@ def steering_cache_key(
     :meth:`SteeringCache.seed`).
     """
     anchor_signature = tuple(
-        tuple(float(v) for v in anchor.antenna_array().ravel())
-        for anchor in anchors
+        (*a.position, a.boresight_rad, a.num_antennas, a.spacing_m)
+        for a in anchors
     )
     return (
         (grid.x_min, grid.x_max, grid.y_min, grid.y_max, grid.resolution),
         anchor_signature,
         int(master_index),
-        tuple(float(b) for b in baselines_m),
-        tuple(float(f) for f in frequencies_hz),
+        tuple(np.asarray(baselines_m, dtype=float).tolist()),
+        tuple(np.asarray(frequencies_hz, dtype=float).tolist()),
     )
 
 
@@ -134,9 +141,10 @@ class SteeringEntry:
         frequencies_hz: band plan, shape ``(K,)``.
         sample_step_m: relative-distance step ``h`` of the profiles.
         samples: ``exp(1j * outer(d_l, k - k_c))``, shape ``(L, K)``.
-        gathers: per anchor, a CSR matrix of shape ``(grid.size, J * L)``
-            mapping that anchor's stacked antenna profiles to its Eq. 17
-            sum at every grid point (carrier folded in).
+        gather: block-diagonal CSR matrix of shape
+            ``(I * grid.size, I * J * L)`` mapping every anchor's stacked
+            antenna profiles to its Eq. 17 sum at every grid point
+            (carrier folded in); anchor ``i`` owns row block ``i``.
         build_seconds: wall-clock cost of the one-time build.
     """
 
@@ -144,15 +152,15 @@ class SteeringEntry:
     frequencies_hz: np.ndarray
     sample_step_m: float
     samples: np.ndarray
-    gathers: List[sparse.csr_matrix]
+    gather: sparse.csr_matrix
     build_seconds: float
 
     @property
     def nbytes(self) -> int:
         """Memory held by every cached array of the entry."""
-        return self.samples.nbytes + sum(
-            g.data.nbytes + g.indices.nbytes + g.indptr.nbytes
-            for g in self.gathers
+        g = self.gather
+        return sum(
+            x.nbytes for x in (self.samples, g.data, g.indices, g.indptr)
         )
 
     @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
@@ -167,39 +175,36 @@ class SteeringEntry:
         magnitude = float(np.abs(alpha_anchor).sum())  # repro: noqa[RPR001]
         return delta**2 * self.sample_step_m**2 / 8.0 * magnitude
 
-    def _likelihoods(
-        self, anchors: Sequence[int], alpha: np.ndarray
-    ) -> np.ndarray:
-        """The shared kernel: ``(B, A, J, K)`` channels -> ``(B, A, N)``.
-
-        One dense product yields every (fix, anchor, antenna) profile;
-        each anchor's gather then serves all B fixes as B columns.
-        """
-        b, a, j, k = alpha.shape
-        profiles = (alpha.reshape(-1, k) @ self.samples.T).reshape(b, a, -1)
-        out = np.empty((b, a, self.grid.size))
-        for pos, anchor in enumerate(anchors):
-            out[:, pos] = np.abs(self.gathers[anchor] @ profiles[:, pos].T).T
-        return out
-
     @shaped(alpha_batch=arr(("B", "I", "J", "K"), np.complexfloating))
     def likelihoods(self, alpha_batch: np.ndarray) -> np.ndarray:
         """Eq. 17 for every anchor of B fixes, shape ``(B, I, size)``.
+
+        One dense product yields every (fix, anchor, antenna) profile;
+        each fix is then one matvec over the stacked gather.  (One
+        product with B columns ran no faster, since the gather stays in
+        cache, and its ``(I * size, B)`` temporaries page-faulted anew
+        on every call.)
 
         Thread-safety: read-only over the immutable cached arrays, safe
         to call concurrently from evaluation workers.
         """
         alpha = np.asarray(alpha_batch)
-        return self._likelihoods(range(alpha.shape[1]), alpha)
+        b, a, _, k = alpha.shape
+        profiles = alpha.reshape(-1, k) @ self.samples.T
+        out = np.empty((b, self.gather.shape[0]))
+        for fix, profile in enumerate(profiles.reshape(b, -1)):
+            np.abs(self.gather @ profile, out=out[fix])
+        return out.reshape(b, a, -1)
 
     @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
     def anchor_likelihood(
         self, anchor_index: int, alpha_anchor: np.ndarray
     ) -> np.ndarray:
         """Eq. 17 for one anchor of one fix, shape ``(size,)``."""
-        alpha = np.asarray(alpha_anchor)
-        return self._likelihoods((anchor_index,), alpha[None, None])[0, 0]
-
+        profile = (np.asarray(alpha_anchor) @ self.samples.T).ravel()
+        row, col = anchor_index * self.grid.size, anchor_index * profile.size
+        block = self.gather[row:row + self.grid.size, col:col + profile.size]
+        return np.abs(block @ profile)
 
 
 def _profile_grid(span: float, delta: float) -> Tuple[int, float]:
@@ -221,7 +226,7 @@ def build_steering_entry(
     baselines_m: np.ndarray,
     frequencies_hz: np.ndarray,
 ) -> SteeringEntry:
-    """One-time build of the range-profile samples and gathers.
+    """One-time build of the range-profile samples and the stacked gather.
 
     The relative distances ``d_ij(x)`` of every antenna are computed
     once; their range fixes the profile sample grid, and each grid
@@ -249,36 +254,34 @@ def build_steering_entry(
     )
     sample_d = low + step * np.arange(num_samples)
     samples = np.exp(1j * np.outer(sample_d, wavenumbers - centre))
-    num_antennas = relative.shape[1]
-    row_nnz = 2 * num_antennas
-    offsets = (np.arange(num_antennas) * num_samples)[:, None, None]
-    gathers = []
-    for anchor_relative in relative:  # (J, N)
+    num_anchors, num_antennas, size = relative.shape
+    # Filled in place, one anchor at a time: data[i, n, j] holds the two
+    # taps of antenna j at grid point n (row-major by stacked row).
+    data = np.empty((num_anchors, size, num_antennas, 2), dtype=complex)
+    indices = np.empty(data.shape, dtype=np.int32)
+    offsets = (np.arange(num_antennas) * num_samples)[:, None]
+    for i, anchor_relative in enumerate(relative):  # (J, N)
         position = (anchor_relative - low) / step
         left = np.clip(np.floor(position), 0, num_samples - 2)
-        frac = (position - left)[..., None]
-        carrier = np.exp(1j * centre * anchor_relative)[..., None]
-        weights = np.concatenate([1.0 - frac, frac], axis=-1) * carrier
-        columns = offsets + left[..., None] + np.arange(2)
-        # Row-major by grid point: (J, N, 2) -> (N, J, 2).
-        gathers.append(
-            sparse.csr_matrix(
-                (
-                    weights.transpose(1, 0, 2).ravel(),
-                    columns.transpose(1, 0, 2).ravel().astype(np.int32),
-                    np.arange(
-                        0, grid.size * row_nnz + 1, row_nnz, dtype=np.int32
-                    ),
-                ),
-                shape=(grid.size, num_antennas * num_samples),
-            )
-        )
+        frac = position - left
+        carrier = np.exp(1j * centre * anchor_relative)
+        taps = data[i].transpose(1, 0, 2)  # (J, N, 2) view
+        taps[..., 0] = (1.0 - frac) * carrier
+        taps[..., 1] = frac * carrier
+        columns = indices[i].transpose(1, 0, 2)
+        columns[..., 0] = (i * num_antennas * num_samples + offsets) + left
+        columns[..., 1] = columns[..., 0] + 1
+    indptr = np.arange(0, data.size + 1, 2 * num_antennas, dtype=np.int32)
+    gather = sparse.csr_matrix(
+        (data.reshape(-1), indices.reshape(-1), indptr),
+        shape=(num_anchors * size, num_anchors * num_antennas * num_samples),
+    )
     return SteeringEntry(
         grid=grid,
         frequencies_hz=np.asarray(frequencies_hz, dtype=float).copy(),
         sample_step_m=step,
         samples=samples,
-        gathers=gathers,
+        gather=gather,
         build_seconds=time.perf_counter() - start,
     )
 
@@ -290,8 +293,8 @@ class SteeringCache:
     A :class:`~repro.core.localizer.BlocLocalizer` holds one of these
     across ``locate()`` calls, so a sweep over a dataset pays the
     geometry build once and every later fix runs on the cached profile
-    samples and gathers alone.  The cache key covers the grid
-    bounds/resolution, every antenna position, the master/baseline
+    samples and gather alone.  The cache key covers the grid
+    bounds/resolution, every anchor's array geometry, the master/baseline
     configuration and the exact frequency vector, so any change that
     would alter the entry is a miss -- never a stale hit.
 

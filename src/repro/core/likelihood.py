@@ -93,6 +93,32 @@ def anchor_likelihood_flat(
     return np.abs(total)
 
 
+def _combine(
+    flats: np.ndarray, grid: Grid2D, anchor_weights: Optional[np.ndarray]
+) -> LikelihoodMap:
+    """Normalise ``(I, N)`` per-anchor maps to peak 1 and sum them.
+
+    :func:`~repro.utils.complexutils.normalize_peak` per row in one
+    divide (all-zero rows stay zero); the axis-0 sum adds the anchors
+    in index order.  Equal weights (None) skip the exact ``1.0 *``.
+    """
+    peaks = flats.max(axis=1, keepdims=True)
+    normalised = (flats / np.where(peaks <= 0.0, 1.0, peaks)).reshape(
+        (-1,) + grid.shape
+    )
+    weighted = normalised
+    if anchor_weights is not None:
+        weights = np.asarray(anchor_weights, dtype=float)
+        if weights.size != len(flats):
+            raise ConfigurationError(
+                "anchor_weights length must match the anchor count"
+            )
+        weighted = weights[:, None, None] * normalised
+    return LikelihoodMap(
+        grid=grid, combined=weighted.sum(axis=0), per_anchor=list(normalised)
+    )
+
+
 def compute_likelihood_map(
     corrected: CorrectedChannels,
     grid: Grid2D,
@@ -109,22 +135,15 @@ def compute_likelihood_map(
             (default: equal weights, as in the paper).
         engine: optional :class:`~repro.core.engine.SteeringCache`; when
             given, every anchor is evaluated on its cached range-profile
-            samples and gathers instead of the direct rebuild-everything
-            path.  Each per-anchor map then agrees with the direct one
-            within :meth:`~repro.core.engine.SteeringEntry.error_bound`
+            samples and stacked gather instead of the direct
+            rebuild-everything path.  Each per-anchor map then agrees with
+            the direct one within
+            :meth:`~repro.core.engine.SteeringEntry.error_bound`
             (``delta^2 h^2 / 8 * sum |alpha|``, 1e-5 of ``sum |alpha|``).
 
     Returns:
         The combined and per-anchor likelihood maps.
     """
-    if anchor_weights is None:
-        anchor_weights = np.ones(corrected.num_anchors)
-    else:
-        anchor_weights = np.asarray(anchor_weights, dtype=float)
-        if anchor_weights.size != corrected.num_anchors:
-            raise ConfigurationError(
-                "anchor_weights length must match the anchor count"
-            )
     if engine is not None:
         flats = engine.entry_for(corrected, grid).likelihoods(
             corrected.alpha[None]
@@ -135,17 +154,15 @@ def compute_likelihood_map(
         reference_distances = np.linalg.norm(
             points - reference[None, :], axis=1
         )
-        flats = [
-            anchor_likelihood_flat(corrected, i, points, reference_distances)
-            for i in range(corrected.num_anchors)
-        ]
-    per_anchor = []
-    combined = np.zeros(grid.shape)
-    for i, flat in enumerate(flats):
-        normalised = normalize_peak(grid.reshape(flat))
-        per_anchor.append(normalised)
-        combined += anchor_weights[i] * normalised
-    return LikelihoodMap(grid=grid, combined=combined, per_anchor=per_anchor)
+        flats = np.array(
+            [
+                anchor_likelihood_flat(
+                    corrected, i, points, reference_distances
+                )
+                for i in range(corrected.num_anchors)
+            ]
+        )
+    return _combine(flats, grid, anchor_weights)
 
 
 def compute_likelihood_maps_batched(
@@ -164,9 +181,10 @@ def compute_likelihood_maps_batched(
     :meth:`~repro.core.engine.SteeringEntry.likelihoods`, the per-fix
     kernel with B columns instead of one.
 
-    Per-map normalisation and anchor combination are identical to
-    :func:`compute_likelihood_map`; results agree with the per-fix path
-    up to BLAS reduction reordering (< 1e-12 relative).
+    Per-map normalisation and anchor combination are those of
+    :func:`compute_likelihood_map`.  Only the shared profile product
+    may order its BLAS reduction differently (< 1e-12 relative); the
+    golden records come out bit for bit equal.
 
     Args:
         corrected_batch: corrected channels of B fixes, shared geometry.
@@ -182,27 +200,6 @@ def compute_likelihood_maps_batched(
     batch = list(corrected_batch)
     if not batch:
         return []
-    num_anchors = batch[0].num_anchors
-    if anchor_weights is None:
-        anchor_weights = np.ones(num_anchors)
-    else:
-        anchor_weights = np.asarray(anchor_weights, dtype=float)
-        if anchor_weights.size != num_anchors:
-            raise ConfigurationError(
-                "anchor_weights length must match the anchor count"
-            )
     entry = engine.entry_for(batch[0], grid)
     flats = entry.likelihoods(np.stack([c.alpha for c in batch]))
-    per_fix_anchor: List[List[np.ndarray]] = [[] for _ in batch]
-    combined = np.zeros((len(batch),) + grid.shape)
-    for i in range(num_anchors):
-        for b in range(len(batch)):
-            normalised = normalize_peak(grid.reshape(flats[b, i]))
-            per_fix_anchor[b].append(normalised)
-            combined[b] += anchor_weights[i] * normalised
-    return [
-        LikelihoodMap(
-            grid=grid, combined=combined[b], per_anchor=per_fix_anchor[b]
-        )
-        for b in range(len(batch))
-    ]
+    return [_combine(f, grid, anchor_weights) for f in flats]

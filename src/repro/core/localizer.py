@@ -114,7 +114,7 @@ class BlocLocalizer:
         engine: steering cache shared across ``locate()`` calls; the
             grid, anchor geometry and band plan are invariant over a
             sweep, so every fix after the first runs on the cached
-            range-profile samples and gathers.  Pass ``engine=None`` to
+            range-profile samples and gather.  Pass ``engine=None`` to
             force the direct (rebuild-per-call) Eq. 17 path.
     """
 

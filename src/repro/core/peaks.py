@@ -9,6 +9,7 @@ reported twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -107,37 +108,44 @@ def select_peaks(
     """
     arr = np.asarray(values, dtype=float)
     global_max = float(arr.max())
-    if global_max <= 0 or np.allclose(arr, arr.flat[0]):
+    first = float(arr.flat[0])
+    tolerance = 1e-8 + 1e-5 * abs(first)
+    # np.allclose(arr, first), read off the extremes.
+    if global_max <= 0 or (
+        global_max - first <= tolerance
+        and first - float(arr.min()) <= tolerance
+    ):
         raise LocalizationError("likelihood map is flat; nothing to locate")
     threshold = config.min_relative_value * global_max
-    candidate_mask = np.asarray(local_max, dtype=bool) & (arr >= threshold)
-    rows, cols = np.nonzero(candidate_mask)
-    order = np.argsort(arr[rows, cols])[::-1]
-    selected: List[Peak] = []
-    for idx in order:
-        row, col = int(rows[idx]), int(cols[idx])
-        position = grid.point_at(row, col)
-        too_close = any(
-            (position - p.position).norm() < config.min_separation_m
-            for p in selected
-        )
-        if too_close:
-            continue
-        selected.append(
-            Peak(
-                row=row,
-                col=col,
-                position=position,
-                value=float(arr[row, col]),
-            )
-        )
-        if len(selected) >= config.max_peaks:
-            break
+    flat = np.flatnonzero(local_max)
+    heights = arr.ravel()[flat]
+    above = heights >= threshold
+    flat, heights = flat[above], heights[above]
+    order = np.argsort(heights)[::-1]
+    rows, cols = np.divmod(flat[order], arr.shape[1])
+    xs = (grid.x_min + cols * grid.resolution).tolist()
+    ys = (grid.y_min + rows * grid.resolution).tolist()
+    rows, cols, heights = rows.tolist(), cols.tolist(), heights[order].tolist()
+    # Greedy suppression over plain floats, strongest first: a candidate
+    # is kept while it lies at least min_separation_m (Point.norm's
+    # math.hypot) from every candidate kept before it.
+    kept: List[int] = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if all(
+            math.hypot(x - xs[k], y - ys[k]) >= config.min_separation_m
+            for k in kept
+        ):
+            kept.append(i)
+            if len(kept) == config.max_peaks:
+                break
+    selected = [
+        Peak(rows[k], cols[k], Point(xs[k], ys[k]), heights[k]) for k in kept
+    ]
     observer = get_observer()
     if observer.enabled:
         observer.metrics.histogram(
             "peaks.raw_candidates", COUNT_BUCKETS
-        ).observe(len(rows))
+        ).observe(len(flat))
         observer.metrics.histogram(
             "peaks.candidates", COUNT_BUCKETS
         ).observe(len(selected))

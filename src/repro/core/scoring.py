@@ -26,7 +26,7 @@ from repro.constants import (
     BLOC_SCORE_ENTROPY_WEIGHT,
 )
 from repro.analysis.contracts import shaped
-from repro.core.entropy import peak_neighborhood_entropy
+from repro.core.entropy import neighborhood_negentropy
 from repro.core.peaks import Peak
 from repro.errors import ConfigurationError, LocalizationError
 from repro.obs import STANDARD_METRICS, get_observer
@@ -78,32 +78,38 @@ def score_peaks(
     anchors: Sequence[Anchor],
     config: ScoringConfig = ScoringConfig(),
 ) -> List[ScoredPeak]:
-    """Score every peak with Eq. 18, strongest score first."""
+    """Score every peak with Eq. 18, strongest score first.
+
+    All peaks are scored at once: ``H`` from one stacked window
+    reduction (see :func:`neighborhood_negentropy`), ``sum_i d_i`` from
+    one ``(P, A, 2)`` broadcast.  Ties keep the input order.
+    """
     if not peaks:
         raise LocalizationError("no peaks to score")
-    anchor_positions = np.array([tuple(a.position) for a in anchors])
-    scored: List[ScoredPeak] = []
-    for peak in peaks:
-        entropy = peak_neighborhood_entropy(
-            values, grid, peak, window=config.entropy_window
-        )
-        deltas = anchor_positions - np.array(tuple(peak.position))[None, :]
-        distance_sum = float(np.linalg.norm(deltas, axis=1).sum())
-        score = peak.value * float(
-            np.exp(
-                config.entropy_weight * entropy
-                - config.distance_weight * distance_sum
-            )
-        )
-        scored.append(
-            ScoredPeak(
-                peak=peak,
-                entropy=entropy,
-                distance_sum_m=distance_sum,
-                score=score,
-            )
-        )
-    scored.sort(key=lambda s: s.score, reverse=True)
+    fields = np.array(
+        [(p.row, p.col, p.value, p.position.x, p.position.y) for p in peaks]
+    )
+    entropy = neighborhood_negentropy(
+        values,
+        grid,
+        fields[:, 0].astype(int),
+        fields[:, 1].astype(int),
+        config.entropy_window,
+    )
+    anchor_xy = np.array([tuple(a.position) for a in anchors])
+    distance_sum = np.linalg.norm(
+        anchor_xy[None] - fields[:, None, 3:], axis=2
+    ).sum(axis=1)
+    score = fields[:, 2] * np.exp(
+        config.entropy_weight * entropy
+        - config.distance_weight * distance_sum
+    )
+    order = np.argsort(-score, kind="stable")
+    ranked = (a[order].tolist() for a in (entropy, distance_sum, score))
+    scored = [
+        ScoredPeak(peak=peaks[i], entropy=h, distance_sum_m=d, score=s)
+        for i, h, d, s in zip(order.tolist(), *ranked)
+    ]
     observer = get_observer()
     if observer.enabled and scored[0].score > 0:
         # Relative margin between the Eq. 18 winner and the runner-up: a

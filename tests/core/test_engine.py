@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.core import (
     correct_phase_offsets,
 )
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.engine import PROFILE_ERROR_TARGET
+from repro.core.engine import PROFILE_ERROR_TARGET, steering_cache_key
 from repro.core.likelihood import anchor_likelihood_flat
 from repro.errors import ConfigurationError
 from repro.sim import ChannelMeasurementModel, build_dataset, evaluate
@@ -40,6 +41,24 @@ def corrected(observations):
 @pytest.fixture(scope="module")
 def grid():
     return Grid2D(-2.0, 2.0, -1.5, 1.5, 0.1)
+
+
+def _block(entry, anchor_index, num_antennas):
+    """Anchor ``anchor_index``'s ``(size, J * L)`` block of the stacked
+    gather."""
+    size, width = entry.grid.size, num_antennas * entry.samples.shape[0]
+    rows, cols = anchor_index * size, anchor_index * width
+    return entry.gather[rows:rows + size, cols:cols + width]
+
+
+def _key(corrected, grid, anchors=None):
+    return steering_cache_key(
+        grid,
+        corrected.anchors if anchors is None else anchors,
+        corrected.master_index,
+        corrected.anchor_baselines_m,
+        corrected.frequencies_hz,
+    )
 
 
 class TestEngineConfig:
@@ -128,17 +147,27 @@ class TestRangeProfileOracle:
     def test_gathers_are_two_taps_per_antenna(self, corrected, grid):
         entry = SteeringCache().entry_for(corrected, grid)
         num_antennas = corrected.num_antennas
-        for gather in entry.gathers:
-            assert gather.shape == (
-                grid.size, num_antennas * entry.samples.shape[0]
-            )
-            assert np.all(np.diff(gather.indptr) == 2 * num_antennas)
+        width = num_antennas * entry.samples.shape[0]
+        assert entry.gather.shape == (
+            corrected.num_anchors * grid.size,
+            corrected.num_anchors * width,
+        )
+        for i in range(corrected.num_anchors):
+            block = _block(entry, i, num_antennas)
+            assert block.shape == (grid.size, width)
+            assert np.all(np.diff(block.indptr) == 2 * num_antennas)
+        # Block-diagonal: every tap of anchor i's rows reads its profiles.
+        anchor_of_row = np.arange(entry.gather.shape[0]) // grid.size
+        anchor_of_tap = entry.gather.indices // width
+        assert np.all(
+            np.repeat(anchor_of_row, np.diff(entry.gather.indptr))
+            == anchor_of_tap
+        )
 
     def test_nbytes_covers_every_array(self, corrected, grid):
         entry = SteeringCache().entry_for(corrected, grid)
-        arrays = [entry.samples]
-        for g in entry.gathers:
-            arrays += [g.data, g.indices, g.indptr]
+        g = entry.gather
+        arrays = [entry.samples, g.data, g.indices, g.indptr]
         assert entry.nbytes == sum(a.nbytes for a in arrays)
 
 
@@ -185,9 +214,9 @@ class TestCachedMapMatchesDirect:
             alpha=corrected.alpha[:, :, :3],
         )
         entry = SteeringCache().entry_for(fix, grid)
-        assert len(entry.gathers) == fix.num_anchors
+        assert entry.gather.shape[0] == fix.num_anchors * grid.size
         for i in range(fix.num_anchors):
-            assert entry.gathers[i].shape[0] == grid.size
+            assert _block(entry, i, fix.num_antennas).shape[0] == grid.size
             exact = _direct_flat(fix, grid, i)
             engine = entry.anchor_likelihood(i, fix.alpha[i])
             assert np.abs(engine - exact).max() <= (
@@ -216,7 +245,9 @@ class TestBlockwiseBuild:
         alpha = np.zeros_like(corrected.alpha[1])
         alpha[2] = corrected.alpha[1, 2]
         dense = np.exp(1j * np.outer(relative, wavenumbers)) @ alpha[2]
-        engine = entry.gathers[1] @ (alpha @ entry.samples.T).ravel()
+        engine = _block(entry, 1, corrected.num_antennas) @ (
+            alpha @ entry.samples.T
+        ).ravel()
         assert np.abs(engine - dense).max() <= (
             entry.error_bound(alpha) + 1e-9 * np.abs(dense).max()
         )
@@ -253,6 +284,47 @@ class TestCacheKeying:
         truncated = observations.select_antennas(3)
         cache.entry_for(correct_phase_offsets(truncated), grid)
         assert cache.misses == 2
+
+    def test_anchor_name_is_not_geometry(self, corrected, grid):
+        cache = SteeringCache()
+        first = cache.entry_for(corrected, grid)
+        renamed = dataclasses.replace(
+            corrected,
+            anchors=[
+                dataclasses.replace(a, name=f"renamed-{k}")
+                for k, a in enumerate(corrected.anchors)
+            ],
+        )
+        assert cache.entry_for(renamed, grid) is first
+        assert cache.misses == 1 and cache.hits == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"position": Point(0.05, -1.9)},
+            {"boresight_rad": 1.5},
+            {"spacing_m": 0.05},
+            {"num_antennas": 3},
+        ],
+        ids=["position", "boresight", "spacing", "antenna-count"],
+    )
+    def test_anchor_field_change_is_a_miss(self, corrected, grid, change):
+        anchors = list(corrected.anchors)
+        anchors[0] = dataclasses.replace(anchors[0], **change)
+        key = _key(corrected, grid)
+        assert _key(corrected, grid, anchors=anchors) != key
+        if "num_antennas" not in change:  # alpha keeps J = 4 antennas
+            cache = SteeringCache()
+            cache.entry_for(corrected, grid)
+            cache.entry_for(
+                dataclasses.replace(corrected, anchors=anchors), grid
+            )
+            assert cache.misses == 2
+
+    def test_key_pickles(self, corrected, grid):
+        key = _key(corrected, grid)
+        clone = pickle.loads(pickle.dumps(key))
+        assert clone == key and hash(clone) == hash(key)
 
     def test_lru_eviction(self, corrected, grid):
         cache = SteeringCache(EngineConfig(max_entries=1))

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import BLOC_ENTROPY_WINDOW
 from repro.core.entropy import (
     negentropy,
-    peak_neighborhood_entropy,
+    neighborhood_negentropy,
     shannon_entropy,
     spread_metric,
 )
@@ -76,6 +77,17 @@ class TestNegentropy:
         assert negentropy(peaky) > negentropy(spread)
 
 
+def peak_neighborhood_entropy(
+    values, grid, peak, window=BLOC_ENTROPY_WINDOW
+):
+    """H of one peak through the stacked reduction."""
+    return float(
+        neighborhood_negentropy(
+            values, grid, np.array([peak.row]), np.array([peak.col]), window
+        )[0]
+    )
+
+
 class TestPeakNeighborhood:
     @pytest.fixture()
     def grid(self):
@@ -109,6 +121,12 @@ class TestPeakNeighborhood:
         peak = self._peak_at(grid, 0.0, 0.0)
         h = peak_neighborhood_entropy(values, grid, peak)
         assert np.isfinite(h)
+
+    @pytest.mark.parametrize("window", [-3, 0, 1, 4])
+    def test_spread_metric_window_validation(self, grid, window):
+        peak = self._peak_at(grid, 1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            spread_metric(np.ones(grid.shape), grid, peak, window=window)
 
     def test_spread_metric_orders_clusters(self, grid):
         points = grid.points()
