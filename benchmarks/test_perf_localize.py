@@ -5,7 +5,7 @@ the default 4-anchor / 4-antenna / 37-band scenario:
 
 * direct Eq. 17 path (rebuild geometry every fix) vs a cold steering
   cache (first fix pays the build) vs a warm cache (matvecs only);
-* serial ``evaluate()`` vs the thread, process and batched sweeps;
+* serial ``evaluate()`` vs the thread and process sweeps;
 * the sampling profiler's overhead on a warm fix.
 
 Each test folds its measurements into ``BENCH_localize.json`` (path
@@ -14,7 +14,7 @@ trajectory comparable.  Scale with ``REPRO_EVAL_POINTS`` /
 ``REPRO_GRID_RES`` like the figure benchmarks.
 
 The tests measure and check correctness only (equal records, cache
-hit/miss counts, equal positions, a monotone batch curve).  Every speed
+hit/miss counts, equal positions).  Every speed
 and overhead bound is an ``[slo.*]`` rule in ``slo.toml``, gated by
 ``python -m repro obs slo --bench BENCH_localize.json``.
 """
@@ -68,7 +68,7 @@ def bench_ledger_record():
         return
     payload = json.loads(path.read_text(encoding="utf-8"))
     results = {}
-    sections = ("steering_cache", "evaluate", "process", "batched", "profiler")
+    sections = ("steering_cache", "evaluate", "process", "profiler")
     for section in sections:
         for key, value in payload.get(section, {}).items():
             if value is None:
@@ -292,96 +292,6 @@ def test_perf_process_backend(dataset, report_sink):
            f"{cpus} cpu(s) < {effective} workers]"
            if unreliable else "")
     )
-
-
-#: Interleaved sweep rounds of the batched curve; each point reports
-#: its fastest round.
-BATCH_SWEEP_ROUNDS = 5
-
-
-def _best_sweeps(dataset, sizes):
-    """``{size: (run, seconds)}``: each size's fastest sweep.
-
-    Every round sweeps each size once from a fresh localizer, so every
-    timing includes one steering build.  A CI-sized sweep (6 fixes on a
-    0.12 m grid) is a handful of warm fixes long; interleaving spreads
-    a scheduler stall over several sizes' rounds instead of all rounds
-    of one size, and the best round discards it.
-    """
-    best = {}
-    for _ in range(BATCH_SWEEP_ROUNDS):
-        for size in sizes:
-            localizer = BlocLocalizer(config=_bloc_config())
-            start = time.perf_counter()
-            run = evaluate(
-                localizer,
-                dataset,
-                label="serial" if size is None else f"batch{size}",
-                batch_size=size,
-            )
-            elapsed = time.perf_counter() - start
-            if size not in best or elapsed < best[size][1]:
-                best[size] = (run, elapsed)
-    return best
-
-
-def test_perf_batched_evaluate(dataset, report_sink):
-    """Batched Eq. 17: equal errors, a monotone throughput curve.
-
-    The B=8 speedup floor is ``slo.batched_speedup_vs_serial``.
-    """
-    sweeps = _best_sweeps(dataset, (None, 2, 4, 8))
-    serial_run, serial_s = sweeps[None]
-    batched_run, batched_s = sweeps[8]
-    fixes = len(dataset)
-    curve = {str(size): fixes / sweeps[size][1] for size in (2, 4, 8)}
-
-    for ours, ref in zip(batched_run.records, serial_run.records):
-        if ref.estimate is None:
-            assert ours.estimate is None
-        else:
-            # Stacked-matmul reductions reorder float sums; the
-            # documented tolerance is nanometres (DESIGN.md).
-            assert abs(ours.error_m - ref.error_m) < 1e-6
-
-    cpus = os.cpu_count() or 1
-    unreliable = cpus < 2  # timer noise swamps a loaded single core
-    serial_rate = fixes / serial_s
-    batched_rate = fixes / batched_s
-    speedup = serial_s / batched_s
-    data = {
-        "fixes": fixes,
-        "cpus": cpus,
-        "batch_size": 8,
-        "unreliable_single_core": unreliable,
-        "serial_fixes_per_s": serial_rate,
-        "batched_s": batched_s,
-        "fixes_per_s": batched_rate,
-        "fixes_per_s_by_batch": curve,
-        "speedup_batched_vs_serial": None if unreliable else speedup,
-    }
-    _update_bench_json(
-        _scenario(dataset, BlocLocalizer(config=_bloc_config())),
-        "batched",
-        data,
-    )
-    report_sink.append(
-        "[perf] batched localizer\n"
-        f"  serial            {serial_rate:8.1f} fixes/s\n"
-        + "".join(
-            f"  batch={size}           {rate:8.1f} fixes/s\n"
-            for size, rate in curve.items()
-        )
-        + (f"  speedup (B=8)     {speedup:8.1f}x"
-           if not unreliable
-           else f"  [speedup not meaningful: {cpus} cpu(s)]")
-    )
-    if not unreliable:
-        rates = [serial_rate] + list(curve.values())
-        assert all(
-            later >= 0.9 * earlier
-            for earlier, later in zip(rates, rates[1:])
-        ), f"batched throughput curve is not monotone: {rates}"
 
 
 def _best_batch_s(localizer, observations, fixes: int, rounds: int) -> float:

@@ -151,7 +151,7 @@ def _command_config(args: argparse.Namespace) -> dict:
     """The fingerprintable configuration of a CLI invocation."""
     keep = (
         "command", "num", "seed", "workers", "no_engine", "x", "y",
-        "bundle_worst", "backend", "batch_size", "scenario", "clients",
+        "bundle_worst", "backend", "scenario", "clients",
         "per_client", "resolution", "port",
     )
     return {
@@ -226,7 +226,6 @@ def _run_evaluate(args: argparse.Namespace) -> int:
             workers=args.workers,
             capture=capture,
             backend=getattr(args, "backend", None),
-            batch_size=getattr(args, "batch_size", None),
         )
         stats = run.stats()
         print(f"{name:<18} {stats.summary()}")
@@ -399,8 +398,6 @@ def _service_from_args(
         api_keys=(
             frozenset(args.api_key) if args.api_key else None
         ),
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
         access_log_path=getattr(args, "access_log", None),
     )
     max_bytes = getattr(args, "access_log_max_bytes", None)
@@ -629,14 +626,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "serial otherwise; process seeds every worker with the "
             "parent's steering entry)",
         )
-        command.add_argument(
-            "--batch-size",
-            type=int,
-            default=None,
-            metavar="B",
-            help="stack B fixes into one batched Eq. 17 evaluation "
-            "(default: unbatched)",
-        )
 
     demo = sub.add_parser("demo", help="localize one simulated tag")
     demo.add_argument("-x", type=float, default=0.8)
@@ -789,8 +778,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="URL",
         default=None,
         help="service base URL; when set, each frame also polls "
-        "/v1/stats for batcher occupancy, cache hit ratio and pool "
-        "warmth",
+        "/v1/stats for the cache hit ratio and pool warmth",
     )
     obs_top.add_argument(
         "--window", type=float, default=60.0, metavar="S",
@@ -834,20 +822,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metavar="KEY",
             help="allowlisted API key; repeatable (default: accept any "
             "key, one bucket each)",
-        )
-        command.add_argument(
-            "--max-batch", type=int, default=8, metavar="N",
-            help="micro-batcher: max requests per locate_batch call "
-            "(default: 8)",
-        )
-        command.add_argument(
-            "--max-wait-ms",
-            type=float,
-            default=5.0,
-            metavar="MS",
-            help="micro-batcher: upper bound on the coalescing wait; a "
-            "batch is held open only for requests already admitted "
-            "(default: 5 ms)",
         )
 
     serve = sub.add_parser(

@@ -776,14 +776,13 @@ class MagicBleConstant(Rule):
 #: Functions reachable from the evaluate(workers=N) thread pool that must
 #: document their thread-safety contract, keyed by path suffix.
 WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
+    "repro/baselines/aoa.py": ("AoaLocalizer.anchor_spectrum",),
     "repro/core/engine.py": (
+        "LruCache.get_or_build",
+        "LruCache.seed",
         "SteeringCache.entry_for",
-        "SteeringCache.seed",
     ),
-    "repro/core/localizer.py": (
-        "BlocLocalizer.locate",
-        "BlocLocalizer.locate_batch",
-    ),
+    "repro/core/localizer.py": ("BlocLocalizer.locate",),
     "repro/obs/metrics.py": (
         "Counter.inc",
         "Counter.merge",

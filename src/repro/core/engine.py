@@ -60,13 +60,13 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.analysis.contracts import arr, shaped
-from repro.analysis.runtime_locks import guarded_by, make_lock
+from repro.analysis.runtime_locks import guarded_by, holds_lock, make_lock
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.correction import CorrectedChannels
 from repro.errors import ConfigurationError
@@ -175,26 +175,21 @@ class SteeringEntry:
         magnitude = float(np.abs(alpha_anchor).sum())  # repro: noqa[RPR001]
         return delta**2 * self.sample_step_m**2 / 8.0 * magnitude
 
-    @shaped(alpha_batch=arr(("B", "I", "J", "K"), np.complexfloating))
-    def likelihoods(self, alpha_batch: np.ndarray) -> np.ndarray:
-        """Eq. 17 for every anchor of B fixes, shape ``(B, I, size)``.
+    @shaped(alpha=arr(("I", "J", "K"), np.complexfloating))
+    def likelihoods(self, alpha: np.ndarray) -> np.ndarray:
+        """Eq. 17 for every anchor of one fix, shape ``(I, size)``.
 
-        One dense product yields every (fix, anchor, antenna) profile;
-        each fix is then one matvec over the stacked gather.  (One
-        product with B columns ran no faster, since the gather stays in
-        cache, and its ``(I * size, B)`` temporaries page-faulted anew
-        on every call.)
+        One dense product yields every (anchor, antenna) profile; one
+        matvec over the stacked gather then reads them at every grid
+        point.
 
         Thread-safety: read-only over the immutable cached arrays, safe
         to call concurrently from evaluation workers.
         """
-        alpha = np.asarray(alpha_batch)
-        b, a, _, k = alpha.shape
-        profiles = alpha.reshape(-1, k) @ self.samples.T
-        out = np.empty((b, self.gather.shape[0]))
-        for fix, profile in enumerate(profiles.reshape(b, -1)):
-            np.abs(self.gather @ profile, out=out[fix])
-        return out.reshape(b, a, -1)
+        alpha = np.asarray(alpha)
+        a, _, k = alpha.shape
+        profile = (alpha.reshape(-1, k) @ self.samples.T).reshape(-1)
+        return np.abs(self.gather @ profile).reshape(a, -1)
 
     @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
     def anchor_likelihood(
@@ -287,99 +282,85 @@ def build_steering_entry(
 
 
 @guarded_by("_lock", "_entries", "hits", "misses", "evictions")
-class SteeringCache:
-    """Thread-safe LRU cache of :class:`SteeringEntry` objects.
+class LruCache:
+    """Thread-safe bounded LRU of immutable, expensive-to-build values.
 
-    A :class:`~repro.core.localizer.BlocLocalizer` holds one of these
-    across ``locate()`` calls, so a sweep over a dataset pays the
-    geometry build once and every later fix runs on the cached profile
-    samples and gather alone.  The cache key covers the grid
-    bounds/resolution, every anchor's array geometry, the master/baseline
-    configuration and the exact frequency vector, so any change that
-    would alter the entry is a miss -- never a stale hit.
+    :meth:`get_or_build` looks a key up and, on a miss, builds the
+    value under the cache lock: concurrent callers asking for the same
+    key block until the first build lands, then all share the one
+    value.  Beyond ``max_entries`` the least recently used entry goes,
+    so a caller that cycles keys cannot grow memory.  A cache pickles
+    (and deep-copies) as an empty cache of the same capacity -- locks
+    do not cross process boundaries, and entries are rebuilt on demand.
 
     Attributes:
-        config: engine tuning knobs.
+        max_entries: LRU capacity.
         hits / misses / evictions: lifetime lookup statistics.
     """
 
-    def __init__(self, config: Optional[EngineConfig] = None):
-        self.config = config or EngineConfig()
-        self._entries: "OrderedDict[tuple, SteeringEntry]" = OrderedDict()
-        self._lock = make_lock("SteeringCache._lock")
+    def __init__(self, max_entries: int):
+        if max_entries < 1:
+            raise ConfigurationError("cache max_entries must be >= 1")
+        self.max_entries = int(max_entries)
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = make_lock(f"{type(self).__name__}._lock")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def entry_for(
-        self, corrected: CorrectedChannels, grid: Grid2D
-    ) -> SteeringEntry:
-        """The (possibly freshly built) entry for a fix's geometry.
+    def __getstate__(self) -> dict:
+        return {"max_entries": self.max_entries}
 
-        Thread-safety: cache-miss builds happen under the cache lock;
-        concurrent workers asking for the same geometry block until the
-        first build lands, then all share the one (immutable) entry.
+    def __setstate__(self, state: dict) -> None:
+        LruCache.__init__(self, state["max_entries"])
+
+    def _count(self, event: str) -> None:
+        """Hook: one ``"hits"`` / ``"misses"`` / ``"evictions"`` event."""
+
+    @holds_lock("_lock")
+    def _insert_locked(self, key: Hashable, value: Any) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            self._count("evictions")
+
+    def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The cached value for ``key``, built by ``build()`` on a miss.
+
+        Thread-safety: lookups and miss builds run under the cache lock.
         """
-        key = steering_cache_key(
-            grid,
-            corrected.anchors,
-            corrected.master_index,
-            corrected.anchor_baselines_m,
-            corrected.frequencies_hz,
-        )
-        observer = get_observer()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                if observer.enabled:
-                    observer.metrics.counter("engine.cache_hits").inc()
-                return entry
+                self._count("hits")
+                return value
             self.misses += 1
-            if observer.enabled:
-                observer.metrics.counter("engine.cache_misses").inc()
-            entry = build_steering_entry(
-                grid,
-                corrected.anchors,
-                corrected.master_index,
-                corrected.anchor_baselines_m,
-                corrected.frequencies_hz,
-            )
-            self._entries[key] = entry
-            while len(self._entries) > self.config.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                if observer.enabled:
-                    observer.metrics.counter("engine.cache_evictions").inc()
-            if observer.enabled:
-                observer.metrics.histogram(
-                    "engine.build_s", LATENCY_BUCKETS_S
-                ).observe(entry.build_seconds)
-            return entry
+            self._count("misses")
+            value = build()
+            self._insert_locked(key, value)
+            return value
 
-    def seed(self, key: tuple, entry: SteeringEntry) -> None:
-        """Pre-insert an externally built entry under its cache key.
+    def seed(self, key: Hashable, value: Any) -> None:
+        """Pre-insert an externally built value under its key.
 
         Used by the process-pool backend: each worker's pool
-        initializer receives the parent's built entry and seeds it
-        here, so its first ``entry_for`` lookup is a warm hit instead of
-        a rebuild.  The key must come from
-        :func:`steering_cache_key` over the same geometry the entry was
-        built for -- the cache trusts the caller on that pairing.
+        initializer receives the parent's steering entry and seeds it
+        under its :func:`steering_cache_key`, so its first lookup is a
+        warm hit instead of a rebuild.  The cache trusts the caller that
+        ``value`` is what a miss on ``key`` would have built.
 
         Thread-safety: lock-protected like every other cache operation.
         """
         with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.config.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._insert_locked(key, value)
 
     @property
     def nbytes(self) -> int:
-        """Memory held by all cached steering entries."""
+        """Memory held by all cached values."""
         with self._lock:
             return sum(e.nbytes for e in self._entries.values())
 
@@ -407,5 +388,67 @@ class SteeringCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "max_entries": self.config.max_entries,
+                "max_entries": self.max_entries,
             }
+
+
+class SteeringCache(LruCache):
+    """Thread-safe LRU cache of :class:`SteeringEntry` objects.
+
+    A :class:`~repro.core.localizer.BlocLocalizer` holds one of these
+    across ``locate()`` calls, so a sweep over a dataset pays the
+    geometry build once and every later fix runs on the cached profile
+    samples and gather alone.  The cache key covers the grid
+    bounds/resolution, every anchor's array geometry, the master/baseline
+    configuration and the exact frequency vector, so any change that
+    would alter the entry is a miss -- never a stale hit.
+
+    Attributes:
+        config: engine tuning knobs.
+    """
+
+    def __init__(self, config: Optional[EngineConfig] = None):
+        self.config = config or EngineConfig()
+        super().__init__(self.config.max_entries)
+
+    def __setstate__(self, state: dict) -> None:
+        SteeringCache.__init__(self, EngineConfig(state["max_entries"]))
+
+    def _count(self, event: str) -> None:
+        observer = get_observer()
+        if observer.enabled:
+            observer.metrics.counter(f"engine.cache_{event}").inc()
+
+    def entry_for(
+        self, corrected: CorrectedChannels, grid: Grid2D
+    ) -> SteeringEntry:
+        """The (possibly freshly built) entry for a fix's geometry.
+
+        Thread-safety: cache-miss builds happen under the cache lock;
+        concurrent workers asking for the same geometry block until the
+        first build lands, then all share the one (immutable) entry.
+        """
+        key = steering_cache_key(
+            grid,
+            corrected.anchors,
+            corrected.master_index,
+            corrected.anchor_baselines_m,
+            corrected.frequencies_hz,
+        )
+
+        def build() -> SteeringEntry:
+            entry = build_steering_entry(
+                grid,
+                corrected.anchors,
+                corrected.master_index,
+                corrected.anchor_baselines_m,
+                corrected.frequencies_hz,
+            )
+            observer = get_observer()
+            if observer.enabled:
+                observer.metrics.histogram(
+                    "engine.build_s", LATENCY_BUCKETS_S
+                ).observe(entry.build_seconds)
+            return entry
+
+        return self.get_or_build(key, build)

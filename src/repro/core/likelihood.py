@@ -22,7 +22,7 @@ because the slave alphas carry extra |H| |h00| amplitude factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def compute_likelihood_map(
     """
     if engine is not None:
         flats = engine.entry_for(corrected, grid).likelihoods(
-            corrected.alpha[None]
-        )[0]
+            corrected.alpha
+        )
     else:
         points = grid.points()
         reference = corrected.master_reference_position().as_array()
@@ -164,42 +164,3 @@ def compute_likelihood_map(
         )
     return _combine(flats, grid, anchor_weights)
 
-
-def compute_likelihood_maps_batched(
-    corrected_batch: Sequence[CorrectedChannels],
-    grid: Grid2D,
-    engine: SteeringCache,
-    anchor_weights: Optional[np.ndarray] = None,
-) -> List[LikelihoodMap]:
-    """Eq. 17 for a whole batch of fixes through one shared kernel call.
-
-    All fixes must share the steering geometry (same grid, anchors,
-    master, baselines and band plan -- the caller guarantees this; see
-    :meth:`~repro.core.localizer.BlocLocalizer.locate_batch`): their
-    corrected channels are stacked into a ``(B, anchors, antennas,
-    bands)`` tensor and evaluated with
-    :meth:`~repro.core.engine.SteeringEntry.likelihoods`, the per-fix
-    kernel with B columns instead of one.
-
-    Per-map normalisation and anchor combination are those of
-    :func:`compute_likelihood_map`.  Only the shared profile product
-    may order its BLAS reduction differently (< 1e-12 relative); the
-    golden records come out bit for bit equal.
-
-    Args:
-        corrected_batch: corrected channels of B fixes, shared geometry.
-        grid: candidate-position grid (shared across the batch).
-        engine: the steering cache (required -- batching exists to reuse
-            its entry; use :func:`compute_likelihood_map` per fix for
-            the direct path).
-        anchor_weights: optional per-anchor combination weights.
-
-    Returns:
-        One :class:`LikelihoodMap` per input fix, input order.
-    """
-    batch = list(corrected_batch)
-    if not batch:
-        return []
-    entry = engine.entry_for(batch[0], grid)
-    flats = entry.likelihoods(np.stack([c.alpha for c in batch]))
-    return [_combine(f, grid, anchor_weights) for f in flats]

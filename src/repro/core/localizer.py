@@ -15,26 +15,13 @@ global maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.core.correction import CorrectedChannels, correct_phase_offsets
-from repro.core.engine import SteeringCache, steering_cache_key
-from repro.core.likelihood import (
-    LikelihoodMap,
-    compute_likelihood_map,
-    compute_likelihood_maps_batched,
-)
+from repro.core.engine import SteeringCache
+from repro.core.likelihood import LikelihoodMap, compute_likelihood_map
 from repro.core.observations import ChannelObservations
-from repro.core.peaks import (
-    Peak,
-    PeakConfig,
-    find_peaks,
-    local_maxima_batch,
-    refine_peak_position,
-    select_peaks,
-)
+from repro.core.peaks import PeakConfig, find_peaks, refine_peak_position
 from repro.core.scoring import ScoredPeak, ScoringConfig, score_peaks
 from repro.errors import ConfigurationError, LocalizationError
 from repro.obs import get_observer
@@ -166,10 +153,6 @@ class BlocLocalizer:
                 corrected.anchors,
                 self.config.scoring,
             )
-        return self._order_scored(scored)
-
-    def _order_scored(self, scored: List[ScoredPeak]) -> List[ScoredPeak]:
-        """Rank scored peaks by the active selection strategy."""
         if self.config.selection == "shortest":
             return sorted(scored, key=lambda s: s.distance_sum_m)
         if self.config.selection == "max_likelihood":
@@ -198,11 +181,19 @@ class BlocLocalizer:
         its own entries.
 
         Raises:
-            LocalizationError: when the likelihood map is degenerate.
+            LocalizationError: when fewer than two anchors were heard
+                (one array's Eq. 17 map has no cross-anchor geometry to
+                fix a position: the master alone answers next to
+                itself), or when the likelihood map is degenerate.
         """
         observer = get_observer()
         builder = FixDiagnosticsBuilder(observations) if diagnostics else None
         try:
+            if observations.num_anchors < 2:
+                raise LocalizationError(
+                    f"BLoc needs >= 2 anchors, got "
+                    f"{observations.num_anchors}"
+                )
             with observer.span("correct"):
                 corrected = self.correct(observations)
             if builder is not None:
@@ -235,122 +226,3 @@ class BlocLocalizer:
             likelihood=likelihood if keep_map else None,
             diagnostics=builder.build() if builder is not None else None,
         )
-
-    def _locate_contained(
-        self, observations: ChannelObservations, keep_map: bool
-    ) -> Union[LocalizationResult, LocalizationError]:
-        """Per-fix ``locate`` with the failure returned, not raised."""
-        try:
-            return self.locate(observations, keep_map=keep_map)
-        except LocalizationError as exc:
-            return exc
-
-    def locate_batch(
-        self,
-        observations_batch: Sequence[ChannelObservations],
-        keep_map: bool = False,
-    ) -> List[Union[LocalizationResult, LocalizationError]]:
-        """Run the pipeline on B fixes through one batched Eq. 17 pass.
-
-        The batch's corrected channels are stacked so the Eq. 17
-        kernel runs once with a column per fix (see
-        :func:`~repro.core.likelihood.compute_likelihood_maps_batched`),
-        and peak extraction runs one batched maximum filter.  Eq. 18
-        scoring, strategy ordering and refinement match :meth:`locate`
-        per fix; positions agree with the per-fix path up to BLAS
-        reduction reordering (< 1e-9 m in practice -- the documented fp
-        tolerance of the batched backend).
-
-        Fix independence is preserved: the returned list is parallel to
-        the input and each element is either a
-        :class:`LocalizationResult` or the
-        :class:`~repro.errors.LocalizationError` that fix produced --
-        per-fix failures are *returned*, not raised, so one degenerate
-        fix cannot sink its batchmates.
-
-        Fixes that do not share the first fix's steering geometry, and
-        whole batches when ``engine`` is None, fall back to per-fix
-        :meth:`locate` (same results, no batching win).  Batch spans
-        (``correct`` / ``map_likelihood`` / ``pick_peak``) cover the
-        whole batch rather than single fixes.
-
-        Thread-safety: safe to call concurrently from evaluation
-        workers; all per-batch state is local and the shared steering
-        cache guards its own entries.
-        """
-        observer = get_observer()
-        batch = list(observations_batch)
-        outcomes: List[
-            Optional[Union[LocalizationResult, LocalizationError]]
-        ] = [None] * len(batch)
-        if not batch:
-            return []
-        if self.engine is None:
-            return [
-                self._locate_contained(obs, keep_map) for obs in batch
-            ]
-        prepared: List[Optional[Tuple[CorrectedChannels, Grid2D, tuple]]] = (
-            [None] * len(batch)
-        )
-        with observer.span("correct", batch=len(batch)):
-            for b, observations in enumerate(batch):
-                try:
-                    corrected = self.correct(observations)
-                    grid = self.grid_for(observations)
-                    key = steering_cache_key(
-                        grid,
-                        corrected.anchors,
-                        corrected.master_index,
-                        corrected.anchor_baselines_m,
-                        corrected.frequencies_hz,
-                    )
-                except LocalizationError as exc:
-                    outcomes[b] = exc
-                    continue
-                prepared[b] = (corrected, grid, key)
-        live = [b for b in range(len(batch)) if prepared[b] is not None]
-        if not live:
-            return outcomes
-        shared_key = prepared[live[0]][2]
-        batched = [b for b in live if prepared[b][2] == shared_key]
-        for b in live:
-            if b not in batched:
-                # Geometry stray: correct results beat batching wins.
-                outcomes[b] = self._locate_contained(batch[b], keep_map)
-        grid = prepared[batched[0]][1]
-        with observer.span("map_likelihood", batch=len(batched)):
-            maps = compute_likelihood_maps_batched(
-                [prepared[b][0] for b in batched], grid, self.engine
-            )
-        with observer.span("pick_peak", batch=len(batched)):
-            stack = np.stack([m.combined for m in maps])
-            masks = local_maxima_batch(stack, self.config.peak)
-            for pos, b in enumerate(batched):
-                try:
-                    peaks = select_peaks(
-                        stack[pos], masks[pos], grid, self.config.peak
-                    )
-                    scored = self._order_scored(
-                        score_peaks(
-                            peaks,
-                            maps[pos].combined,
-                            grid,
-                            prepared[b][0].anchors,
-                            self.config.scoring,
-                        )
-                    )
-                    winner = scored[0]
-                    position = winner.peak.position
-                    if self.config.refine_peaks:
-                        position = refine_peak_position(
-                            maps[pos].combined, grid, winner.peak
-                        )
-                except LocalizationError as exc:
-                    outcomes[b] = exc
-                    continue
-                outcomes[b] = LocalizationResult(
-                    position=position,
-                    scored_peaks=scored,
-                    likelihood=maps[pos] if keep_map else None,
-                )
-        return outcomes

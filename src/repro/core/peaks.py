@@ -69,26 +69,6 @@ class PeakConfig:
             raise ConfigurationError("max_peaks must be >= 1")
 
 
-@shaped(stack=("B", "H", "W"))
-def local_maxima_batch(
-    stack: np.ndarray, config: PeakConfig = PeakConfig()
-) -> np.ndarray:
-    """Local-maximum masks for a stack of maps in one filter pass.
-
-    The maximum filter runs with a ``(1, n, n)`` window so maps never
-    bleed into each other; one scipy call serves the whole batch, which
-    is the batched localizer's peak-extraction fast path.
-
-    Returns:
-        Boolean mask stack, same shape as ``stack``.
-    """
-    arr = np.asarray(stack, dtype=float)
-    footprint = (1, config.neighborhood, config.neighborhood)
-    return (
-        ndimage.maximum_filter(arr, size=footprint, mode="nearest") == arr
-    )
-
-
 @shaped(values=("H", "W"), local_max=("H", "W"))
 def select_peaks(
     values: np.ndarray,
@@ -98,9 +78,8 @@ def select_peaks(
 ) -> List[Peak]:
     """Threshold, order and separate candidate maxima into peaks.
 
-    The second half of :func:`find_peaks`, split out so the batched
-    path can reuse a precomputed local-maximum mask (see
-    :func:`local_maxima_batch`).
+    The second half of :func:`find_peaks`, after the local-maximum
+    filter.
 
     Raises:
         LocalizationError: when the map is degenerate (all equal/zero)

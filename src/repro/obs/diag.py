@@ -84,19 +84,30 @@ class BandQuality:
     amplitude_db: np.ndarray
     flatness_db: np.ndarray
     missing: np.ndarray
+    _anchor_snr_db: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def coverage(self) -> np.ndarray:
         """Fraction of usable bands per anchor, shape ``(I,)``."""
         return 1.0 - self.missing.mean(axis=1)
 
     def anchor_snr_db(self) -> np.ndarray:
-        """Median SNR over usable bands per anchor (NaN if none usable)."""
-        out = np.full(self.snr_db.shape[0], np.nan)
-        for i in range(self.snr_db.shape[0]):
-            usable = self.snr_db[i][np.isfinite(self.snr_db[i])]
-            if usable.size:
-                out[i] = float(np.median(usable))
-        return out
+        """Median SNR over usable bands per anchor (NaN if none usable).
+
+        Computed on first use and kept: the service's telemetry and the
+        health monitor both read it for every fix, so the array is
+        read-only: a write raises instead of corrupting the other reader.
+        """
+        if self._anchor_snr_db is None:
+            out = np.full(self.snr_db.shape[0], np.nan)
+            for i in range(self.snr_db.shape[0]):
+                usable = self.snr_db[i][np.isfinite(self.snr_db[i])]
+                if usable.size:
+                    out[i] = float(np.median(usable))
+            out.flags.writeable = False
+            self._anchor_snr_db = out
+        return self._anchor_snr_db
 
 
 @dataclass

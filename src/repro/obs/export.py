@@ -281,38 +281,18 @@ def resolve_trace_id(records: Sequence[dict], prefix: str) -> str:
 
 
 def trace_spans(records: Sequence[dict], trace_id: str) -> List[dict]:
-    """Span records belonging to one trace, plus linked batch subtrees.
+    """Span records belonging to one trace.
 
-    Selects every span whose ``trace_id`` matches, then follows span
-    *links*: a micro-batch span executed on behalf of several requests
-    carries their trace ids in a ``member_trace_ids`` attribute, so the
-    batch span -- and its whole subtree (the ``locate_batch`` stages,
-    including absorbed process-worker spans) -- is grafted into each
-    member's reconstruction even though it lives on its own trace.
+    Every span of a request -- handler, provider chain, localizer
+    stages, including absorbed process-worker spans -- carries the
+    request's ``trace_id``, so selecting by it is the whole
+    reconstruction.
     """
-    spans = [r for r in records if r.get("type") == "span"]
-    selected: Dict[int, dict] = {
-        r["span_id"]: r for r in spans if r.get("trace_id") == trace_id
-    }
-    children: Dict[int, List[dict]] = {}
-    for r in spans:
-        parent = r.get("parent_id")
-        if parent is not None:
-            children.setdefault(parent, []).append(r)
-    queue = [
+    return [
         r
-        for r in spans
-        if r["span_id"] not in selected
-        and trace_id
-        in ((r.get("attributes") or {}).get("member_trace_ids") or [])
+        for r in records
+        if r.get("type") == "span" and r.get("trace_id") == trace_id
     ]
-    while queue:
-        r = queue.pop()
-        if r["span_id"] in selected:
-            continue
-        selected[r["span_id"]] = r
-        queue.extend(children.get(r["span_id"], []))
-    return list(selected.values())
 
 
 def _span_sort_key(record: dict) -> Tuple[float, int]:
@@ -325,9 +305,7 @@ def _span_sort_key(record: dict) -> Tuple[float, int]:
 def render_trace(records: Sequence[dict], trace_id: str) -> str:
     """Text tree of one request's spans from an NDJSON export.
 
-    Spans of the trace itself nest by ``parent_id``; linked batch
-    subtrees (see :func:`trace_spans`) appear under their own roots
-    marked with the trace they ran on.  Cross-thread and cross-process
+    Spans nest by ``parent_id``.  Cross-thread and cross-process
     children show the thread name that ran them.
     """
     selected = trace_spans(records, trace_id)
@@ -359,8 +337,6 @@ def render_trace(records: Sequence[dict], trace_id: str) -> str:
         attributes = r.get("attributes") or {}
         shown = []
         for key in sorted(attributes):
-            if key == "member_trace_ids":
-                continue
             value = attributes[key]
             if isinstance(value, (list, dict)):
                 continue
@@ -370,10 +346,6 @@ def render_trace(records: Sequence[dict], trace_id: str) -> str:
             if len(text) > 72:
                 text = text[:69] + "..."
             parts.append(text)
-        if r.get("trace_id") and r["trace_id"] != trace_id:
-            parent = r.get("parent_id")
-            if parent is None or parent not in by_id:
-                parts.append(f"(linked trace {r['trace_id'][:12]})")
         return "  ".join(parts)
 
     threads = {r.get("thread") for r in selected if r.get("thread")}

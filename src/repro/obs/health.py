@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -103,6 +103,15 @@ class AnomalyEvent:
     message: str
 
 
+def _outage_message(name: str, missing: np.ndarray, num_bands: int) -> str:
+    """Band-outage event text: which of the anchor's bands are dead."""
+    bands = np.flatnonzero(missing)
+    return (
+        f"{name}: {bands.size}/{num_bands} bands unusable "
+        f"(bands {bands.tolist()})"
+    )
+
+
 @dataclass
 class _AnchorState:
     """Rolling per-anchor accumulators (internal)."""
@@ -171,10 +180,14 @@ class AnchorHealthMonitor:
         fix_index: int,
         value: float,
         threshold: float,
-        message: str,
+        message: Callable[[], str],
         observer: Optional[Observability],
     ) -> Optional[AnomalyEvent]:
-        """Edge-trigger one detector; returns the event when it fires."""
+        """Edge-trigger one detector; returns the event when it fires.
+
+        ``message`` is formatted only for a fired event: most fixes
+        fire nothing, and the service folds every request in.
+        """
         was_active = state.active[kind]
         state.active[kind] = condition
         if not condition or was_active:
@@ -185,7 +198,7 @@ class AnchorHealthMonitor:
             fix_index=fix_index,
             value=float(value),
             threshold=float(threshold),
-            message=message,
+            message=message(),
         )
         self.events.append(event)
         if observer is not None:
@@ -217,7 +230,6 @@ class AnchorHealthMonitor:
                 coverage = float(anchor_cov[i])
                 missing_fraction = 1.0 - coverage
                 state.coverage.append(coverage)
-                missing_bands = np.flatnonzero(bq.missing[i])
                 event = self._transition(
                     state,
                     "band_outage",
@@ -226,8 +238,9 @@ class AnchorHealthMonitor:
                     fix_index,
                     missing_fraction,
                     thresholds.outage_missing_fraction,
-                    f"{name}: {missing_bands.size}/{diag.num_bands} bands "
-                    f"unusable (bands {missing_bands.tolist()})",
+                    lambda: _outage_message(
+                        name, bq.missing[i], diag.num_bands
+                    ),
                     observer,
                 )
                 if event:
@@ -243,7 +256,7 @@ class AnchorHealthMonitor:
                     fix_index,
                     float(state.stale_streak),
                     float(thresholds.stale_fixes),
-                    f"{name}: no usable bands for "
+                    lambda: f"{name}: no usable bands for "
                     f"{state.stale_streak} consecutive fixes",
                     observer,
                 )
@@ -265,7 +278,7 @@ class AnchorHealthMonitor:
                     fix_index,
                     snr,
                     thresholds.low_snr_db,
-                    f"{name}: median demod SNR {snr:.1f} dB below "
+                    lambda: f"{name}: median demod SNR {snr:.1f} dB below "
                     f"{thresholds.low_snr_db:.1f} dB for "
                     f"{state.low_snr_streak} consecutive fixes",
                     observer,
@@ -284,8 +297,9 @@ class AnchorHealthMonitor:
                     fix_index,
                     residual,
                     thresholds.drift_residual_rad,
-                    f"{name}: Eq. 10 residual phase {residual:.2f} rad "
-                    f"exceeds {thresholds.drift_residual_rad:.2f} rad",
+                    lambda: f"{name}: Eq. 10 residual phase "
+                    f"{residual:.2f} rad exceeds "
+                    f"{thresholds.drift_residual_rad:.2f} rad",
                     observer,
                 )
                 if event:

@@ -333,7 +333,6 @@ _SPAN_FIELDS = ("count", "p50_s", "p95_s", "p99_s")
 _NULL_RESULT_LABELS = {
     "speedup_parallel_vs_serial": "n/a (1 cpu)",
     "speedup_process_vs_serial": "n/a (1 cpu)",
-    "speedup_batched_vs_serial": "n/a (1 cpu)",
 }
 
 

@@ -11,8 +11,8 @@ periodically refreshed frame of request-level health:
 * latency quantiles (p50/p95/p99) over the window, plus the slowest
   request's ``trace_id`` so the operator can jump straight to
   ``repro obs trace <id>``;
-* optionally, live ``/v1/stats`` -- batcher occupancy, steering-cache
-  hit ratio, pool warmth -- when given the service URL.
+* optionally, live ``/v1/stats`` -- steering-cache hit ratio, pool
+  warmth -- when given the service URL.
 
 The frame builder and renderer are pure functions over parsed records,
 so tests drive them without a terminal or a server; only
@@ -256,19 +256,6 @@ def render_frame(frame: TopFrame) -> str:
             for name, built in sorted(warmth.items())
         )
         lines.append(f"pool   {shown}")
-    batchers = stats.get("batchers") or {}
-    for name in sorted(batchers):
-        info = batchers[name]
-        mean_batch = info.get("mean_batch")
-        occupancy = (
-            f"{mean_batch:.2f}" if mean_batch is not None else "n/a"
-        )
-        lines.append(
-            f"batch  {name}: occupancy {occupancy}/"
-            f"{info.get('max_batch', '?')}  "
-            f"depth {info.get('queue_depth', 0)}  "
-            f"batches {info.get('batches_total', 0)}"
-        )
     return "\n".join(lines)
 
 

@@ -10,10 +10,9 @@ An ichnaea-shaped HTTP locate endpoint over the BLoc pipeline::
 
 Requests name a server-side scenario (anchor geometry) and ship only
 measured channels; the pool keeps one warm steering-cache entry per
-scenario, a micro-batcher coalesces concurrent requests into one batched
-Eq. 17 pass, and a provider chain (BLoc -> AoA -> RSSI) keeps degraded
-sweeps answerable.  ``repro serve`` and ``repro loadtest`` wrap this
-package on the CLI.
+scenario, each request runs inline on its server thread, and a provider
+chain (BLoc -> AoA -> RSSI) keeps degraded sweeps answerable.
+``repro serve`` and ``repro loadtest`` wrap this package on the CLI.
 """
 
 from repro.service.app import (
@@ -22,7 +21,6 @@ from repro.service.app import (
     ServiceConfig,
     make_server,
 )
-from repro.service.batcher import BatchedOutcome, MicroBatcher
 from repro.service.telemetry import AccuracyTelemetry
 from repro.service.loadtest import (
     LoadtestResult,
@@ -65,7 +63,6 @@ from repro.service.schema import (
 
 __all__ = [
     "AccuracyTelemetry",
-    "BatchedOutcome",
     "CsiQuality",
     "DEFAULT_SERVICE_RESOLUTION_M",
     "LoadtestResult",
@@ -74,7 +71,6 @@ __all__ = [
     "LocateDecision",
     "LocateRequest",
     "MAX_BODY_BYTES",
-    "MicroBatcher",
     "PROVIDER_CHAIN_ORDER",
     "ProviderChain",
     "QualityGates",

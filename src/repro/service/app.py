@@ -4,8 +4,9 @@ Layering follows the ichnaea shape -- a transport-free service core a
 test can drive without sockets, wrapped by a thin stdlib HTTP adapter:
 
 * :class:`LocalizationService` owns the request lifecycle
-  (schema -> auth -> rate limit -> scenario -> micro-batch -> provider
-  chain) and returns ``(status, body, headers)`` tuples.
+  (schema -> auth -> rate limit -> scenario -> decode -> provider chain)
+  and returns ``(status, body, headers)`` tuples.  Each request runs
+  start to finish on the server thread that accepted it.
 * :func:`make_server` binds it behind a ``ThreadingHTTPServer`` with
   three routes: ``POST /v1/locate``, ``GET /v1/health``,
   ``GET /v1/stats``.
@@ -38,10 +39,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, FrozenSet, Optional, Tuple, Type, Union
 
-from repro.core.observations import ChannelObservations
-from repro.errors import LocalizationError
+from repro.errors import LocalizationError, ReproError
 from repro.obs import LATENCY_BUCKETS_S, Observability, get_observer
 from repro.obs.health import AnchorHealthMonitor
 from repro.obs.promexport import (
@@ -49,12 +49,10 @@ from repro.obs.promexport import (
     render_openmetrics,
 )
 from repro.obs.trace import (
-    TraceContext,
     format_traceparent,
     new_trace_id,
     parse_traceparent,
 )
-from repro.service.batcher import MicroBatcher
 from repro.service.pool import (
     LocalizerPool,
     UnknownScenarioError,
@@ -144,9 +142,9 @@ class ServiceConfig:
     Attributes:
         rate_per_s / burst: token-bucket parameters per API key.
         api_keys: optional allowlist; None accepts any key.
-        max_batch / max_wait_s: micro-batcher batch size and the upper
-            bound on how long a batch is held open for announced
-            requests (a lone request does not wait).
+        max_batch / max_wait_s: ignored.  They configured the retired
+            micro-batcher; they stay accepted (and validated) until the
+            benchmark's server stops passing them.
         access_log_path: NDJSON access log (None disables logging).
         access_log_max_bytes: size threshold at which the access log
             rotates to ``<path>.1`` (one generation kept).
@@ -160,10 +158,17 @@ class ServiceConfig:
     access_log_path: Optional[str] = None
     access_log_max_bytes: int = 16 * 1024 * 1024
 
+    def __post_init__(self) -> None:
+        if self.max_batch < 1:
+            raise ReproError(f"max_batch must be >= 1, got {self.max_batch}")
+        if self.max_wait_s < 0:
+            raise ReproError(
+                f"max_wait_s must be >= 0, got {self.max_wait_s}"
+            )
+
 
 @guarded_by(
     "_lock",
-    "_batchers",
     "_request_counter",
     "responses_by_status",
     "responses_by_provider",
@@ -173,8 +178,8 @@ class LocalizationService:
     """Transport-free request handling over a warm localizer pool.
 
     Thread-safety: all entry points may be called concurrently from
-    server threads; shared counters, the access log and batcher
-    creation are lock-protected, and the pool/limiter guard themselves.
+    server threads; shared counters and the access log are
+    lock-protected, and the pool/limiter guard themselves.
     """
 
     def __init__(
@@ -190,7 +195,6 @@ class LocalizationService:
             api_keys=self.config.api_keys,
         )
         self.started_monotonic = time.monotonic()
-        self._batchers: Dict[str, MicroBatcher] = {}
         self._lock = make_lock("LocalizationService._lock")
         self._request_counter = 0
         self.responses_by_status: Dict[int, int] = {}
@@ -222,26 +226,6 @@ class LocalizationService:
         with self._lock:
             self._request_counter += 1
             return f"req-{self._request_counter:06d}"
-
-    def _batcher_for(self, scenario: str) -> MicroBatcher:
-        """Get-or-create the scenario's micro-batcher (lock-protected)."""
-        # Double-checked fast path: a stale miss only costs re-entering
-        # the locked slow path; dict reads are atomic under the GIL.
-        batcher = self._batchers.get(scenario)  # repro: noqa[RPR013] -- benign racy fast-path read, settled under the lock below
-        if batcher is not None:
-            return batcher
-        warm = self.pool.get(scenario)
-        with self._lock:
-            batcher = self._batchers.get(scenario)
-            if batcher is None:
-                batcher = MicroBatcher(
-                    warm.chain.locate_batch,
-                    max_batch=self.config.max_batch,
-                    max_wait_s=self.config.max_wait_s,
-                    name=f"batch-{scenario}",
-                )
-                self._batchers[scenario] = batcher
-        return batcher
 
     def _record(
         self,
@@ -409,12 +393,6 @@ class LocalizationService:
                     trace_id,
                     span_id,
                 )
-            # Admitted: announce the request so the scenario's batcher
-            # holds a batch open for it while its body decodes; any
-            # decode failure withdraws the announcement.
-            batcher = self._batcher_for(request.scenario)
-            batcher.announce()
-            observations: Optional[ChannelObservations] = None
             try:
                 observations = decode_observations(
                     request.observations,
@@ -440,36 +418,15 @@ class LocalizationService:
                     trace_id,
                     span_id,
                 )
-            finally:
-                if observations is None:
-                    batcher.withdraw()
-            # The batch runs on the batcher's worker thread under its
-            # own linked trace; the wait span measures how long this
-            # request blocked on coalescing + the shared locate_batch.
-            context = TraceContext(
-                trace_id=trace_id,
-                parent=span.handle() if span is not None else None,
-            )
-            with observer.span(
-                "service.batch_wait", trace_id=trace_id
-            ) as wait_span:
-                outcome = batcher.locate(
-                    observations, context, announced=True
-                )
-                if wait_span is not None:
-                    wait_span.set(
-                        batch_size=outcome.batch_size,
-                        batch_trace_id=outcome.batch_trace_id,
-                    )
-            if span is not None and outcome.batch_trace_id:
-                span.set(batch_trace_id=outcome.batch_trace_id)
-            if isinstance(outcome.decision, LocalizationError):
+            try:
+                located = warm.chain.locate(observations)
+            except LocalizationError as exc:
                 self.telemetry.record_fix(observations, None)
                 return self._finish(
                     503,
                     error_body(
                         "no_fix",
-                        str(outcome.decision),
+                        str(exc),
                         request_id=request_id,
                     ),
                     {},
@@ -483,21 +440,20 @@ class LocalizationService:
                     span_id,
                 )
             events = self.telemetry.record_fix(
-                observations, outcome.decision.position
+                observations, located.position
             )
             if span is not None and events:
                 span.set(anomalies=len(events))
             latency_s = time.perf_counter() - started
             body = locate_response(
-                position_x=float(outcome.decision.position.x),
-                position_y=float(outcome.decision.position.y),
-                provider=outcome.decision.provider,
+                position_x=float(located.position.x),
+                position_y=float(located.position.y),
+                provider=located.provider,
                 scenario=request.scenario,
                 request_id=request_id,
                 latency_s=round(latency_s, 6),
-                quality=outcome.decision.quality.to_dict(),
-                fallback_reasons=outcome.decision.fallback_reasons,
-                batch_size=outcome.batch_size,
+                quality=located.quality.to_dict(),
+                fallback_reasons=located.fallback_reasons,
                 trace_id=trace_id,
             )
             self._record(
@@ -505,7 +461,7 @@ class LocalizationService:
                 request_id,
                 api_key,
                 scenario,
-                outcome.decision.provider,
+                located.provider,
                 latency_s,
                 None,
                 trace_id,
@@ -599,7 +555,7 @@ class LocalizationService:
     def handle_stats(
         self, traceparent: Optional[str] = None
     ) -> Response:
-        """``GET /v1/stats``: pool, limiter, batcher and status counters.
+        """``GET /v1/stats``: pool, limiter and status counters.
 
         The ``cache`` section surfaces steering-cache hits/misses and
         the derived hit ratio directly (the loadtest smoke asserts on
@@ -618,10 +574,6 @@ class LocalizationService:
                 by_provider = dict(
                     sorted(self.responses_by_provider.items())
                 )
-                batchers = {
-                    name: batcher.info()
-                    for name, batcher in sorted(self._batchers.items())
-                }
             return (
                 200,
                 {
@@ -633,7 +585,6 @@ class LocalizationService:
                     "pool": self.pool.info(),
                     "cache": self._cache_stats(),
                     "ratelimit": self.limiter.info(),
-                    "batchers": batchers,
                     "telemetry": self.telemetry.info(),
                     "trace_id": trace_id,
                 },
@@ -655,14 +606,11 @@ class LocalizationService:
             return 200, render_openmetrics(self.metrics), headers
 
     def close(self) -> None:
-        """Stop batcher workers and close the access log."""
+        """Close the access log."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
-        for batcher in batchers:
-            batcher.close()
         if self._access_log is not None:
             self._access_log.close()
 

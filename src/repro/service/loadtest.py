@@ -43,7 +43,6 @@ class LoadtestResult:
             (None when nothing succeeded).
         providers: 200-response count per provider.
         statuses: response count per HTTP status.
-        batch_sizes: how many requests reported each batch size.
         trace_ids: sample of response trace ids (first few responses),
             for cross-checking against a span export or /metrics
             exemplars.
@@ -61,7 +60,6 @@ class LoadtestResult:
     median_error_m: Optional[float]
     providers: Dict[str, int] = field(default_factory=dict)
     statuses: Dict[str, int] = field(default_factory=dict)
-    batch_sizes: Dict[str, int] = field(default_factory=dict)
     trace_ids: List[str] = field(default_factory=list)
     slowest_trace_id: str = ""
 
@@ -82,7 +80,6 @@ class LoadtestResult:
             ),
             "providers": dict(sorted(self.providers.items())),
             "statuses": dict(sorted(self.statuses.items())),
-            "batch_sizes": dict(sorted(self.batch_sizes.items())),
             "trace_ids": list(self.trace_ids),
             "slowest_trace_id": self.slowest_trace_id,
         }
@@ -159,7 +156,7 @@ def run_loadtest(
     Each client owns one keep-alive connection and a disjoint slice of
     the synthetic dataset, so request streams are deterministic per
     (scenario, seed) and overlap in time -- which is what exercises the
-    micro-batcher.
+    server's concurrent request handling.
 
     Raises:
         ReproError: when no request completed (server unreachable).
@@ -172,7 +169,6 @@ def run_loadtest(
     errors_m: List[float] = []
     providers: Dict[str, int] = {}
     statuses: Dict[str, int] = {}
-    batch_sizes: Dict[str, int] = {}
     trace_ids: List[str] = []
     slowest: Tuple[float, str] = (0.0, "")
     failures = 0
@@ -209,8 +205,6 @@ def run_loadtest(
                 if status == 200:
                     provider = str(payload.get("provider", "?"))
                     providers[provider] = providers.get(provider, 0) + 1
-                    size = str(payload.get("batch_size", 1))
-                    batch_sizes[size] = batch_sizes.get(size, 0) + 1
                     position = payload.get("position") or {}
                     estimate = Point(
                         float(position.get("x", np.nan)),
@@ -254,7 +248,6 @@ def run_loadtest(
         ),
         providers=providers,
         statuses=statuses,
-        batch_sizes=batch_sizes,
         trace_ids=trace_ids,
         slowest_trace_id=slowest[1],
     )

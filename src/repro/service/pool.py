@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.core.engine import EngineConfig, SteeringCache
 from repro.core.localizer import BlocConfig, BlocLocalizer
-from repro.errors import ReproError
+from repro.errors import LocalizationError, ReproError
 from repro.obs import get_observer
 from repro.service.providers import ProviderChain, QualityGates
 from repro.sim.measurement import ChannelMeasurementModel
@@ -178,10 +178,11 @@ class LocalizerPool:
         """Build one scenario's testbed, localizer and steering entry.
 
         The warm-up fix runs a synthetic centre-of-room measurement
-        through the BLoc path purely to populate the steering cache;
-        its result is discarded.  The build runs inside a
-        ``service.pool_build`` span, so a request that paid the cold
-        build (rather than riding a warm entry) shows it in its trace.
+        through the BLoc path and the AoA fallback purely to populate
+        their steering caches; the results are discarded.  The build
+        runs inside a ``service.pool_build`` span, so a request that
+        paid the cold build (rather than riding a warm entry) shows it
+        in its trace.
         """
         started = time.perf_counter()
         with get_observer().span("service.pool_build", scenario=spec.name):
@@ -196,7 +197,14 @@ class LocalizerPool:
             model = ChannelMeasurementModel(testbed, seed=0)
             x_min, x_max, y_min, y_max = testbed.environment.bounds()
             centre = Point((x_min + x_max) / 2.0, (y_min + y_max) / 2.0)
-            bloc.locate(model.measure(centre), keep_map=False)
+            warmup = model.measure(centre)
+            for localizer in (bloc, chain.aoa):
+                try:
+                    localizer.locate(warmup, keep_map=False)
+                except LocalizationError:
+                    # Nothing to warm: a geometry this localizer cannot
+                    # serve (one anchor) falls through the chain anyway.
+                    pass
         return WarmScenario(
             spec=spec,
             testbed=testbed,

@@ -26,9 +26,7 @@ visible in the response, the access log and the metrics -- never silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
-
-import numpy as np
+from typing import List, Optional
 
 from repro.baselines.aoa import AoaLocalizer
 from repro.baselines.rssi import RssiTrilateration
@@ -177,11 +175,14 @@ class ProviderChain:
         observations: ChannelObservations,
         quality: CsiQuality,
         reasons: List[str],
-    ) -> Union[LocateDecision, LocalizationError]:
+    ) -> LocateDecision:
         """Run the post-BLoc chain members (AoA, then RSSI).
 
         Thread-safety: safe to call concurrently; the fallback
-        localizers hold no per-fix state.
+        localizers guard their own caches.
+
+        Raises:
+            LocalizationError: when both fallbacks failed too.
         """
         if quality.num_antennas >= 2 and quality.num_anchors >= 2:
             try:
@@ -210,75 +211,42 @@ class ProviderChain:
             )
         except LocalizationError as exc:
             reasons.append(f"rssi: {exc}")
-            return LocalizationError(
+            raise LocalizationError(
                 "every provider failed: " + "; ".join(reasons)
-            )
-
-    def locate_batch(
-        self, batch: Sequence[ChannelObservations]
-    ) -> List[Union[LocateDecision, LocalizationError]]:
-        """Locate a batch of requests through the chain.
-
-        The BLoc stage runs as **one** batched Eq. 17 pass
-        (:meth:`~repro.core.localizer.BlocLocalizer.locate_batch`) over
-        every request that passes the quality gates -- this is what the
-        micro-batcher amortises across concurrent requests.  Gated-out
-        or BLoc-failed requests fall through the AoA/RSSI members
-        per fix.  The returned list is parallel to the input; failures
-        are returned, not raised, so one bad request cannot sink its
-        batchmates.
-
-        Thread-safety: safe to call concurrently from server threads;
-        the underlying localizers document the same contract.
-        """
-        items = list(batch)
-        outcomes: List[
-            Optional[Union[LocateDecision, LocalizationError]]
-        ] = [None] * len(items)
-        with get_observer().span(
-            "service.provider_chain", size=len(items)
-        ) as chain_span:
-            qualities = [assess_quality(obs) for obs in items]
-            reasons: List[List[str]] = [[] for _ in items]
-            admitted: List[int] = []
-            for index, quality in enumerate(qualities):
-                reason = self.gate_reason(quality)
-                if reason is None:
-                    admitted.append(index)
-                else:
-                    reasons[index].append(f"bloc: gated ({reason})")
-            if admitted:
-                bloc_outcomes = self.bloc.locate_batch(
-                    [items[i] for i in admitted], keep_map=False
-                )
-                for index, outcome in zip(admitted, bloc_outcomes):
-                    if isinstance(outcome, LocalizationError):
-                        reasons[index].append(f"bloc: {outcome}")
-                    else:
-                        outcomes[index] = LocateDecision(
-                            position=outcome.position,
-                            provider="bloc",
-                            quality=qualities[index],
-                            fallback_reasons=list(reasons[index]),
-                        )
-            for index, outcome in enumerate(outcomes):
-                if outcome is None:
-                    outcomes[index] = self._fallback(
-                        items[index], qualities[index], reasons[index]
-                    )
-            if chain_span is not None:
-                chain_span.set(admitted=len(admitted))
-        return outcomes  # type: ignore[return-value]
+            ) from exc
 
     def locate(
         self, observations: ChannelObservations
     ) -> LocateDecision:
-        """Locate one request through the chain (unbatched path).
+        """Locate one request through the chain, inside a
+        ``service.provider_chain`` span.
+
+        Requests that pass the quality gates run the BLoc pipeline;
+        gated-out or BLoc-failed requests fall through the AoA/RSSI
+        members.
+
+        Thread-safety: safe to call concurrently from server threads;
+        the underlying localizers document the same contract.
 
         Raises:
             LocalizationError: when every provider failed.
         """
-        outcome = self.locate_batch([observations])[0]
-        if isinstance(outcome, LocalizationError):
-            raise outcome
-        return outcome
+        with get_observer().span("service.provider_chain") as chain_span:
+            quality = assess_quality(observations)
+            reasons: List[str] = []
+            reason = self.gate_reason(quality)
+            if chain_span is not None:
+                chain_span.set(admitted=reason is None)
+            if reason is not None:
+                reasons.append(f"bloc: gated ({reason})")
+            else:
+                try:
+                    result = self.bloc.locate(observations, keep_map=False)
+                    return LocateDecision(
+                        position=result.position,
+                        provider="bloc",
+                        quality=quality,
+                    )
+                except LocalizationError as exc:
+                    reasons.append(f"bloc: {exc}")
+            return self._fallback(observations, quality, reasons)

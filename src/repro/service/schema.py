@@ -224,7 +224,6 @@ def locate_response(
     latency_s: float,
     quality: Optional[dict] = None,
     fallback_reasons: Optional[List[str]] = None,
-    batch_size: int = 1,
     trace_id: str = "",
 ) -> dict:
     """The 200 response body of one locate request.
@@ -241,6 +240,5 @@ def locate_response(
         "latency_s": latency_s,
         "quality": quality or {},
         "fallback_reasons": fallback_reasons or [],
-        "batch_size": batch_size,
         "trace_id": trace_id,
     }

@@ -55,7 +55,7 @@ class AccuracyTelemetry:
         monitor: anomaly detectors to feed; a fresh monitor bound to
             nothing (events only) when omitted.
 
-    Thread-safety: ``record_fix`` may be called from batcher worker
+    Thread-safety: ``record_fix`` may be called from server handler
     threads concurrently; the monitor's streak detectors assume fix
     order, so the fold is serialised under an instance lock (the
     instruments guard themselves).
@@ -74,7 +74,7 @@ class AccuracyTelemetry:
     @property
     def fixes_recorded(self) -> int:
         """How many decisions have been folded in (read under the
-        lock; batcher workers increment concurrently)."""
+        lock; handler threads increment concurrently)."""
         with self._lock:
             return self._fixes
 

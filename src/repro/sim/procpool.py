@@ -65,8 +65,8 @@ class _SweepSpec:
 
     Attributes:
         localizer: the scheme under test, with any steering cache
-            stripped (caches hold locks and are not picklable; workers
-            get a fresh one when ``had_engine`` is set).
+            stripped (a cache pickles empty and its lock must not cross
+            a fork; workers get a fresh one when ``had_engine`` is set).
         steering: ``(steering_cache_key, entry)`` built in the parent,
             seeded into each worker's cache; None leaves that cache
             empty (subset sweeps, an un-correctable probe fix).
@@ -75,7 +75,7 @@ class _SweepSpec:
         parent: span handle the worker parents its spans under.
         observe: whether the parent sweep runs observed.
         label: report label, forwarded into per-fix spans.
-        mode: ``"fix"``, ``"batch"`` or ``"subsets"``.
+        mode: ``"fix"`` or ``"subsets"``.
         subset_size: anchor-subset size for ``mode="subsets"``.
     """
 
@@ -132,17 +132,17 @@ def _init_worker(spec: _SweepSpec) -> None:
 
 
 def _run_task(
-    task: Tuple[int, List[ChannelObservations]],
-) -> Tuple[int, List[runner.EvaluationRecord], List[Span], List[dict]]:
-    """Run one task (a contiguous chunk of fixes) in a pool worker.
+    task: Tuple[int, ChannelObservations],
+) -> Tuple[int, runner.EvaluationRecord, List[Span], List[dict]]:
+    """Run one task (one fix) in a pool worker.
 
-    Returns ``(start_index, records, spans, metrics_snapshot)``.  Each
+    Returns ``(fix_index, record, spans, metrics_snapshot)``.  Each
     task gets a fresh registry (swapped into the worker observer) and a
     span watermark, so repeated tasks on one worker never re-ship data
     the parent already folded in.
     """
     state = _WORKER
-    start, entries = task
+    index, observations = task
     spec = state.spec
     observer = state.observer
     metrics = None
@@ -152,42 +152,28 @@ def _run_task(
         observer.metrics = metrics
         mark = len(observer.tracer)
 
-    def run() -> List[runner.EvaluationRecord]:
+    def run() -> runner.EvaluationRecord:
         if spec.mode == "subsets":
-            return [
-                runner._execute_subset_fix(
-                    state.localizer,
-                    observations,
-                    start + offset,
-                    spec.label,
-                    spec.subset_size,
-                    metrics,
-                )
-                for offset, observations in enumerate(entries)
-            ]
-        if spec.mode == "batch":
-            return runner._execute_batch(
-                state.localizer, entries, start, spec.label, metrics=metrics
-            )
-        return [
-            runner._execute_fix(
+            return runner._execute_subset_fix(
                 state.localizer,
                 observations,
-                start + offset,
+                index,
                 spec.label,
-                metrics=metrics,
+                spec.subset_size,
+                metrics,
             )
-            for offset, observations in enumerate(entries)
-        ]
+        return runner._execute_fix(
+            state.localizer, observations, index, spec.label, metrics=metrics
+        )
 
     if observer.enabled and spec.parent is not None:
         with observer.tracer.attached(spec.parent):
-            records = run()
+            record = run()
     else:
-        records = run()
+        record = run()
     spans = observer.tracer.finished()[mark:] if observer.enabled else []
     snapshot = metrics.snapshot() if metrics is not None else []
-    return start, records, spans, snapshot
+    return index, record, spans, snapshot
 
 
 def _prepare_localizer(
@@ -238,7 +224,6 @@ def process_sweep(
         Callable[[ChannelObservations], ChannelObservations]
     ],
     workers: int,
-    batch_size: Optional[int],
     mode: str = "fix",
     subset_size: int = 0,
 ) -> List[runner.EvaluationRecord]:
@@ -269,14 +254,9 @@ def process_sweep(
         parent=parent.handle() if parent is not None else None,
         observe=observer.enabled,
         label=label,
-        mode="batch" if (batch_size or 0) > 1 and mode == "fix" else mode,
+        mode=mode,
         subset_size=subset_size,
     )
-    chunk = batch_size if batch_size else 1
-    tasks = [
-        (start, entries[start:start + chunk])
-        for start in range(0, len(entries), chunk)
-    ]
     records: List[Optional[runner.EvaluationRecord]] = [None] * len(entries)
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context(
@@ -290,17 +270,16 @@ def process_sweep(
     ) as pool:
         futures = []
         try:
-            for task in tasks:
+            for task in enumerate(entries):
                 futures.append(pool.submit(_run_task, task))
         except BrokenProcessPool:
             pass  # submitted futures still drain below
         for future in futures:
             try:
-                start, task_records, spans, snapshot = future.result()
+                index, record, spans, snapshot = future.result()
             except BrokenProcessPool:
                 continue  # lost fixes become failure records below
-            for offset, record in enumerate(task_records):
-                records[start + offset] = record
+            records[index] = record
             if observer.enabled:
                 if spans:
                     observer.tracer.absorb(spans)

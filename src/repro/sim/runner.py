@@ -13,19 +13,12 @@ metrics in a private registry that is merged into the session observer
 once the sweep finishes -- so parallel runs report the same totals as
 serial ones without contending on one registry per fix.
 
-Two further levers trade layout for speed without changing results (see
-DESIGN.md's backend matrix):
-
-* ``backend="process"`` fans fixes out over worker *processes* (module
-  :mod:`repro.sim.procpool`), each seeded with the parent's steering
-  entry -- the escape hatch from the GIL for the pure-Python part of a
-  sweep;
-* ``batch_size=B`` stacks B fixes into one batched Eq. 17 evaluation
-  (:meth:`~repro.core.localizer.BlocLocalizer.locate_batch`): the
-  Eq. 17 kernel runs once with a column per fix.
-
-Both keep dataset order, per-fix failure containment and merged
-observability, and combine with each other.
+``backend="process"`` trades layout for speed without changing results
+(see DESIGN.md's backend matrix): it fans fixes out over worker
+*processes* (module :mod:`repro.sim.procpool`), each seeded with the
+parent's steering entry -- the escape hatch from the GIL for the
+pure-Python part of a sweep.  It keeps dataset order, per-fix failure
+containment and merged observability.
 """
 
 from __future__ import annotations
@@ -102,14 +95,12 @@ class EvaluationRun:
         effective_workers: worker count actually used after clamping to
             the entry count (what capacity planning should read, not the
             requested ``workers``).
-        batch_size: Eq. 17 batch size, None for the unbatched path.
     """
 
     label: str
     records: List[EvaluationRecord] = field(default_factory=list)
     backend: str = "serial"
     effective_workers: int = 1
-    batch_size: Optional[int] = None
 
     @property
     def num_failed(self) -> int:
@@ -321,7 +312,6 @@ def _resolve_limit(
 def _resolve_backend(
     backend: Optional[str],
     workers: int,
-    batch_size: Optional[int],
     capture: Optional["DiagnosticsCapture"] = None,
 ) -> str:
     """Validate and default the backend choice.
@@ -329,10 +319,9 @@ def _resolve_backend(
     ``None`` picks ``"thread"`` when ``workers > 1`` and ``"serial"``
     otherwise, so existing call sites keep their behaviour.  An explicit
     ``"serial"`` with ``workers > 1`` is a contradiction and raises.
-    Diagnostics capture pins the sweep to the in-process, unbatched
-    path: process workers would have to ship every fix's observations
-    and diagnostics back over IPC, and per-fix diagnostics need per-fix
-    ``locate`` calls.
+    Diagnostics capture pins the sweep to an in-process backend:
+    process workers would have to ship every fix's observations and
+    diagnostics back over IPC.
     """
     if backend is None:
         backend = "thread" if workers > 1 else "serial"
@@ -349,11 +338,6 @@ def _resolve_backend(
         raise ConfigurationError(
             "diagnostics capture requires an in-process backend "
             "(serial or thread)"
-        )
-    if capture is not None and batch_size is not None:
-        raise ConfigurationError(
-            "diagnostics capture requires the unbatched path "
-            "(batch_size=None)"
         )
     return backend
 
@@ -417,80 +401,6 @@ def _execute_fix(
         error_m=error,
         failure_reason=failure_reason,
     )
-
-
-def _execute_batch(
-    localizer: Localizer,
-    observations_batch: Sequence[ChannelObservations],
-    start_index: int,
-    label: str,
-    transform: Optional[
-        Callable[[ChannelObservations], ChannelObservations]
-    ] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> List[EvaluationRecord]:
-    """One batch of fixes through the batched Eq. 17 path.
-
-    Localizers without a ``locate_batch`` (the AoA / RSSI baselines,
-    protocol stubs) fall back to per-fix :func:`_execute_fix` -- batching
-    is a BLoc fast path, not a protocol requirement.  Per-fix failures
-    come back from ``locate_batch`` as contained exceptions and turn
-    into failure records exactly as in the unbatched path.  The per-fix
-    latency histogram sees the batch wall time amortized over its fixes,
-    so latency totals stay comparable across backends.
-    """
-    observer = get_observer()
-    locate_batch = getattr(localizer, "locate_batch", None)
-    if locate_batch is None:
-        return [
-            _execute_fix(
-                localizer,
-                observations,
-                start_index + offset,
-                label,
-                transform=transform,
-                metrics=metrics,
-            )
-            for offset, observations in enumerate(observations_batch)
-        ]
-    batch = (
-        [transform(obs) for obs in observations_batch]
-        if transform is not None
-        else list(observations_batch)
-    )
-    with observer.span(
-        "fix_batch", start=start_index, size=len(batch), label=label
-    ) as span:
-        outcomes = locate_batch(batch, keep_map=False)
-    records = []
-    for observations, outcome in zip(batch, outcomes):
-        truth = observations.ground_truth
-        if isinstance(outcome, LocalizationError):
-            estimate = None
-            error = float("inf")
-            failure_reason = str(outcome)
-            if metrics is not None:
-                metrics.counter(
-                    f"eval.failures.{type(outcome).__name__}"
-                ).inc()
-        else:
-            estimate = outcome.position
-            error = (estimate - truth).norm()
-            failure_reason = None
-        if metrics is not None:
-            metrics.counter("eval.fixes_total").inc()
-            metrics.histogram(
-                "eval.fix_latency_s", LATENCY_BUCKETS_S
-            ).observe(span.duration_s / len(batch))
-        records.append(
-            EvaluationRecord(
-                truth=truth,
-                estimate=estimate,
-                error_m=error,
-                failure_reason=failure_reason,
-            )
-        )
-    return records
 
 
 def _execute_subset_fix(
@@ -638,7 +548,6 @@ def evaluate(
     workers: Optional[int] = None,
     capture: Optional[DiagnosticsCapture] = None,
     backend: Optional[str] = None,
-    batch_size: Optional[int] = None,
 ) -> EvaluationRun:
     """Run a localizer over every dataset entry.
 
@@ -660,17 +569,12 @@ def evaluate(
             :class:`DiagnosticsCapture`.  Fix bundles for failures and
             the worst-N fixes are written after the sweep, and the
             capture's health monitor (when set) sees every fix's
-            diagnostics in dataset order.  Requires the in-process
-            unbatched path (``backend`` serial/thread, no
-            ``batch_size``).
+            diagnostics in dataset order.  Requires an in-process
+            ``backend`` (serial or thread).
         backend: ``"serial"``, ``"thread"`` or ``"process"`` (None picks
             thread when ``workers > 1``, serial otherwise).  The process
             backend runs fixes in worker processes seeded with the
             parent's steering entry; see :mod:`repro.sim.procpool`.
-        batch_size: stack B fixes into one batched Eq. 17 evaluation
-            per task (localizers without ``locate_batch`` silently fall
-            back to per-fix calls).  Results match the unbatched path up
-            to BLAS reduction reordering.
 
     A fix that raises :class:`~repro.errors.LocalizationError` is recorded
     as failed rather than aborting the run -- a localizer that cannot
@@ -681,11 +585,7 @@ def evaluate(
     observer = get_observer()
     entries = _resolve_limit(limit, dataset.observations)
     workers = _resolve_workers(workers, len(entries))
-    if batch_size is not None and int(batch_size) < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    backend = _resolve_backend(backend, workers, batch_size, capture)
+    backend = _resolve_backend(backend, workers, capture)
     with_diagnostics = capture is not None and _accepts_diagnostics(
         localizer
     )
@@ -706,21 +606,6 @@ def evaluate(
             metrics=metrics,
         )
 
-    def run_batch(
-        task_index: int,
-        task: Tuple[int, List[ChannelObservations]],
-        metrics: Optional[MetricsRegistry],
-    ) -> List[EvaluationRecord]:
-        start, chunk = task
-        return _execute_batch(
-            localizer,
-            chunk,
-            start,
-            label,
-            transform=transform,
-            metrics=metrics,
-        )
-
     # The evaluate root span is what per-fix spans merge back under when
     # workers fan out (thread pools via _sweep's handle propagation,
     # process pools via procpool's span absorption); it also gives the
@@ -734,7 +619,6 @@ def evaluate(
         workers=workers,
         fixes=len(entries),
         backend=backend,
-        batch_size=batch_size or 0,
     ):
         if backend == "process":
             from repro.sim.procpool import process_sweep
@@ -745,17 +629,7 @@ def evaluate(
                 label=label,
                 transform=transform,
                 workers=workers,
-                batch_size=batch_size,
             )
-        elif batch_size is not None:
-            tasks = [
-                (start, entries[start:start + batch_size])
-                for start in range(0, len(entries), batch_size)
-            ]
-            nested = _sweep(tasks, run_batch, workers)
-            records = [
-                record for task_records in nested for record in task_records
-            ]
         else:
             records = _sweep(entries, run_fix, workers)
     if capture is not None:
@@ -765,7 +639,6 @@ def evaluate(
         records=records,
         backend=backend,
         effective_workers=workers,
-        batch_size=batch_size,
     )
 
 
@@ -790,14 +663,12 @@ def evaluate_anchor_subsets(
     metric-merging guarantees as :func:`evaluate`; ``backend`` picks the
     thread or process pool as there.  Subset geometries differ per
     sub-fix, so the process backend hands workers no steering entry
-    and lets each one build its own cache.  There is no batched
-    variant: every sub-fix of an entry runs on a different anchor
-    geometry, so no steering matrix is shared for a batch to reuse.
+    and lets each one build its own cache.
     """
     observer = get_observer()
     entries = _resolve_limit(limit, dataset.observations)
     workers = _resolve_workers(workers, len(entries))
-    backend = _resolve_backend(backend, workers, None)
+    backend = _resolve_backend(backend, workers)
 
     def run_fix(
         fix_index: int,
@@ -825,7 +696,6 @@ def evaluate_anchor_subsets(
                 label=label,
                 transform=None,
                 workers=workers,
-                batch_size=None,
                 mode="subsets",
                 subset_size=subset_size,
             )

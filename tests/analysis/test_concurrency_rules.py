@@ -160,9 +160,8 @@ class TestLandedTreeIsConcurrencyClean:
     def test_src_tree_has_no_failing_concurrency_findings(self):
         """The annotated tree passes RPR013-015 with no baseline debt.
 
-        The only non-failing findings allowed are the two documented
-        noqa waivers on the double-checked fast paths (pool.get and
-        service._batcher_for).
+        The only non-failing finding allowed is the documented noqa
+        waiver on the double-checked fast path of pool.get.
         """
         root = Path(__file__).resolve().parents[2] / "src"
         report = LintEngine(rules=concurrency_rules()).lint_paths([root])
@@ -171,4 +170,4 @@ class TestLandedTreeIsConcurrencyClean:
         assert report.active == [], f"concurrency regressions:\n{rendered}"
         waived = [f for f in report.suppressed if f.rule == "RPR013"]
         waived_paths = sorted({Path(f.path).name for f in waived})
-        assert waived_paths == ["app.py", "pool.py"]
+        assert waived_paths == ["pool.py"]

@@ -185,7 +185,7 @@ class TestGuardDeclarations:
         import repro.sim.runner
 
         classes = [
-            repro.core.engine.SteeringCache,
+            repro.core.engine.LruCache,
             repro.obs.metrics.Counter,
             repro.obs.metrics.Gauge,
             repro.obs.metrics.Histogram,

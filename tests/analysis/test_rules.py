@@ -166,7 +166,7 @@ class TestRuleFixtures:
     def test_rpr012_quiet_outside_handler_files(self):
         source = "def handle_x(raw):\n    return 200, {}, {}\n"
         findings = LintEngine().lint_source(
-            source, rel="src/repro/service/batcher.py"
+            source, rel="src/repro/service/ratelimit.py"
         )
         assert by_rule(findings, "RPR012") == []
 

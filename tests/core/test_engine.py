@@ -18,7 +18,11 @@ from repro.core import (
     correct_phase_offsets,
 )
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.engine import PROFILE_ERROR_TARGET, steering_cache_key
+from repro.core.engine import (
+    PROFILE_ERROR_TARGET,
+    LruCache,
+    steering_cache_key,
+)
 from repro.core.likelihood import anchor_likelihood_flat
 from repro.errors import ConfigurationError
 from repro.sim import ChannelMeasurementModel, build_dataset, evaluate
@@ -253,6 +257,18 @@ class TestBlockwiseBuild:
         )
 
 
+class TestEntryLikelihoods:
+    def test_rows_match_anchor_likelihood(self, corrected, grid):
+        entry = SteeringCache().entry_for(corrected, grid)
+        stacked = entry.likelihoods(corrected.alpha)
+        assert stacked.shape == (corrected.num_anchors, grid.size)
+        for anchor in range(corrected.num_anchors):
+            single = entry.anchor_likelihood(anchor, corrected.alpha[anchor])
+            np.testing.assert_allclose(
+                stacked[anchor], single, rtol=1e-12, atol=1e-12
+            )
+
+
 class TestCacheKeying:
     def test_repeat_lookup_hits(self, corrected, grid):
         cache = SteeringCache()
@@ -336,6 +352,15 @@ class TestCacheKeying:
         cache.entry_for(corrected, grid)
         assert cache.misses == 3
 
+    def test_cache_pickles_empty(self, corrected, grid):
+        cache = SteeringCache(EngineConfig(max_entries=2))
+        cache.entry_for(corrected, grid)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert len(clone) == 0 and clone.max_entries == 2
+        assert clone.config.max_entries == 2
+        assert clone.entry_for(corrected, grid) is not None
+        assert clone.misses == 1
+
     def test_info_reports_bytes(self, corrected, grid):
         cache = SteeringCache()
         assert cache.info()["bytes"] == 0
@@ -343,6 +368,57 @@ class TestCacheKeying:
         info = cache.info()
         assert info["entries"] == 1
         assert info["bytes"] == cache.nbytes > 0
+
+
+class TestLruCacheUnderThreads:
+    def test_concurrent_get_or_build_loses_no_update(self):
+        """More threads than cores hammer a 3-entry LRU over 5 keys with
+        a fast switch interval: every lookup is counted exactly once,
+        every miss is exactly one build, and a caller always gets the
+        value built for its key."""
+        import sys
+        import threading
+
+        cache = LruCache(3)
+        builds = []
+        build_lock = threading.Lock()
+        errors = []
+
+        def build_for(key):
+            def build():
+                with build_lock:
+                    builds.append(key)
+                return np.full(4, key)
+
+            return build
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            for key in rng.integers(0, 5, 400).tolist():
+                value = cache.get_or_build(key, build_for(key))
+                if value[0] != key:
+                    errors.append((key, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        info = cache.info()
+        assert info["hits"] + info["misses"] == 8 * 400
+        assert info["misses"] == len(builds)
+        assert info["evictions"] == len(builds) - info["entries"]
+        assert info["entries"] <= 3
 
 
 class TestEngineObservability:

@@ -4,8 +4,7 @@
 0.12 m grid and each selection strategy, the fix position (as
 ``float.hex``) and the ``(row, col)`` list of its scored peaks, recorded
 before the peak-selection, Eq. 18 scoring and Eq. 17 gather code was
-vectorised.  ``locate`` and ``locate_batch`` must both reproduce them
-exactly.
+vectorised.  ``locate`` must reproduce them exactly.
 
 Regenerate (only on purpose, from a commit whose records are the
 reference) with::
@@ -30,7 +29,6 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_records.json"
 SEED = 2018
 NUM_FIXES = 20
 GRID_M = 0.12
-BATCH = 4
 
 
 def _dataset():
@@ -76,19 +74,6 @@ def test_locate_reproduces_golden_records(selection, observations, golden):
         _record(localizer.locate(obs, keep_map=False)) for obs in observations
     ]
     assert records == golden[selection]
-
-
-@pytest.mark.parametrize("selection", SELECTION_STRATEGIES)
-def test_locate_batch_reproduces_golden_records(
-    selection, observations, golden
-):
-    localizer = _localizer(selection)
-    outcomes = []
-    for start in range(0, len(observations), BATCH):
-        outcomes.extend(
-            localizer.locate_batch(observations[start:start + BATCH])
-        )
-    assert [_record(r) for r in outcomes] == golden[selection]
 
 
 if __name__ == "__main__":

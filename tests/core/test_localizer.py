@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlocConfig, BlocLocalizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LocalizationError
 from repro.sim import ChannelMeasurementModel
 from repro.utils.geometry2d import Point
 
@@ -108,3 +108,49 @@ class TestLocate:
         likelihood = localizer.map_likelihood(corrected, grid)
         scored = localizer.pick_peak(likelihood, corrected)
         assert scored[0].peak.value > 0
+
+
+class TestDegenerateAnchorCount:
+    """The master alone has no cross-anchor geometry: the default grid
+    is its own 0.25 m margin, so a map over it can only answer next to
+    the master.  BLoc refuses instead of returning that position."""
+
+    @pytest.mark.parametrize(
+        "tag", [Point(-1.0, 1.2), Point(0.5, 0.5), Point(1.5, -1.0)]
+    )
+    def test_master_only_raises(self, tag):
+        from repro.sim.testbed import open_room_testbed
+
+        testbed = open_room_testbed()
+        model = ChannelMeasurementModel(testbed=testbed, seed=3)
+        master_only = model.measure(tag).select_anchors(
+            [testbed.master_index]
+        )
+        localizer = BlocLocalizer(config=BlocConfig(grid_resolution_m=0.1))
+        with pytest.raises(LocalizationError, match=">= 2 anchors, got 1"):
+            localizer.locate(master_only)
+        with pytest.raises(LocalizationError) as caught:
+            localizer.locate(master_only, diagnostics=True)
+        assert caught.value.diagnostics is not None
+
+    def test_map_of_one_anchor_still_computes(self, quiet_observations):
+        # Fig. 6 maps a single anchor on purpose: only locate() refuses.
+        localizer = BlocLocalizer(config=BlocConfig(grid_resolution_m=0.1))
+        master_only = quiet_observations.select_anchors(
+            [quiet_observations.master_index]
+        )
+        corrected = localizer.correct(master_only)
+        likelihood = localizer.map_likelihood(
+            corrected, localizer.grid_for(master_only)
+        )
+        assert likelihood.num_anchors == 1
+        assert likelihood.combined.max() > 0
+
+    def test_two_anchors_locate(self, quiet_observations):
+        two = quiet_observations.select_anchors(
+            [quiet_observations.master_index, 1]
+        )
+        result = BlocLocalizer(
+            config=BlocConfig(grid_resolution_m=0.1)
+        ).locate(two)
+        assert np.isfinite(result.position.x)

@@ -277,7 +277,7 @@ class TestNullSpeedupRendering:
         record = record_with(
             results={
                 "evaluate.speedup_parallel_vs_serial": None,
-                "batched.speedup_batched_vs_serial": None,
+                "process.speedup_process_vs_serial": None,
                 "other_thing": None,
                 "evaluate.serial_fixes_per_s": 40.0,
             }
@@ -288,7 +288,7 @@ class TestNullSpeedupRendering:
             == "n/a (1 cpu)"
         )
         assert (
-            keys["result:batched.speedup_batched_vs_serial"]
+            keys["result:process.speedup_process_vs_serial"]
             == "n/a (1 cpu)"
         )
         assert keys["result:other_thing"] == "n/a"

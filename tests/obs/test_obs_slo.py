@@ -228,9 +228,7 @@ COMMITTED_BENCH_RULES = (
     "warm_speedup_vs_direct",
     "thread_speedup_vs_serial",
     "process_speedup_vs_serial",
-    "batched_speedup_vs_serial",
     "serial_fixes_per_s",
-    "batched_fixes_per_s",
     "profiler_overhead_frac",
     "service_p95_s",
 )

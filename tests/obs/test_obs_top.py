@@ -118,14 +118,6 @@ class TestRenderFrame:
                 "hit_ratio": 0.9,
             },
             "pool": {"warmth": {"vicon": True, "open_room": False}},
-            "batchers": {
-                "vicon": {
-                    "mean_batch": 2.5,
-                    "max_batch": 8,
-                    "queue_depth": 0,
-                    "batches_total": 4,
-                }
-            },
         }
         text = render_frame(
             build_frame(records, window_s=60.0, stats=stats)
@@ -134,7 +126,6 @@ class TestRenderFrame:
         assert "bloc" in text and "aoa" in text
         assert "hit ratio 90.0%" in text
         assert "vicon:warm" in text and "open_room:cold" in text
-        assert "occupancy 2.50/8" in text
         assert "slowest" in text  # the 0.4 s aoa request
 
     def test_empty_frame_renders_without_error(self):

@@ -18,26 +18,22 @@ from repro.obs.trace import new_trace_id
 
 @pytest.fixture
 def export_records(tmp_path):
-    """An export with one request trace linked to a batch subtree."""
+    """An export with one request trace and an unrelated one."""
     obs = Observability(enabled=True)
     trace_id = new_trace_id()
-    other_id = new_trace_id()
-    with obs.span("service.locate", trace_id=trace_id) as request:
-        with obs.span("service.batch_wait"):
-            pass
-    # The batch runs on its own trace, linked back via the attribute.
-    with obs.span(
-        "service.batch", member_trace_ids=[trace_id, other_id]
-    ) as batch:
+    with obs.span("service.locate", trace_id=trace_id):
         with obs.span("service.provider_chain"):
             with obs.span("correct"):
                 pass
-    # An unrelated trace that must never be grafted in.
-    with obs.span("service.locate", trace_id=new_trace_id()):
-        pass
+            with obs.span("map_likelihood"):
+                pass
+    # An unrelated trace that must never be selected.
+    with obs.span("service.locate", trace_id=new_trace_id()) as other:
+        with obs.span("service.provider_chain"):
+            pass
     path = tmp_path / "export.ndjson"
     export_ndjson(path, obs)
-    return load_ndjson(path), trace_id, batch.trace_id
+    return load_ndjson(path), trace_id, other.trace_id
 
 
 class TestResolveTraceId:
@@ -66,28 +62,19 @@ class TestTraceSpans:
         names = {
             r["name"] for r in trace_spans(records, trace_id)
         }
-        assert "service.locate" in names
-        assert "service.batch_wait" in names
-
-    def test_linked_batch_subtree_grafted(self, export_records):
-        records, trace_id, batch_trace = export_records
-        selected = trace_spans(records, trace_id)
-        names = {r["name"] for r in selected}
-        # The batch and its whole subtree ride in via the link...
-        assert {"service.batch", "service.provider_chain", "correct"} <= names
-        # ...even though they live on a different trace.
-        batch = [r for r in selected if r["name"] == "service.batch"][0]
-        assert batch["trace_id"] == batch_trace
-        assert batch["trace_id"] != trace_id
+        assert names == {
+            "service.locate",
+            "service.provider_chain",
+            "correct",
+            "map_likelihood",
+        }
 
     def test_unrelated_traces_excluded(self, export_records):
-        records, trace_id, _ = export_records
+        records, trace_id, other_trace = export_records
         selected = trace_spans(records, trace_id)
-        locates = [
-            r for r in selected if r["name"] == "service.locate"
-        ]
-        assert len(locates) == 1
-        assert locates[0]["trace_id"] == trace_id
+        assert len(selected) == 4
+        assert all(r["trace_id"] == trace_id for r in selected)
+        assert len(trace_spans(records, other_trace)) == 2
 
     def test_unknown_trace_selects_nothing(self, export_records):
         records, _, _ = export_records
@@ -99,19 +86,21 @@ class TestRenderTrace:
         records, trace_id, _ = export_records
         text = render_trace(records, trace_id)
         assert text.startswith(f"trace {trace_id}:")
-        assert "5 spans" in text
+        assert "4 spans" in text
 
-    def test_tree_shows_names_and_link_marker(self, export_records):
-        records, trace_id, batch_trace = export_records
-        text = render_trace(records, trace_id)
-        for name in (
+    def test_tree_nests_by_parent(self, export_records):
+        records, trace_id, _ = export_records
+        lines = render_trace(records, trace_id).splitlines()[1:]
+        assert [line.split()[1] for line in lines] == [
             "service.locate",
-            "service.batch_wait",
-            "service.batch",
+            "service.provider_chain",
             "correct",
-        ):
-            assert name in text
-        assert f"linked trace {batch_trace[:12]}" in text
+            "map_likelihood",
+        ]
+        assert lines[0].startswith("`- ")
+        assert lines[1].startswith("   `- ")
+        assert lines[2].startswith("      |- ")
+        assert lines[3].startswith("      `- ")
 
     def test_empty_trace_renders_placeholder(self, export_records):
         records, _, _ = export_records

@@ -41,12 +41,7 @@ def service_app(
     their own)."""
     service = LocalizationService(
         pool=service_pool,
-        config=ServiceConfig(
-            rate_per_s=10_000.0,
-            burst=10_000,
-            max_batch=8,
-            max_wait_s=0.002,
-        ),
+        config=ServiceConfig(rate_per_s=10_000.0, burst=10_000),
     )
     yield service
     service.close()

@@ -3,8 +3,8 @@
 Covers the ISSUE's error-path matrix: malformed JSON -> 400, unknown
 scenario -> 404, exhausted token bucket -> 429 with Retry-After,
 injected band outage -> fallback provider (not a 5xx), warm steering
-cache reuse across requests, and micro-batched results matching the
-serial chain.
+cache reuse across requests, and concurrent requests answered
+bit-identically to serial in-process ones.
 """
 
 from __future__ import annotations
@@ -17,14 +17,22 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
+from repro.errors import LocalizationError, ReproError
 from repro.service import (
     LocalizationService,
+    LocalizerPool,
+    QualityGates,
+    ScenarioSpec,
     ServiceConfig,
+    decode_observations,
     encode_observations,
     make_server,
 )
 from repro.service.schema import MAX_BODY_BYTES
+from repro.sim import ChannelMeasurementModel
 from repro.sim.interference import inject_band_outage
+from repro.sim.testbed import open_room_testbed
+from repro.utils.geometry2d import Point
 
 
 def _post(
@@ -143,9 +151,7 @@ class TestRateLimiting:
         """A server whose buckets hold 2 tokens and barely refill."""
         service = LocalizationService(
             pool=service_pool,
-            config=ServiceConfig(
-                rate_per_s=0.01, burst=2, max_wait_s=0.0
-            ),
+            config=ServiceConfig(rate_per_s=0.01, burst=2),
         )
         server = make_server(service, host="127.0.0.1", port=0)
         thread = threading.Thread(
@@ -202,9 +208,7 @@ class TestAllowlist:
     def allowlisted_service(self, service_pool):
         service = LocalizationService(
             pool=service_pool,
-            config=ServiceConfig(
-                api_keys=frozenset({"good"}), max_wait_s=0.0
-            ),
+            config=ServiceConfig(api_keys=frozenset({"good"})),
         )
         yield service
         service.close()
@@ -237,44 +241,6 @@ class TestAllowlist:
         assert status == 200
 
 
-class TestBatchAnnouncements:
-    """Admitted requests announce themselves to the scenario's batcher;
-    none may be left outstanding, or later lone requests would wait out
-    the whole window."""
-
-    @pytest.fixture()
-    def slow_window_service(self, service_pool):
-        service = LocalizationService(
-            pool=service_pool,
-            config=ServiceConfig(
-                rate_per_s=10_000.0, burst=10_000, max_wait_s=5.0
-            ),
-        )
-        yield service
-        service.close()
-
-    def test_decode_failure_withdraws(
-        self, slow_window_service, observations, locate_body
-    ):
-        encoded = encode_observations(observations)
-        encoded["tag_to_anchor"] = encoded["tag_to_anchor"][:-1]
-        bad = json.dumps(
-            {"scenario": "vicon", "observations": encoded}
-        ).encode()
-        status, _, _ = slow_window_service.handle_locate(bad)
-        assert status == 400
-        _, stats, _ = slow_window_service.handle_stats()
-        assert stats["batchers"]["vicon"]["announced"] == 0
-        # With the 5 s window, a leaked announcement would hold this
-        # request for seconds; served, it ran as a batch of one.
-        status, payload, _ = slow_window_service.handle_locate(locate_body)
-        assert status == 200
-        assert payload["batch_size"] == 1
-        assert payload["latency_s"] < 2.5
-        _, stats, _ = slow_window_service.handle_stats()
-        assert stats["batchers"]["vicon"]["announced"] == 0
-
-
 class TestProviderFallbackOverHttp:
     def test_band_outage_degrades_not_500(
         self, live_server, observations
@@ -297,27 +263,38 @@ class TestProviderFallbackOverHttp:
         )
 
 
-class TestMicroBatchEquivalence:
-    def test_concurrent_requests_batch_and_match_serial(
+def _body(scenario: str, observations) -> bytes:
+    payload = {
+        "scenario": scenario,
+        "observations": encode_observations(observations),
+    }
+    return json.dumps(payload).encode()
+
+
+class TestConcurrentRequests:
+    def test_concurrent_requests_match_serial_in_process(
         self, live_server, service_pool, observations
     ):
+        """Requests served at once on separate handler threads answer
+        exactly what the provider chain answers for them one by one."""
         host, port = live_server
-        degraded = inject_band_outage(
-            observations, anchor_index=1, band_indices=list(range(5))
+        room = open_room_testbed()
+        room_model = ChannelMeasurementModel(testbed=room, seed=5)
+        outage = inject_band_outage(
+            observations, anchor_index=0, band_indices=list(range(30))
         )
-        bodies = [
-            json.dumps(
-                {
-                    "scenario": "vicon",
-                    "observations": encode_observations(obs),
-                }
-            ).encode()
-            for obs in (observations, degraded, observations)
-        ]
+        requests = [
+            ("vicon", observations),
+            ("open_room", room_model.measure(Point(0.6, -0.4))),
+            ("vicon", outage),
+        ] * 3
+        bodies = [_body(name, obs) for name, obs in requests]
         results: Dict[int, Tuple[int, dict]] = {}
         lock = threading.Lock()
+        start = threading.Barrier(len(bodies))
 
         def worker(index: int, body: bytes) -> None:
+            start.wait(timeout=30.0)
             status, payload, _ = _post(host, port, body)
             with lock:
                 results[index] = (status, payload)
@@ -329,20 +306,92 @@ class TestMicroBatchEquivalence:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert all(status == 200 for status, _ in results.values())
-        # Concurrent identical inputs agree with the serial chain.
-        chain = service_pool.get("vicon").chain
-        serial = chain.locate(observations)
-        for index in (0, 2):
-            _, payload = results[index]
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        providers = set()
+        for index, ((name, _), body) in enumerate(zip(requests, bodies)):
+            status, payload = results[index]
+            assert status == 200, payload
+            warm = service_pool.get(name)
+            decoded = decode_observations(
+                json.loads(body)["observations"],
+                warm.testbed.anchors,
+                warm.testbed.master_index,
+            )
+            serial = warm.chain.locate(decoded)
             assert payload["provider"] == serial.provider
-            assert payload["position"]["x"] == pytest.approx(
-                serial.position.x, abs=1e-6
+            assert payload["fallback_reasons"] == serial.fallback_reasons
+            assert payload["position"] == {
+                "x": serial.position.x,
+                "y": serial.position.y,
+            }
+            providers.add(serial.provider)
+        assert "bloc" in providers and providers - {"bloc"}
+
+
+class TestMasterOnlyRequest:
+    """A sweep that heard only the master anchor has no cross-anchor
+    geometry: BLoc must refuse it rather than answer next to the
+    master, even with the quality gate wide open."""
+
+    @pytest.fixture()
+    def master_only_service(self):
+        def master_only():
+            from repro.sim.testbed import Testbed
+
+            room = open_room_testbed()
+            return Testbed(
+                environment=room.environment,
+                anchors=[room.master],
+                master_index=0,
             )
-            assert payload["position"]["y"] == pytest.approx(
-                serial.position.y, abs=1e-6
-            )
+
+        pool = LocalizerPool(
+            scenarios={
+                "master_only": ScenarioSpec(
+                    "master_only", "the master anchor alone", master_only
+                )
+            },
+            grid_resolution_m=0.35,
+            gates=QualityGates(min_anchors=1),
+        )
+        service = LocalizationService(
+            pool=pool,
+            config=ServiceConfig(rate_per_s=10_000.0, burst=10_000),
+        )
+        yield service
+        service.close()
+
+    @pytest.mark.parametrize("x, y", [(-1.0, 1.2), (0.5, 0.5), (1.5, -1.0)])
+    def test_never_answered_by_bloc(self, master_only_service, x, y):
+        testbed = master_only_service.pool.get("master_only").testbed
+        observations = ChannelMeasurementModel(
+            testbed=testbed, seed=3
+        ).measure(Point(x, y))
+        status, payload, _ = master_only_service.handle_locate(
+            _body("master_only", observations)
+        )
+        if status == 200:
+            assert payload["provider"] != "bloc"
+            reasons = payload["fallback_reasons"]
+        else:
+            assert status == 503
+            reasons = [payload["error"]["message"]]
+        assert any("BLoc needs >= 2 anchors" in r for r in reasons)
+        chain = master_only_service.pool.get("master_only").chain
+        with pytest.raises(LocalizationError, match=">= 2 anchors"):
+            chain.bloc.locate(observations)
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "max_batch, max_wait_s", [(0, 0.01), (1, -1.0)]
+    )
+    def test_invalid_batch_fields_rejected(self, max_batch, max_wait_s):
+        # Ignored since requests are served inline, but still
+        # validated: the benchmark's server passes both fields.
+        with pytest.raises(ReproError):
+            ServiceConfig(max_batch=max_batch, max_wait_s=max_wait_s)
 
 
 class TestIntrospectionRoutes:
@@ -353,9 +402,7 @@ class TestIntrospectionRoutes:
         assert payload["status"] == "ok"
         assert "vicon" in payload["scenarios"]
 
-    def test_stats_expose_pool_limiter_batchers(
-        self, live_server, locate_body
-    ):
+    def test_stats_expose_pool_and_limiter(self, live_server, locate_body):
         host, port = live_server
         _post(host, port, locate_body)
         status, payload = _get(host, port, "/v1/stats")
@@ -363,7 +410,6 @@ class TestIntrospectionRoutes:
         assert payload["responses_by_status"].get("200", 0) >= 1
         assert payload["pool"]["engine"]["entries"] >= 1
         assert "allowed_total" in payload["ratelimit"]
-        assert "vicon" in payload["batchers"]
 
 
 def _post_with_length(

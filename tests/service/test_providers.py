@@ -82,7 +82,8 @@ class TestProviderChain:
         getattr(broken, field)[1, 0, 5] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning
-            clean, degraded = chain.locate_batch([observations, broken])
+            clean = chain.locate(observations)
+            degraded = chain.locate(broken)
         assert clean.provider == "bloc"
         assert isinstance(degraded, LocateDecision)
         assert degraded.provider in ("aoa", "rssi")
@@ -98,34 +99,6 @@ class TestProviderChain:
         decision = chain.locate(degraded)
         assert -4.0 < decision.position.x < 4.0
         assert -3.0 < decision.position.y < 4.0
-
-    def test_batch_is_order_preserving_and_mixed(
-        self, chain, observations
-    ):
-        degraded = inject_band_outage(
-            observations, anchor_index=0, band_indices=list(range(30))
-        )
-        outcomes = chain.locate_batch(
-            [observations, degraded, observations]
-        )
-        assert len(outcomes) == 3
-        assert all(isinstance(o, LocateDecision) for o in outcomes)
-        assert outcomes[0].provider == "bloc"
-        assert outcomes[1].provider in ("aoa", "rssi")
-        assert outcomes[2].provider == "bloc"
-        # Same clean input at both ends -> identical position.
-        assert outcomes[0].position.x == outcomes[2].position.x
-
-    def test_batch_matches_single_locate(self, chain, observations):
-        batch = chain.locate_batch([observations])[0]
-        single = chain.locate(observations)
-        assert batch.provider == single.provider
-        assert batch.position.x == pytest.approx(
-            single.position.x, abs=1e-9
-        )
-        assert batch.position.y == pytest.approx(
-            single.position.y, abs=1e-9
-        )
 
     def test_gate_thresholds_are_configurable(self, chain, observations):
         strict = ProviderChain(
@@ -151,14 +124,14 @@ class TestProviderChain:
                 anchor_index=anchor,
                 band_indices=list(range(observations.num_bands)),
             )
-        outcomes = chain.locate_batch([dead])
-        if isinstance(outcomes[0], LocateDecision):
-            # The fallback baselines may still return a (meaningless)
-            # fix from all-zero channels; what matters is that no
-            # exception escaped and BLoc was gated out.
-            assert outcomes[0].provider in ("aoa", "rssi")
-            assert any(
-                "bloc" in r for r in outcomes[0].fallback_reasons
-            )
+        try:
+            decision = chain.locate(dead)
+        except LocalizationError as exc:
+            # Every provider failed: one typed error naming them all.
+            assert "every provider failed" in str(exc)
         else:
-            assert isinstance(outcomes[0], LocalizationError)
+            # The fallback baselines may still return a (meaningless)
+            # fix from all-zero channels; what matters is that BLoc was
+            # gated out.
+            assert decision.provider in ("aoa", "rssi")
+            assert any("bloc" in r for r in decision.fallback_reasons)

@@ -2,11 +2,10 @@
 
 Covers the telemetry pipeline's acceptance flow: a traceparent header in
 -> the same trace id out (response body, header, access log); the span
-tree of one request -- HTTP handler, batch wait, linked micro-batch,
-provider chain, localizer stages -- reconstructable from an NDJSON
-export; /metrics serving OpenMetrics whose latency histogram carries
-exemplar trace ids that resolve against that export; and the
-size-rotated access log.
+tree of one request -- HTTP handler, provider chain, localizer stages --
+reconstructable from an NDJSON export; /metrics serving OpenMetrics
+whose latency histogram carries exemplar trace ids that resolve against
+that export; and the size-rotated access log.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class TestTraceparentPropagation:
 
 
 class TestSpanTreeReconstruction:
-    def test_request_tree_spans_threads_and_batch(
+    def test_request_tree_on_the_handler_thread(
         self, live_server, locate_body, tmp_path
     ):
         host, port = live_server
@@ -151,22 +150,20 @@ class TestSpanTreeReconstruction:
         records = load_ndjson(export_path)
         assert resolve_trace_id(records, trace_id[:12]) == trace_id
         selected = trace_spans(records, trace_id)
-        names = {r["name"] for r in selected}
-        # Handler -> batch wait on the request's own trace; the
-        # micro-batch and the provider chain under it ride in via the
-        # member_trace_ids link even though the batch worker thread
-        # runs them on a trace of their own.
-        assert {
-            "service.locate",
-            "service.batch_wait",
-            "service.batch",
-            "service.provider_chain",
-        } <= names
-        threads = {r["thread"] for r in selected}
-        assert len(threads) >= 2  # handler thread + batch worker
+        by_id = {r["span_id"]: r for r in selected}
+        # Handler -> provider chain -> localizer stages, all on the
+        # request's own trace and the thread that accepted it.
+        (chain,) = [
+            r for r in selected if r["name"] == "service.provider_chain"
+        ]
+        assert by_id[chain["parent_id"]]["name"] == "service.locate"
+        assert {"service.locate", "correct", "map_likelihood"} <= {
+            r["name"] for r in selected
+        }
+        assert len({r["thread"] for r in selected}) == 1
         rendered = render_trace(records, trace_id)
         assert rendered.startswith(f"trace {trace_id}:")
-        assert "service.batch" in rendered
+        assert "service.provider_chain" in rendered
 
     def test_metrics_exemplars_resolve_against_export(
         self, live_server, locate_body, tmp_path

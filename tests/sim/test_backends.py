@@ -1,4 +1,4 @@
-"""Tests for the evaluate() backend matrix: serial/thread/process x batch.
+"""Tests for the evaluate() backend matrix: serial/thread/process.
 
 The process-backend stubs live at module level so they pickle under
 both fork and spawn start methods.
@@ -83,7 +83,6 @@ class TestBackendSelection:
         run = evaluate(Oracle(), dataset)
         assert run.backend == "serial"
         assert run.effective_workers == 1
-        assert run.batch_size is None
 
     def test_workers_imply_thread(self, dataset):
         run = evaluate(Oracle(), dataset, workers=2)
@@ -97,10 +96,6 @@ class TestBackendSelection:
         with pytest.raises(ConfigurationError):
             evaluate(Oracle(), dataset, backend="serial", workers=2)
 
-    def test_bad_batch_size_rejected(self, dataset):
-        with pytest.raises(ConfigurationError):
-            evaluate(Oracle(), dataset, batch_size=0)
-
     def test_capture_incompatible_with_process(self, dataset, tmp_path):
         capture = DiagnosticsCapture(directory=tmp_path, worst_n=1)
         with pytest.raises(ConfigurationError):
@@ -109,22 +104,14 @@ class TestBackendSelection:
                 capture=capture,
             )
 
-    def test_capture_incompatible_with_batching(self, dataset, tmp_path):
-        capture = DiagnosticsCapture(directory=tmp_path, worst_n=1)
-        with pytest.raises(ConfigurationError):
-            evaluate(Oracle(), dataset, batch_size=4, capture=capture)
-
     def test_workers_clamped_to_dataset(self, dataset):
         run = evaluate(Oracle(), dataset, workers=32)
         assert run.effective_workers == len(dataset)
 
     def test_run_metadata_recorded(self, dataset):
-        run = evaluate(
-            Oracle(), dataset, workers=2, backend="process", batch_size=2
-        )
+        run = evaluate(Oracle(), dataset, workers=2, backend="process")
         assert run.backend == "process"
         assert run.effective_workers == 2
-        assert run.batch_size == 2
 
 
 class TestProcessBackend:
@@ -236,36 +223,8 @@ class TestWorkerCrash:
         assert _shm_names() <= before
 
 
-class TestBatchedEvaluate:
-    def test_stub_fallback_keeps_order(self, dataset):
-        serial = evaluate(Oracle(), dataset)
-        batched = evaluate(Oracle(), dataset, batch_size=2)
-        assert [r.error_m for r in serial.records] == [
-            r.error_m for r in batched.records
-        ]
-
-    def test_per_fix_failures_contained_in_batch(self, dataset):
-        median_x = sorted(
-            o.ground_truth.x for o in dataset.observations
-        )[len(dataset) // 2]
-        serial = evaluate(FailsBeyond(median_x), dataset)
-        batched = evaluate(FailsBeyond(median_x), dataset, batch_size=3)
-        assert serial.failure_reasons() == batched.failure_reasons()
-        assert [r.error_m for r in serial.records] == [
-            r.error_m for r in batched.records
-        ]
-
-    def test_batched_metrics_amortize_latency(self, dataset):
-        from repro.obs import observed
-
-        with observed() as obs:
-            evaluate(Oracle(), dataset, batch_size=2)
-        assert obs.metrics.get("eval.fixes_total").value == len(dataset)
-        assert obs.metrics.get("eval.fix_latency_s").count == len(dataset)
-
-
 class TestEquivalence:
-    """Acceptance: backend/batched results equal serial on the room."""
+    """Acceptance: backend results equal serial on the room."""
 
     def test_process_backend_bit_identical(self, small_dataset):
         serial = evaluate(_bloc(), small_dataset)
@@ -275,17 +234,6 @@ class TestEquivalence:
         assert [r.error_m for r in serial.records] == [
             r.error_m for r in process.records
         ]
-
-    def test_batched_within_documented_tolerance(self, small_dataset):
-        serial = evaluate(_bloc(), small_dataset)
-        batched = evaluate(_bloc(), small_dataset, batch_size=3)
-        for ours, ref in zip(batched.records, serial.records):
-            assert ref.estimate is not None
-            # BLAS reduction reordering only: nanometre-scale (the
-            # tolerance DESIGN.md documents is < 1e-9 m).
-            assert abs(ours.error_m - ref.error_m) < 1e-9
-            assert abs(ours.estimate.x - ref.estimate.x) < 1e-9
-            assert abs(ours.estimate.y - ref.estimate.y) < 1e-9
 
     def test_process_workers_share_the_published_entry(
         self, small_dataset
@@ -331,15 +279,3 @@ class TestEquivalence:
         assert obs.metrics.get("engine.cache_hits").value == len(
             small_dataset
         )
-
-    def test_process_batched_matches_serial(self, small_dataset):
-        serial = evaluate(_bloc(), small_dataset)
-        combined = evaluate(
-            _bloc(),
-            small_dataset,
-            workers=2,
-            backend="process",
-            batch_size=2,
-        )
-        for ours, ref in zip(combined.records, serial.records):
-            assert abs(ours.error_m - ref.error_m) < 1e-9
