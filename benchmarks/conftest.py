@@ -13,8 +13,14 @@ Scale knobs: ``REPRO_EVAL_POINTS`` (default 60, paper scale 1700) and
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# The direct Eq. 17 oracle (tests/eq17_oracle.py) times the steering
+# cache's direct baseline; import it from its one home under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def pytest_configure(config):

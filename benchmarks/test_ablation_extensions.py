@@ -1,8 +1,7 @@
 """Bench: ablations of the extension modules (DESIGN.md Section 4b).
 
-Covers multi-round fusion (accuracy vs rounds), the MUSIC vs Bartlett
-angle estimator inside the AoA baseline, and Wi-Fi collision losses vs
-adaptive blacklisting.
+Covers the MUSIC vs Bartlett angle estimator inside the AoA baseline,
+and Wi-Fi collision losses vs adaptive blacklisting.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import pytest
 
 from repro.baselines import AoaLocalizer
 from repro.core import BlocConfig, BlocLocalizer
-from repro.core.fusion import locate_fused
 from repro.experiments.common import (
     DEFAULT_SEED,
     ExperimentResult,
@@ -29,37 +27,6 @@ from repro.sim import (
     evaluate,
     sample_tag_positions,
 )
-
-
-def run_fusion_sweep(num_positions: int = 16) -> ExperimentResult:
-    """Median error vs number of fused measurement rounds."""
-    testbed = default_testbed()
-    model = ChannelMeasurementModel(testbed=testbed, seed=DEFAULT_SEED)
-    localizer = BlocLocalizer(
-        config=BlocConfig(grid_resolution_m=grid_resolution())
-    )
-    positions = sample_tag_positions(testbed, num_positions, seed=99)
-    result = ExperimentResult(
-        experiment_id="ablation-fusion",
-        title="Multi-round fusion: accuracy vs fused rounds",
-    )
-    for num_rounds in (1, 2, 4):
-        errors = []
-        for t_index, tag in enumerate(positions):
-            rounds = [
-                model.measure(tag, round_index=100 * t_index + r)
-                for r in range(num_rounds)
-            ]
-            fix = locate_fused(localizer, rounds)
-            errors.append((fix.position - tag).norm())
-        result.rows.append(
-            ExperimentRow(
-                f"median, {num_rounds} fused round(s)",
-                100 * float(np.median(errors)),
-                None,
-            )
-        )
-    return result
 
 
 def run_music_vs_bartlett() -> ExperimentResult:
@@ -118,17 +85,6 @@ def run_interference_modes(num_positions: int = 16) -> ExperimentResult:
             )
         )
     return result
-
-
-def test_ablation_fusion(benchmark, report_sink):
-    result = benchmark.pedantic(
-        run_fusion_sweep, rounds=1, iterations=1, warmup_rounds=0
-    )
-    report_sink.append(result.format_report())
-    one = result.measured("median, 1 fused round(s)")
-    four = result.measured("median, 4 fused round(s)")
-    # Shape: fusing rounds must not hurt, and typically helps.
-    assert four <= one * 1.1
 
 
 def test_ablation_music_vs_bartlett(benchmark, report_sink):

@@ -3,8 +3,9 @@
 Not a paper figure -- this tracks the localization hot path itself, on
 the default 4-anchor / 4-antenna / 37-band scenario:
 
-* direct Eq. 17 path (rebuild geometry every fix) vs a cold steering
-  cache (first fix pays the build) vs a warm cache (matvecs only);
+* the direct Eq. 17 oracle (rebuild geometry every fix, from
+  ``tests/eq17_oracle.py``) vs a cold steering cache (first fix pays
+  the build) vs a warm cache (matvecs only);
 * serial ``evaluate()`` vs the thread and process sweeps;
 * the sampling profiler's overhead on a warm fix.
 
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from eq17_oracle import DirectBlocLocalizer
 
 from repro.core import BlocConfig, BlocLocalizer
 from repro.experiments.common import (
@@ -138,7 +140,7 @@ def test_perf_steering_cache(dataset, report_sink):
     The warm/direct floor is ``slo.warm_speedup_vs_direct``.
     """
     observations = dataset.observations[0]
-    direct = BlocLocalizer(config=_bloc_config(), engine=None)
+    direct = DirectBlocLocalizer(config=_bloc_config())
     cached = BlocLocalizer(config=_bloc_config())
 
     direct_s = _best_locate_s(direct, observations, rounds=3)

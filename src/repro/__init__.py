@@ -31,7 +31,6 @@ from repro.core import (
     BlocLocalizer,
     ChannelObservations,
     CorrectedChannels,
-    EngineConfig,
     LocalizationResult,
     SteeringCache,
     correct_phase_offsets,
@@ -60,7 +59,6 @@ __all__ = [
     "ChannelMeasurementModel",
     "ChannelObservations",
     "CorrectedChannels",
-    "EngineConfig",
     "ErrorStats",
     "EvaluationDataset",
     "IqMeasurementModel",

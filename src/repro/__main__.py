@@ -150,7 +150,7 @@ def _maybe_observed(
 def _command_config(args: argparse.Namespace) -> dict:
     """The fingerprintable configuration of a CLI invocation."""
     keep = (
-        "command", "num", "seed", "workers", "no_engine", "x", "y",
+        "command", "num", "seed", "workers", "x", "y",
         "bundle_worst", "backend", "scenario", "clients",
         "per_client", "resolution", "port",
     )
@@ -165,19 +165,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return _maybe_observed(args, lambda: _run_demo(args))
 
 
-def _bloc_localizer(args: argparse.Namespace) -> BlocLocalizer:
-    """A BLoc localizer honouring the --no-engine flag."""
-    if getattr(args, "no_engine", False):
-        return BlocLocalizer(engine=None)
-    return BlocLocalizer()
-
-
 def _run_demo(args: argparse.Namespace) -> int:
     testbed = vicon_testbed()
     model = ChannelMeasurementModel(testbed=testbed, seed=args.seed)
     tag = Point(args.x, args.y)
     observations = model.measure(tag)
-    result = _bloc_localizer(args).locate(observations)
+    result = BlocLocalizer().locate(observations)
     print(
         f"true ({tag.x:+.2f}, {tag.y:+.2f})  "
         f"estimate ({result.position.x:+.2f}, {result.position.y:+.2f})  "
@@ -202,7 +195,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     testbed = vicon_testbed()
     dataset = build_dataset(testbed, num_positions=args.num, seed=args.seed)
     schemes = {
-        "BLoc": _bloc_localizer(args),
+        "BLoc": BlocLocalizer(),
         "AoA baseline": AoaLocalizer(),
         "shortest-distance": shortest_distance_localizer(),
     }
@@ -611,12 +604,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metavar="N",
             help="worker threads for evaluation sweeps "
             "(a single-fix demo runs serially regardless)",
-        )
-        command.add_argument(
-            "--no-engine",
-            action="store_true",
-            help="disable the steering cache and use the direct "
-            "rebuild-per-fix Eq. 17 path",
         )
         command.add_argument(
             "--backend",

@@ -4,13 +4,10 @@ The paper's primary contribution, end to end: measure CSI from GFSK tone
 runs (Section 4), cancel per-hop oscillator offsets collaboratively
 (Section 5.2, Eq. 10), map corrected channels to spatial likelihoods
 (Section 5.3, Eq. 15-17), and reject multipath ghost peaks with the
-entropy/distance score (Section 5.4, Eq. 18).
+entropy/distance score (Section 5.4, Eq. 18).  The one helper outside
+that pipeline is MUSIC (``music.py``), used by the AoA baseline.
 """
 
-from repro.core.array_calibration import (
-    ArrayCalibration,
-    estimate_calibration,
-)
 from repro.core.correction import (
     CorrectedChannels,
     anchor_baselines,
@@ -23,7 +20,6 @@ from repro.core.csi import (
     measure_segment_channel,
     stack_band_csi,
 )
-from repro.core.fusion import coherence_gain, fuse_rounds, locate_fused
 from repro.core.music import (
     array_covariance,
     estimate_num_sources,
@@ -31,7 +27,6 @@ from repro.core.music import (
     music_spectrum,
 )
 from repro.core.engine import (
-    EngineConfig,
     SteeringCache,
     SteeringEntry,
     build_steering_entry,
@@ -41,11 +36,7 @@ from repro.core.entropy import (
     neighborhood_negentropy,
     shannon_entropy,
 )
-from repro.core.likelihood import (
-    LikelihoodMap,
-    anchor_likelihood_flat,
-    compute_likelihood_map,
-)
+from repro.core.likelihood import LikelihoodMap, compute_likelihood_map
 from repro.core.localizer import (
     BlocConfig,
     BlocLocalizer,
@@ -59,7 +50,6 @@ from repro.core.scoring import (
     score_peaks,
     select_direct_path,
 )
-from repro.core.tracking import TagTracker, TrackState, track_errors_m
 from repro.core.steering import (
     aliasing_distance_m,
     angle_spectrum,
@@ -68,13 +58,11 @@ from repro.core.steering import (
 )
 
 __all__ = [
-    "ArrayCalibration",
     "BandCsi",
     "BlocConfig",
     "BlocLocalizer",
     "ChannelObservations",
     "CorrectedChannels",
-    "EngineConfig",
     "LikelihoodMap",
     "LocalizationResult",
     "Peak",
@@ -82,26 +70,19 @@ __all__ = [
     "ScoredPeak",
     "SteeringCache",
     "SteeringEntry",
-    "TagTracker",
-    "TrackState",
     "ScoringConfig",
     "aliasing_distance_m",
     "anchor_baselines",
-    "anchor_likelihood_flat",
     "angle_spectrum",
     "array_covariance",
     "build_steering_entry",
-    "coherence_gain",
     "combine_tone_channels",
     "compute_likelihood_map",
     "correct_phase_offsets",
     "distance_spectrum",
-    "estimate_calibration",
     "estimate_num_sources",
-    "fuse_rounds",
     "extract_band_csi",
     "find_peaks",
-    "locate_fused",
     "measure_segment_channel",
     "music_angles",
     "music_spectrum",
@@ -113,5 +94,4 @@ __all__ = [
     "select_direct_path",
     "shannon_entropy",
     "stack_band_csi",
-    "track_errors_m",
 ]

@@ -97,9 +97,12 @@ def correct_phase_offsets(
         The corrected channels ``alpha`` ready for likelihood mapping.
 
     Raises:
-        LocalizationError: NaN or Inf in either channel set, naming the
-            first anchor affected -- before any likelihood work, which
-            would otherwise fail later with a misleading no-peak error.
+        LocalizationError: NaN or Inf in either channel set, or CSI so
+            far out of range that the product over- or underflows (see
+            :func:`_reject_out_of_range`), naming the first anchor
+            affected -- before any likelihood work, which would
+            otherwise fail later with a misleading no-peak error or
+            silently drop the anchor.
     """
     _reject_non_finite(observations)
     m = observations.master_index
@@ -116,6 +119,7 @@ def correct_phase_offsets(
         else:
             hi0 = master[i, 0, :]  # master ant0 -> slave ant0, shape (K,)
             alpha[i] = tag[i] * np.conj(hi0)[None, :] * np.conj(h00)[None, :]
+    _reject_out_of_range(observations, alpha)
     observer = get_observer()
     if observer.enabled:
         _record_correction_metrics(observer, tag, alpha)
@@ -133,11 +137,53 @@ def _reject_non_finite(observations: ChannelObservations) -> None:
     for name in ("tag_to_anchor", "master_to_anchor"):
         finite = np.isfinite(getattr(observations, name)).all(axis=(1, 2))
         if not finite.all():
-            i = int(np.argmin(finite))
-            label = observations.anchors[i].name
+            where = _anchor_label(observations, int(np.argmin(finite)))
+            raise LocalizationError(f"non-finite CSI in {name} of {where}")
+
+
+def _anchor_label(observations: ChannelObservations, i: int) -> str:
+    """``anchor <i> (<name>)`` for error messages."""
+    name = observations.anchors[i].name
+    return f"anchor {i}" + (f" ({name})" if name else "")
+
+
+def _reject_out_of_range(
+    observations: ChannelObservations, alpha: np.ndarray
+) -> None:
+    """Raise :class:`LocalizationError` when Eq. 10 left float range.
+
+    The slave triple product is cubic in the CSI amplitude: CSI scaled
+    by 1e105 overflows alpha to Inf, and CSI scaled by 1e-110 underflows
+    it to zero, where the anchor's map would go flat and the fix would
+    silently rest on the master alone.  An anchor whose alpha peak is
+    below the smallest normal float fails only if some band has every
+    Eq. 10 factor non-zero; a dead anchor (all-zero CSI) stays allowed
+    and contributes an all-zero map.
+    """
+    # Amplitude sink: the range check needs only |alpha|.
+    peaks = np.abs(alpha).max(axis=(1, 2))  # repro: noqa[RPR001]
+    tiny = np.finfo(float).tiny
+    if np.all(np.isfinite(peaks) & (peaks >= tiny)):
+        return
+    m = observations.master_index
+    tag = observations.tag_to_anchor
+    h00 = tag[m, 0, :]
+    for i, peak in enumerate(peaks):
+        where = _anchor_label(observations, i)
+        if not np.isfinite(peak):
             raise LocalizationError(
-                f"non-finite CSI in {name} of anchor {i}"
-                + (f" ({label})" if label else "")
+                f"corrected channels of {where} overflow (CSI amplitude "
+                "too large for the Eq. 10 product)"
+            )
+        if peak >= tiny:
+            continue
+        factors = (tag[i] != 0).any(axis=0) & (h00 != 0)
+        if i != m:
+            factors &= observations.master_to_anchor[i, 0, :] != 0
+        if factors.any():
+            raise LocalizationError(
+                f"corrected channels of {where} underflow (CSI amplitude "
+                "too small for the Eq. 10 product)"
             )
 
 

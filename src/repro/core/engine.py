@@ -60,7 +60,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -78,21 +78,6 @@ from repro.utils.gridmap import Grid2D
 #: ``sum |alpha|`` of an anchor (an upper bound on its Eq. 17 peak).
 #: Fixes the sample step: ~1.1 cm for the full 37-band BLE plan.
 PROFILE_ERROR_TARGET = 1e-5
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Tuning knobs of the steering engine.
-
-    Attributes:
-        max_entries: LRU capacity in distinct geometry signatures.
-    """
-
-    max_entries: int = 4
-
-    def __post_init__(self):
-        if self.max_entries < 1:
-            raise ConfigurationError("engine max_entries must be >= 1")
 
 
 def steering_cache_key(
@@ -402,17 +387,11 @@ class SteeringCache(LruCache):
     bounds/resolution, every anchor's array geometry, the master/baseline
     configuration and the exact frequency vector, so any change that
     would alter the entry is a miss -- never a stale hit.
-
-    Attributes:
-        config: engine tuning knobs.
+    ``max_entries`` is the LRU capacity in distinct geometry signatures.
     """
 
-    def __init__(self, config: Optional[EngineConfig] = None):
-        self.config = config or EngineConfig()
-        super().__init__(self.config.max_entries)
-
-    def __setstate__(self, state: dict) -> None:
-        SteeringCache.__init__(self, EngineConfig(state["max_entries"]))
+    def __init__(self, max_entries: int = 4):
+        super().__init__(max_entries)
 
     def _count(self, event: str) -> None:
         observer = get_observer()

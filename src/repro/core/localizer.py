@@ -101,13 +101,12 @@ class BlocLocalizer:
         engine: steering cache shared across ``locate()`` calls; the
             grid, anchor geometry and band plan are invariant over a
             sweep, so every fix after the first runs on the cached
-            range-profile samples and gather.  Pass ``engine=None`` to
-            force the direct (rebuild-per-call) Eq. 17 path.
+            range-profile samples and gather.
     """
 
     config: BlocConfig = field(default_factory=BlocConfig)
     bounds: Optional[Tuple[float, float, float, float]] = None
-    engine: Optional[SteeringCache] = field(default_factory=SteeringCache)
+    engine: SteeringCache = field(default_factory=SteeringCache)
 
     def grid_for(self, observations: ChannelObservations) -> Grid2D:
         """The evaluation grid for a set of observations."""
@@ -132,7 +131,7 @@ class BlocLocalizer:
         self, corrected: CorrectedChannels, grid: Grid2D
     ) -> LikelihoodMap:
         """Stage 2: per-anchor Eq. 17 maps, combined over anchors."""
-        return compute_likelihood_map(corrected, grid, engine=self.engine)
+        return compute_likelihood_map(corrected, grid, self.engine)
 
     def pick_peak(
         self,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import (
+    SteeringCache,
     compute_likelihood_map,
     correct_phase_offsets,
 )
@@ -52,11 +53,12 @@ def run(tag: Point = Point(0.9, 0.6), seed: int = 5) -> ExperimentResult:
     corrected = correct_phase_offsets(observations)
     x_min, x_max, y_min, y_max = testbed.environment.bounds()
     grid = Grid2D(x_min, x_max, y_min, y_max, grid_resolution())
+    engine = SteeringCache()  # one entry per view's geometry
 
     # (a) Angle-only view: a single band kills the distance information,
     # and a single anchor leaves only its AoA ridge.
     single_band = _restricted(corrected, [corrected.num_bands // 2])
-    angle_map = compute_likelihood_map(single_band, grid).per_anchor[1]
+    angle_map = compute_likelihood_map(single_band, grid, engine).per_anchor[1]
     angle_error = (_argmax_position(angle_map, grid) - tag).norm()
 
     # (b) Distance-only view: one antenna per anchor removes the angle
@@ -68,11 +70,13 @@ def run(tag: Point = Point(0.9, 0.6), seed: int = 5) -> ExperimentResult:
         alpha=corrected.alpha[:, :1, :],
         anchor_baselines_m=corrected.anchor_baselines_m,
     )
-    distance_map = compute_likelihood_map(one_antenna, grid).per_anchor[1]
+    distance_map = compute_likelihood_map(
+        one_antenna, grid, engine
+    ).per_anchor[1]
     distance_error = (_argmax_position(distance_map, grid) - tag).norm()
 
     # (c) Joint view: everything combined (Eq. 17 over all anchors).
-    joint = compute_likelihood_map(corrected, grid)
+    joint = compute_likelihood_map(corrected, grid, engine)
     joint_error = (_argmax_position(joint.combined, grid) - tag).norm()
 
     return ExperimentResult(

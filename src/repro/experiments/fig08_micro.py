@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.ble.channels import ChannelMap
 from repro.core import (
+    SteeringCache,
     compute_likelihood_map,
     correct_phase_offsets,
     find_peaks,
@@ -151,7 +152,7 @@ def run_multipath_profile(
     corrected = correct_phase_offsets(observations)
     x_min, x_max, y_min, y_max = testbed.environment.bounds()
     grid = Grid2D(x_min, x_max, y_min, y_max, grid_resolution())
-    likelihood = compute_likelihood_map(corrected, grid)
+    likelihood = compute_likelihood_map(corrected, grid, SteeringCache())
     peaks = find_peaks(likelihood.combined, grid)
     scored = score_peaks(
         peaks, likelihood.combined, grid, corrected.anchors

@@ -438,7 +438,7 @@ class FixBundle:
     :class:`FixDiagnostics`.  ``replay()`` reconstructs the localizer
     and re-runs the fix; with an unchanged pipeline the replayed winning
     peak is bit-identical to the recorded one (the bundle stores every
-    float at full precision and whether the steering engine was used).
+    float at full precision).
     """
 
     label: str
@@ -452,7 +452,6 @@ class FixBundle:
     ground_truth_xy: Optional[Tuple[float, float]]
     config: Dict[str, Any]
     bounds: Optional[Tuple[float, float, float, float]]
-    engine_used: bool
     estimate_xy: Optional[Tuple[float, float]]
     error_m: Optional[float]
     failure_reason: Optional[str]
@@ -493,7 +492,6 @@ class FixBundle:
 
     def localizer(self):
         """Rebuild the :class:`BlocLocalizer` the fix was produced with."""
-        from repro.core.engine import SteeringCache
         from repro.core.localizer import BlocConfig, BlocLocalizer
         from repro.core.peaks import PeakConfig
         from repro.core.scoring import ScoringConfig
@@ -503,11 +501,7 @@ class FixBundle:
         scoring = ScoringConfig(**cfg.pop("scoring"))
         config = BlocConfig(peak=peak, scoring=scoring, **cfg)
         bounds = tuple(self.bounds) if self.bounds is not None else None
-        return BlocLocalizer(
-            config=config,
-            bounds=bounds,
-            engine=SteeringCache() if self.engine_used else None,
-        )
+        return BlocLocalizer(config=config, bounds=bounds)
 
     def replay(self, keep_map: bool = False, diagnostics: bool = True):
         """Re-run the fix offline; returns the ``LocalizationResult``.
@@ -533,7 +527,7 @@ def bundle_from_fix(
     """Freeze one evaluated fix into a :class:`FixBundle`.
 
     ``localizer`` must be a :class:`BlocLocalizer`-shaped object (has
-    ``config``, ``bounds``, ``engine``); the bundle records its full
+    ``config`` and ``bounds``); the bundle records its full
     configuration so replay reconstructs the identical pipeline.
     """
     import dataclasses
@@ -571,7 +565,6 @@ def bundle_from_fix(
             if localizer.bounds is not None
             else None
         ),
-        engine_used=localizer.engine is not None,
         estimate_xy=(
             (float(estimate.x), float(estimate.y))
             if estimate is not None
@@ -732,7 +725,6 @@ def save_fix_bundle(path: Union[str, Path], bundle: FixBundle) -> Path:
         "ground_truth_xy": bundle.ground_truth_xy,
         "config": bundle.config,
         "bounds": bundle.bounds,
-        "engine_used": bundle.engine_used,
         "result": {
             "estimate_xy": bundle.estimate_xy,
             "error_m": bundle.error_m,
@@ -750,6 +742,10 @@ def save_fix_bundle(path: Union[str, Path], bundle: FixBundle) -> Path:
 
 def load_fix_bundle(path: Union[str, Path]) -> FixBundle:
     """Load a bundle written by :func:`save_fix_bundle`.
+
+    Older bundles also carry an ``engine_used`` meta key from when the
+    direct Eq. 17 path was selectable; it is ignored, since every replay
+    runs the steering engine.
 
     Raises:
         ConfigurationError: when the file is not a fix bundle or its
@@ -803,7 +799,6 @@ def load_fix_bundle(path: Union[str, Path]) -> FixBundle:
         bounds=(
             tuple(meta["bounds"]) if meta.get("bounds") is not None else None
         ),
-        engine_used=bool(meta["engine_used"]),
         estimate_xy=(
             tuple(result["estimate_xy"])
             if result.get("estimate_xy") is not None
@@ -845,8 +840,7 @@ def render_bundle_summary(bundle: FixBundle) -> str:
         f"(master: {bundle.anchors[bundle.master_index]['name'] or '?'})",
         f"bands: {bundle.frequencies_hz.size}  "
         f"span {bundle.frequencies_hz.min() / 1e6:.1f}-"
-        f"{bundle.frequencies_hz.max() / 1e6:.1f} MHz  "
-        f"engine={'on' if bundle.engine_used else 'off'}",
+        f"{bundle.frequencies_hz.max() / 1e6:.1f} MHz",
     ]
     if bundle.ground_truth_xy is not None:
         lines.append(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.runtime_locks import guarded_by, make_lock
-from repro.core.engine import EngineConfig, SteeringCache
+from repro.core.engine import SteeringCache
 from repro.core.localizer import BlocConfig, BlocLocalizer
 from repro.errors import LocalizationError, ReproError
 from repro.obs import get_observer
@@ -138,9 +138,7 @@ class LocalizerPool:
         )
         self.grid_resolution_m = float(grid_resolution_m)
         self.gates = gates or QualityGates()
-        self.engine = SteeringCache(
-            EngineConfig(max_entries=max(4, len(self.scenarios)))
-        )
+        self.engine = SteeringCache(max_entries=max(4, len(self.scenarios)))
         self._warm: Dict[str, WarmScenario] = {}
         self._lock = make_lock("LocalizerPool._lock")
 

@@ -28,11 +28,7 @@ from repro.sim.runner import (
     evaluate,
     evaluate_anchor_subsets,
 )
-from repro.sim.scenario import (
-    grid_tag_positions,
-    sample_tag_positions,
-    walking_path,
-)
+from repro.sim.scenario import grid_tag_positions, sample_tag_positions
 from repro.sim.testbed import Testbed, open_room_testbed, vicon_testbed
 
 __all__ = [
@@ -61,5 +57,4 @@ __all__ = [
     "sample_tag_positions",
     "spatial_rmse_map",
     "vicon_testbed",
-    "walking_path",
 ]

@@ -33,7 +33,6 @@ records every unfinished fix as a failure with a clean
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -64,14 +63,13 @@ class _SweepSpec:
     """Everything a worker needs, shipped once at pool initialisation.
 
     Attributes:
-        localizer: the scheme under test, with any steering cache
-            stripped (a cache pickles empty and its lock must not cross
-            a fork; workers get a fresh one when ``had_engine`` is set).
+        localizer: the scheme under test, shipped as is.  Under
+            ``spawn`` a :class:`~repro.core.engine.SteeringCache` it
+            carries pickles as an empty cache with a fresh lock; under
+            ``fork`` the worker inherits a copy-on-write snapshot.
         steering: ``(steering_cache_key, entry)`` built in the parent,
             seeded into each worker's cache; None leaves that cache
             empty (subset sweeps, an un-correctable probe fix).
-        had_engine: the localizer carried a
-            :class:`~repro.core.engine.SteeringCache`.
         parent: span handle the worker parents its spans under.
         observe: whether the parent sweep runs observed.
         label: report label, forwarded into per-fix spans.
@@ -81,7 +79,6 @@ class _SweepSpec:
 
     localizer: runner.Localizer
     steering: Optional[Tuple[tuple, SteeringEntry]]
-    had_engine: bool
     parent: Optional[SpanHandle]
     observe: bool
     label: str
@@ -123,11 +120,8 @@ def _init_worker(spec: _SweepSpec) -> None:
         observer.tracer = Tracer(id_offset=os.getpid() * WORKER_ID_STRIDE)
     install(observer)
     localizer = spec.localizer
-    if spec.had_engine:
-        localizer = copy.copy(localizer)
-        localizer.engine = SteeringCache()
-        if spec.steering is not None:
-            localizer.engine.seed(*spec.steering)
+    if spec.steering is not None:
+        localizer.engine.seed(*spec.steering)
     _WORKER = _WorkerState(spec, localizer, observer)
 
 
@@ -176,27 +170,26 @@ def _run_task(
     return index, record, spans, snapshot
 
 
-def _prepare_localizer(
+def _published_entry(
     localizer: runner.Localizer,
     entries: Sequence[ChannelObservations],
     mode: str,
-) -> Tuple[runner.Localizer, Optional[Tuple[tuple, SteeringEntry]], bool]:
-    """Strip the localizer's steering cache for shipment.
+) -> Optional[Tuple[tuple, SteeringEntry]]:
+    """Build the sweep's steering entry once, for the workers to seed.
 
-    Returns ``(shipped, steering, had_engine)``.  A localizer carrying a
-    :class:`~repro.core.engine.SteeringCache` is shipped engine-less
-    (caches hold locks); for a plain fix sweep the shared geometry's
-    entry is built here once and returned with its cache key, otherwise
-    (anchor subsets, an un-correctable probe fix) workers build into
-    private caches.
+    Returns ``(steering_cache_key, entry)`` for a plain fix sweep of a
+    localizer carrying a :class:`~repro.core.engine.SteeringCache`;
+    otherwise (anchor subsets, an un-correctable probe fix, a scheme
+    without the engine) None, and workers build into their own caches.
     """
     engine = getattr(localizer, "engine", None)
-    if not isinstance(engine, SteeringCache):
-        return localizer, None, False
-    shipped = copy.copy(localizer)
-    shipped.engine = None
-    if mode != "fix" or not entries or not hasattr(localizer, "correct"):
-        return shipped, None, True
+    if (
+        not isinstance(engine, SteeringCache)
+        or mode != "fix"
+        or not entries
+        or not hasattr(localizer, "correct")
+    ):
+        return None
     try:
         probe = entries[0]
         corrected = localizer.correct(probe)
@@ -212,8 +205,8 @@ def _prepare_localizer(
     except LocalizationError:
         # The probe fix is un-correctable; its record will say so when
         # the sweep reaches it.  Workers build their own caches.
-        return shipped, None, True
-    return shipped, (key, entry), True
+        return None
+    return key, entry
 
 
 def process_sweep(
@@ -243,14 +236,10 @@ def process_sweep(
         entries = [transform(observations) for observations in entries]
     else:
         entries = list(entries)
-    shipped, steering, had_engine = _prepare_localizer(
-        localizer, entries, mode
-    )
     parent = observer.tracer.active() if observer.enabled else None
     spec = _SweepSpec(
-        localizer=shipped,
-        steering=steering,
-        had_engine=had_engine,
+        localizer=localizer,
+        steering=_published_entry(localizer, entries, mode),
         parent=parent.handle() if parent is not None else None,
         observe=observer.enabled,
         label=label,

@@ -77,26 +77,3 @@ def grid_tag_positions(
     ys = np.arange(y_min, y_max + 1e-9, spacing_m)
     return [Point(float(x), float(y)) for y in ys for x in xs]
 
-
-def walking_path(
-    testbed: Testbed,
-    num_points: int = 50,
-    seed: RngLike = 3,
-    step_m: float = 0.25,
-    margin_m: float = 0.5,
-) -> List[Point]:
-    """A smooth pseudo-random walk through the room (tracking demos)."""
-    if num_points < 2:
-        raise ConfigurationError("a path needs at least 2 points")
-    rng = make_rng(seed)
-    x_min, x_max, y_min, y_max = testbed.tag_area_bounds(margin_m)
-    x = float(rng.uniform(x_min, x_max))
-    y = float(rng.uniform(y_min, y_max))
-    heading = float(rng.uniform(0, 2 * np.pi))
-    points = [Point(x, y)]
-    for _ in range(num_points - 1):
-        heading += float(rng.normal(0.0, 0.5))
-        x = min(max(x + step_m * np.cos(heading), x_min), x_max)
-        y = min(max(y + step_m * np.sin(heading), y_min), y_max)
-        points.append(Point(x, y))
-    return points

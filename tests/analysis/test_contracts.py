@@ -182,7 +182,8 @@ class TestPipelineContractsLive:
             linear_phase_residual(np.zeros((2, 3, 4)))
 
     def test_anchor_likelihood_flat_rejects_mismatched_points(self):
-        from repro.core.likelihood import anchor_likelihood_flat
+        # The direct Eq. 17 oracle keeps its @shaped contract.
+        from eq17_oracle import anchor_likelihood_flat
 
         with pytest.raises(ContractViolation):
             anchor_likelihood_flat(

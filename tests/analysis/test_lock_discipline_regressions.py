@@ -15,7 +15,6 @@ import threading
 import pytest
 
 from repro.core import (
-    EngineConfig,
     SteeringCache,
     build_steering_entry,
     correct_phase_offsets,
@@ -61,7 +60,7 @@ class TestSteeringCacheInfoSnapshot:
         pre-eviction byte total.  With every seeded entry the same size,
         a consistent snapshot always satisfies bytes == entries * size.
         """
-        cache = SteeringCache(EngineConfig(max_entries=4))
+        cache = SteeringCache(max_entries=4)
         stop = threading.Event()
 
         def churn():

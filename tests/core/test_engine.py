@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eq17_oracle import DirectBlocLocalizer, direct_flats
+
 from repro.core import (
     BlocLocalizer,
-    EngineConfig,
     SteeringCache,
     compute_likelihood_map,
     correct_phase_offsets,
@@ -23,7 +24,7 @@ from repro.core.engine import (
     LruCache,
     steering_cache_key,
 )
-from repro.core.likelihood import anchor_likelihood_flat
+from repro.core.likelihood import LikelihoodMap
 from repro.errors import ConfigurationError
 from repro.sim import ChannelMeasurementModel, build_dataset, evaluate
 from repro.sim.testbed import open_room_testbed
@@ -65,24 +66,6 @@ def _key(corrected, grid, anchors=None):
     )
 
 
-class TestEngineConfig:
-    def test_rejects_bad_max_entries(self):
-        with pytest.raises(ConfigurationError):
-            EngineConfig(max_entries=0)
-
-
-def _direct_flat(corrected, grid, anchor_index):
-    """The direct Eq. 17 path, the engine's oracle."""
-    points = grid.points()
-    reference = corrected.master_reference_position().as_array()
-    return anchor_likelihood_flat(
-        corrected,
-        anchor_index,
-        points,
-        np.linalg.norm(points - reference[None, :], axis=1),
-    )
-
-
 #: Band plans the oracle covers: the full 37-band BLE plan, every 2nd
 #: and 4th band, a single band, and an off-lattice plan.
 BAND_PLANS = {
@@ -119,9 +102,8 @@ class TestRangeProfileOracle:
         )
         grid = Grid2D(-2.0, 2.0, -1.5, 1.5, resolution)
         entry = SteeringCache().entry_for(fix, grid)
-        for i in range(fix.num_anchors):
+        for i, exact in enumerate(direct_flats(fix, grid)):
             bound = entry.error_bound(fix.alpha[i])
-            exact = _direct_flat(fix, grid, i)
             engine = entry.anchor_likelihood(i, fix.alpha[i])
             # 1e-9 of the peak covers floating-point rounding of the
             # ~1e3 rad carrier phases, which the bound does not model.
@@ -144,7 +126,7 @@ class TestRangeProfileOracle:
         assert entry.error_bound(fix.alpha[1]) == 0.0
         assert np.allclose(
             entry.anchor_likelihood(1, fix.alpha[1]),
-            _direct_flat(fix, grid, 1),
+            direct_flats(fix, grid)[1],
             rtol=1e-9,
         )
 
@@ -178,15 +160,15 @@ class TestRangeProfileOracle:
 class TestCachedMapMatchesDirect:
     def test_allclose_to_direct_path(self, corrected, grid):
         cache = SteeringCache()
-        direct = compute_likelihood_map(corrected, grid)
-        cached = compute_likelihood_map(corrected, grid, engine=cache)
+        exact = direct_flats(corrected, grid)
+        direct = LikelihoodMap.from_anchor_maps(exact, grid)
+        cached = compute_likelihood_map(corrected, grid, cache)
         entry = cache.entry_for(corrected, grid)
         # Peak normalisation at most doubles the raw error relative to
         # the peak: |a/pa - b/pb| <= 2 * bound / pa.
         tolerances = [
-            2.0 * entry.error_bound(corrected.alpha[i])
-            / _direct_flat(corrected, grid, i).max()
-            for i in range(corrected.num_anchors)
+            2.0 * entry.error_bound(alpha) / flat.max()
+            for alpha, flat in zip(corrected.alpha, exact)
         ]
         for a, b, tol in zip(direct.per_anchor, cached.per_anchor, tolerances):
             assert np.abs(a - b).max() <= tol
@@ -196,9 +178,7 @@ class TestCachedMapMatchesDirect:
 
     def test_locate_matches_direct_path(self, observations):
         with_engine = BlocLocalizer().locate(observations, keep_map=False)
-        without = BlocLocalizer(engine=None).locate(
-            observations, keep_map=False
-        )
+        without = DirectBlocLocalizer().locate(observations, keep_map=False)
         # Map errors of ~1e-5 of the peak move the refined position by
         # micrometres; 1e-4 m is the stated tolerance.
         assert with_engine.position.x == pytest.approx(
@@ -219,12 +199,57 @@ class TestCachedMapMatchesDirect:
         )
         entry = SteeringCache().entry_for(fix, grid)
         assert entry.gather.shape[0] == fix.num_anchors * grid.size
-        for i in range(fix.num_anchors):
+        for i, exact in enumerate(direct_flats(fix, grid)):
             assert _block(entry, i, fix.num_antennas).shape[0] == grid.size
-            exact = _direct_flat(fix, grid, i)
             engine = entry.anchor_likelihood(i, fix.alpha[i])
             assert np.abs(engine - exact).max() <= (
                 entry.error_bound(fix.alpha[i]) + 1e-9 * exact.max()
+            )
+
+
+def _view(corrected, bands, one_antenna):
+    """A band subset, optionally cut to one antenna per anchor -- the
+    reductions Fig. 6 uses for its angle-only and distance-only views."""
+    bands = sorted(bands)
+    fix = dataclasses.replace(
+        corrected,
+        frequencies_hz=corrected.frequencies_hz[bands],
+        alpha=corrected.alpha[:, :, bands],
+    )
+    if one_antenna:
+        fix = dataclasses.replace(
+            fix,
+            anchors=[a.truncated(1) for a in fix.anchors],
+            alpha=fix.alpha[:, :1, :],
+        )
+    return fix
+
+
+class TestEngineMatchesOracleOnViews:
+    @given(
+        bands=st.lists(
+            st.integers(0, 36), min_size=1, max_size=37, unique=True
+        ),
+        one_antenna=st.booleans(),
+    )
+    @example(bands=[18], one_antenna=False)  # Fig. 6a: one band
+    @example(bands=list(range(37)), one_antenna=True)  # Fig. 6b
+    @settings(max_examples=25, deadline=None)
+    def test_normalised_maps_within_bound(
+        self, corrected, grid, bands, one_antenna
+    ):
+        fix = _view(corrected, bands, one_antenna)
+        cache = SteeringCache()
+        engine = compute_likelihood_map(fix, grid, cache)
+        entry = cache.entry_for(fix, grid)
+        exact = direct_flats(fix, grid)
+        for alpha, mapped, flat in zip(fix.alpha, engine.per_anchor, exact):
+            # Peak normalisation at most doubles the relative error; 1e-9
+            # covers floating-point rounding, which the bound omits.
+            peak = flat.max()
+            tolerance = 2.0 * entry.error_bound(alpha) / peak
+            assert np.abs(mapped.ravel() - flat / peak).max() <= (
+                tolerance + 1e-9
             )
 
 
@@ -342,8 +367,12 @@ class TestCacheKeying:
         clone = pickle.loads(pickle.dumps(key))
         assert clone == key and hash(clone) == hash(key)
 
+    def test_rejects_bad_max_entries(self):
+        with pytest.raises(ConfigurationError):
+            SteeringCache(max_entries=0)
+
     def test_lru_eviction(self, corrected, grid):
-        cache = SteeringCache(EngineConfig(max_entries=1))
+        cache = SteeringCache(max_entries=1)
         cache.entry_for(corrected, grid)
         cache.entry_for(corrected, grid.coarsened(2))
         assert len(cache) == 1
@@ -353,11 +382,11 @@ class TestCacheKeying:
         assert cache.misses == 3
 
     def test_cache_pickles_empty(self, corrected, grid):
-        cache = SteeringCache(EngineConfig(max_entries=2))
+        cache = SteeringCache(max_entries=2)
         cache.entry_for(corrected, grid)
         clone = pickle.loads(pickle.dumps(cache))
+        assert type(clone) is SteeringCache
         assert len(clone) == 0 and clone.max_entries == 2
-        assert clone.config.max_entries == 2
         assert clone.entry_for(corrected, grid) is not None
         assert clone.misses == 1
 

@@ -1,17 +1,20 @@
-"""Tests for repro.core.likelihood: Eq. 17 over the 2-D grid."""
+"""Tests for repro.core.likelihood: Eq. 17 over the 2-D grid.
+
+The per-anchor checks run the direct Eq. 17 oracle; the combined-map
+checks run the production path on the steering engine.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from eq17_oracle import anchor_likelihood_flat
+
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.correction import CorrectedChannels, anchor_baselines
-from repro.core.likelihood import (
-    anchor_likelihood_flat,
-    compute_likelihood_map,
-)
-from repro.errors import ConfigurationError
+from repro.core.engine import SteeringCache
+from repro.core.likelihood import compute_likelihood_map
 from repro.rf.antenna import Anchor
 from repro.utils.geometry2d import Point, distance
 from repro.utils.gridmap import Grid2D
@@ -80,7 +83,7 @@ class TestCombinedMap:
     def test_combined_peak_at_tag(self, anchors, grid):
         tag = Point(-1.1, 0.7)
         corrected = synthetic_corrected(tag, anchors)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         row, col = np.unravel_index(
             int(np.argmax(result.combined)), result.combined.shape
         )
@@ -89,29 +92,15 @@ class TestCombinedMap:
 
     def test_per_anchor_maps_normalised(self, anchors, grid):
         corrected = synthetic_corrected(Point(0.5, 0.5), anchors)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         assert len(result.per_anchor) == 4
         for m in result.per_anchor:
             assert m.max() == pytest.approx(1.0)
 
     def test_combined_bounded_by_anchor_count(self, anchors, grid):
         corrected = synthetic_corrected(Point(0.5, 0.5), anchors)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         assert result.combined.max() <= 4.0 + 1e-9
-
-    def test_anchor_weights(self, anchors, grid):
-        corrected = synthetic_corrected(Point(0.5, 0.5), anchors)
-        weighted = compute_likelihood_map(
-            corrected, grid, anchor_weights=np.array([1.0, 0.0, 0.0, 0.0])
-        )
-        assert np.allclose(weighted.combined, weighted.per_anchor[0])
-
-    def test_bad_weights_length(self, anchors, grid):
-        corrected = synthetic_corrected(Point(0.5, 0.5), anchors)
-        with pytest.raises(ConfigurationError):
-            compute_likelihood_map(
-                corrected, grid, anchor_weights=np.ones(2)
-            )
 
     def test_master_map_is_angle_cone(self, anchors, grid):
         """The master anchor's own map constrains angle, not range: the
@@ -119,7 +108,7 @@ class TestCombinedMap:
         tag, beyond the tag itself."""
         tag = Point(0.0, 0.6)
         corrected = synthetic_corrected(tag, anchors)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         master_map = result.per_anchor[0]
         # Points along the master->tag ray (x = 0 vertical line).
         at_tag = master_map[grid.index_of(tag)]
@@ -129,6 +118,6 @@ class TestCombinedMap:
 
     def test_normalized_helper(self, anchors, grid):
         corrected = synthetic_corrected(Point(0.5, 0.5), anchors)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         assert result.normalized().max() == pytest.approx(1.0)
         assert result.num_anchors == 4

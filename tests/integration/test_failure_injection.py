@@ -56,6 +56,32 @@ class TestDegenerateObservations:
         assert np.isfinite(result.position.x)
         assert np.isfinite(result.position.y)
 
+    @pytest.mark.parametrize(
+        "scale, kind",
+        [(1e-110, "underflow"), (1e105, "overflow")],
+        ids=["underflow", "overflow"],
+    )
+    def test_out_of_range_csi_raises_naming_the_anchor(
+        self, testbed, scale, kind
+    ):
+        """Eq. 10's slave triple product is cubic in amplitude: at 1e-110
+        it underflows to zero and the fix used to rest silently on the
+        master alone (metres off); at 1e105 it overflows and the fix
+        used to fail with a misleading no-peak error."""
+        observations = ChannelMeasurementModel(
+            testbed=testbed, seed=3
+        ).measure(Point(0.5, 0.4))
+        scaled = dataclasses.replace(
+            observations,
+            tag_to_anchor=observations.tag_to_anchor * scale,
+            master_to_anchor=observations.master_to_anchor * scale,
+        )
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            with pytest.raises(
+                LocalizationError, match=rf"anchor 1 \(AP2\) {kind}"
+            ):
+                BlocLocalizer().locate(scaled, keep_map=False)
+
     def test_result_is_always_finite(self, model):
         """Even at hopeless SNR the position must be a finite point."""
         hopeless = ChannelMeasurementModel(

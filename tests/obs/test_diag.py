@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import zipfile
 
 import numpy as np
@@ -131,7 +132,6 @@ class TestBundleRoundTrip:
         loaded = load_fix_bundle(path)
         assert loaded.label == bundle.label
         assert loaded.fix_index == bundle.fix_index
-        assert loaded.engine_used == bundle.engine_used
         assert loaded.estimate_xy == bundle.estimate_xy
         assert loaded.error_m == bundle.error_m
         assert loaded.config == bundle.config
@@ -150,6 +150,27 @@ class TestBundleRoundTrip:
     def test_replay_is_bit_exact(self, bundle, tmp_path, located):
         loaded = load_fix_bundle(save_fix_bundle(tmp_path / "fix.npz", bundle))
         replayed = loaded.replay()
+        assert float(replayed.position.x) == float(located.position.x)
+        assert float(replayed.position.y) == float(located.position.y)
+
+    def test_legacy_engine_used_key_is_ignored(
+        self, bundle, tmp_path, located
+    ):
+        # Bundles written while the direct Eq. 17 path was selectable
+        # carry an "engine_used" meta key; they still load and replay.
+        path = save_fix_bundle(tmp_path / "fix.npz", bundle)
+        legacy = tmp_path / "legacy.npz"
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(
+            legacy, "w", zipfile.ZIP_DEFLATED
+        ) as dst:
+            for info in src.infolist():
+                data = src.read(info)
+                if info.filename == "meta.json":
+                    meta = json.loads(data)
+                    meta["engine_used"] = True
+                    data = json.dumps(meta).encode("utf-8")
+                dst.writestr(info, data)
+        replayed = load_fix_bundle(legacy).replay()
         assert float(replayed.position.x) == float(located.position.x)
         assert float(replayed.position.y) == float(located.position.y)
 

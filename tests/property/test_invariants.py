@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correction import correct_phase_offsets
+from repro.core.engine import SteeringCache
 from repro.core.likelihood import compute_likelihood_map
 from repro.core.observations import ChannelObservations
 from repro.rf.antenna import Anchor
@@ -106,7 +107,7 @@ class TestLikelihoodInvariants:
         observations, _, _ = random_observations(seed)
         corrected = correct_phase_offsets(observations)
         grid = Grid2D(-4.0, 4.0, -4.0, 4.0, 0.5)
-        result = compute_likelihood_map(corrected, grid)
+        result = compute_likelihood_map(corrected, grid, SteeringCache())
         assert np.all(result.combined >= 0)
         assert np.all(np.isfinite(result.combined))
 
@@ -124,11 +125,12 @@ class TestLikelihoodInvariants:
             master_to_anchor=observations.master_to_anchor * scale,
         )
         grid = Grid2D(-4.0, 4.0, -4.0, 4.0, 0.5)
+        engine = SteeringCache()
         a = compute_likelihood_map(
-            correct_phase_offsets(observations), grid
+            correct_phase_offsets(observations), grid, engine
         ).combined
         b = compute_likelihood_map(
-            correct_phase_offsets(scaled), grid
+            correct_phase_offsets(scaled), grid, engine
         ).combined
         assert np.allclose(a, b, atol=1e-9)
 

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.sim.scenario import (
     grid_tag_positions,
     sample_tag_positions,
-    walking_path,
 )
 from repro.sim.testbed import open_room_testbed
 
@@ -71,20 +70,3 @@ class TestGridPositions:
         with pytest.raises(ConfigurationError):
             grid_tag_positions(testbed, spacing_m=0)
 
-
-class TestWalkingPath:
-    def test_step_bound(self, testbed):
-        path = walking_path(testbed, num_points=30, seed=6, step_m=0.25)
-        for a, b in zip(path, path[1:]):
-            assert (b - a).norm() <= 0.25 * np.sqrt(2) + 1e-9
-
-    def test_stays_in_bounds(self, testbed):
-        path = walking_path(testbed, num_points=100, seed=7)
-        x_min, x_max, y_min, y_max = testbed.tag_area_bounds(0.5)
-        for p in path:
-            assert x_min <= p.x <= x_max
-            assert y_min <= p.y <= y_max
-
-    def test_needs_two_points(self, testbed):
-        with pytest.raises(ConfigurationError):
-            walking_path(testbed, num_points=1)
