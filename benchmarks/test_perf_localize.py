@@ -6,7 +6,7 @@ the default 4-anchor / 4-antenna / 37-band scenario:
 * the direct Eq. 17 oracle (rebuild geometry every fix, from
   ``tests/eq17_oracle.py``) vs a cold steering cache (first fix pays
   the build) vs a warm cache (matvecs only);
-* serial ``evaluate()`` vs the thread and process sweeps;
+* serial ``evaluate()`` vs a thread sweep;
 * the sampling profiler's overhead on a warm fix.
 
 Each test folds its measurements into ``BENCH_localize.json`` (path
@@ -70,7 +70,7 @@ def bench_ledger_record():
         return
     payload = json.loads(path.read_text(encoding="utf-8"))
     results = {}
-    sections = ("steering_cache", "evaluate", "process", "profiler")
+    sections = ("steering_cache", "evaluate", "profiler")
     for section in sections:
         for key, value in payload.get(section, {}).items():
             if value is None:
@@ -240,62 +240,6 @@ def test_perf_parallel_evaluate(dataset, report_sink):
     assert Path(BENCH_JSON_PATH).exists()
 
 
-def test_perf_process_backend(dataset, report_sink):
-    """Process backend: identical errors, GIL-free sweep throughput.
-
-    The speedup floor is ``slo.process_speedup_vs_serial``.
-    """
-    serial_localizer = BlocLocalizer(config=_bloc_config())
-    process_localizer = BlocLocalizer(config=_bloc_config())
-
-    start = time.perf_counter()
-    serial_run = evaluate(serial_localizer, dataset, label="serial")
-    serial_s = time.perf_counter() - start
-    start = time.perf_counter()
-    process_run = evaluate(
-        process_localizer,
-        dataset,
-        label="process",
-        workers=PARALLEL_WORKERS,
-        backend="process",
-    )
-    process_s = time.perf_counter() - start
-
-    assert [r.error_m for r in serial_run.records] == [
-        r.error_m for r in process_run.records
-    ], "process backend must be record-for-record identical to serial"
-
-    fixes = len(dataset)
-    cpus = os.cpu_count() or 1
-    effective = process_run.effective_workers
-    unreliable = cpus < effective
-    rate = fixes / process_s
-    speedup = serial_s / process_s
-    data = {
-        "fixes": fixes,
-        "cpus": cpus,
-        "workers": PARALLEL_WORKERS,
-        "effective_workers": effective,
-        "unreliable_single_core": unreliable,
-        "serial_fixes_per_s": fixes / serial_s,
-        "process_s": process_s,
-        "fixes_per_s": rate,
-        "speedup_process_vs_serial": None if unreliable else speedup,
-    }
-    _update_bench_json(
-        _scenario(dataset, serial_localizer), "process", data
-    )
-    report_sink.append(
-        "[perf] process backend\n"
-        f"  serial            {fixes / serial_s:8.1f} fixes/s\n"
-        f"  process x{effective}        {rate:8.1f} fixes/s"
-        + (f" ({speedup:.1f}x)" if not unreliable else "")
-        + ("\n  [speedup not meaningful: "
-           f"{cpus} cpu(s) < {effective} workers]"
-           if unreliable else "")
-    )
-
-
 def _best_batch_s(localizer, observations, fixes: int, rounds: int) -> float:
     """Best-of-``rounds`` seconds per fix over a ``fixes``-call batch.
 
@@ -329,7 +273,7 @@ def test_perf_profiler_overhead(dataset, report_sink):
     profiler thread and the workload fight for the one CPU, so the
     measurement is scheduler noise: the JSON then records
     ``overhead_frac = null`` with ``unreliable_single_core = true`` --
-    the same treatment the sweep benches give their speedups -- which
+    the same treatment the thread sweep bench gives its speedup -- which
     makes the ``slo.profiler_overhead_frac`` ceiling skip instead of
     flaking CI.
     """

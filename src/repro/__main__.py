@@ -151,7 +151,7 @@ def _command_config(args: argparse.Namespace) -> dict:
     """The fingerprintable configuration of a CLI invocation."""
     keep = (
         "command", "num", "seed", "workers", "x", "y",
-        "bundle_worst", "backend", "scenario", "clients",
+        "bundle_worst", "scenario", "clients",
         "per_client", "resolution", "port",
     )
     return {
@@ -218,7 +218,6 @@ def _run_evaluate(args: argparse.Namespace) -> int:
             label=name,
             workers=args.workers,
             capture=capture,
-            backend=getattr(args, "backend", None),
         )
         stats = run.stats()
         print(f"{name:<18} {stats.summary()}")
@@ -596,30 +595,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         command.set_defaults(_ledger_default_on=default_on)
 
-    def add_perf_flags(command: argparse.ArgumentParser) -> None:
-        command.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker threads for evaluation sweeps "
-            "(a single-fix demo runs serially regardless)",
-        )
-        command.add_argument(
-            "--backend",
-            choices=("serial", "thread", "process"),
-            default=None,
-            help="evaluation backend (default: thread when --workers > 1, "
-            "serial otherwise; process seeds every worker with the "
-            "parent's steering entry)",
-        )
-
     demo = sub.add_parser("demo", help="localize one simulated tag")
     demo.add_argument("-x", type=float, default=0.8)
     demo.add_argument("-y", type=float, default=0.4)
     demo.add_argument("--seed", type=int, default=42)
     add_obs_flags(demo)
-    add_perf_flags(demo)
     demo.set_defaults(func=cmd_demo)
 
     ev = sub.add_parser("evaluate", help="compare schemes over a dataset")
@@ -640,8 +620,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="with --bundle-dir: also bundle the N worst successful "
         "fixes (default: 3)",
     )
+    ev.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker threads for the evaluation sweeps (1: serial)",
+    )
     add_obs_flags(ev)
-    add_perf_flags(ev)
     # Every evaluate run lands in the persistent ledger unless opted out.
     add_ledger_flags(ev, default_on=True)
     ev.set_defaults(func=cmd_evaluate)

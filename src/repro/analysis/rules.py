@@ -779,7 +779,6 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/baselines/aoa.py": ("AoaLocalizer.anchor_spectrum",),
     "repro/core/engine.py": (
         "LruCache.get_or_build",
-        "LruCache.seed",
         "SteeringCache.entry_for",
     ),
     "repro/core/localizer.py": ("BlocLocalizer.locate",),
@@ -790,9 +789,7 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
         "Gauge.merge",
         "Histogram.observe",
         "Histogram.merge",
-        "Histogram.merge_snapshot",
         "MetricsRegistry.merge",
-        "MetricsRegistry.merge_snapshot",
     ),
     "repro/obs/ledger.py": ("RunLedger.append",),
     "repro/obs/prof.py": (
@@ -800,7 +797,6 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
         "SamplingProfiler.stop",
     ),
     "repro/obs/trace.py": (
-        "Tracer.absorb",
         "Tracer.active_stacks",
     ),
     "repro/sim/runner.py": (

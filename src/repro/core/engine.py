@@ -66,7 +66,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.analysis.contracts import arr, shaped
-from repro.analysis.runtime_locks import guarded_by, holds_lock, make_lock
+from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.correction import CorrectedChannels
 from repro.errors import ConfigurationError
@@ -94,11 +94,8 @@ def steering_cache_key(
     positions themselves: equal fields give equal positions, so an
     unequal key can at worst cost a rebuild, never a stale hit.
 
-    The key is a nested tuple of plain floats/ints, so it is picklable:
-    the process backend (:mod:`repro.sim.procpool`) hands it to worker
-    processes together with the parent-built entry, and workers seed
-    their local caches under the very same key (see
-    :meth:`SteeringCache.seed`).
+    The key is a nested tuple of plain floats/ints, so hashing it is
+    cheap and equality is exact.
     """
     anchor_signature = tuple(
         (*a.position, a.boresight_rad, a.num_antennas, a.spacing_m)
@@ -274,9 +271,7 @@ class LruCache:
     value under the cache lock: concurrent callers asking for the same
     key block until the first build lands, then all share the one
     value.  Beyond ``max_entries`` the least recently used entry goes,
-    so a caller that cycles keys cannot grow memory.  A cache pickles
-    (and deep-copies) as an empty cache of the same capacity -- locks
-    do not cross process boundaries, and entries are rebuilt on demand.
+    so a caller that cycles keys cannot grow memory.
 
     Attributes:
         max_entries: LRU capacity.
@@ -293,23 +288,8 @@ class LruCache:
         self.misses = 0
         self.evictions = 0
 
-    def __getstate__(self) -> dict:
-        return {"max_entries": self.max_entries}
-
-    def __setstate__(self, state: dict) -> None:
-        LruCache.__init__(self, state["max_entries"])
-
     def _count(self, event: str) -> None:
         """Hook: one ``"hits"`` / ``"misses"`` / ``"evictions"`` event."""
-
-    @holds_lock("_lock")
-    def _insert_locked(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            self._count("evictions")
 
     def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The cached value for ``key``, built by ``build()`` on a miss.
@@ -326,22 +306,12 @@ class LruCache:
             self.misses += 1
             self._count("misses")
             value = build()
-            self._insert_locked(key, value)
+            self._entries[key] = value
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+                self._count("evictions")
             return value
-
-    def seed(self, key: Hashable, value: Any) -> None:
-        """Pre-insert an externally built value under its key.
-
-        Used by the process-pool backend: each worker's pool
-        initializer receives the parent's steering entry and seeds it
-        under its :func:`steering_cache_key`, so its first lookup is a
-        warm hit instead of a rebuild.  The cache trusts the caller that
-        ``value`` is what a miss on ``key`` would have built.
-
-        Thread-safety: lock-protected like every other cache operation.
-        """
-        with self._lock:
-            self._insert_locked(key, value)
 
     @property
     def nbytes(self) -> int:

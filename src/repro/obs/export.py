@@ -284,7 +284,7 @@ def trace_spans(records: Sequence[dict], trace_id: str) -> List[dict]:
     """Span records belonging to one trace.
 
     Every span of a request -- handler, provider chain, localizer
-    stages, including absorbed process-worker spans -- carries the
+    stages, including spans from sweep worker threads -- carries the
     request's ``trace_id``, so selecting by it is the whole
     reconstruction.
     """
@@ -305,8 +305,8 @@ def _span_sort_key(record: dict) -> Tuple[float, int]:
 def render_trace(records: Sequence[dict], trace_id: str) -> str:
     """Text tree of one request's spans from an NDJSON export.
 
-    Spans nest by ``parent_id``.  Cross-thread and cross-process
-    children show the thread name that ran them.
+    Spans nest by ``parent_id``.  Cross-thread children show the
+    thread name that ran them.
     """
     selected = trace_spans(records, trace_id)
     if not selected:

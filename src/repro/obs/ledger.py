@@ -332,7 +332,6 @@ _SPAN_FIELDS = ("count", "p50_s", "p95_s", "p99_s")
 #: the label the report renders for them.
 _NULL_RESULT_LABELS = {
     "speedup_parallel_vs_serial": "n/a (1 cpu)",
-    "speedup_process_vs_serial": "n/a (1 cpu)",
 }
 
 

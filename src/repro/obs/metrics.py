@@ -20,7 +20,6 @@ import math
 import time
 from typing import (
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -292,63 +291,6 @@ class Histogram:
                 if mine is None or exemplar.ts >= mine.ts:
                     self._exemplars[i] = exemplar
 
-    def merge_snapshot(self, item: dict) -> None:
-        """Fold a plain-data :meth:`snapshot` into this histogram.
-
-        The process-pool backend cannot ship ``Histogram`` objects (they
-        hold locks), so workers return snapshots and the parent folds
-        them back in here.  The snapshot's bucket edges must match this
-        instrument's (edges are part of the identity, as in
-        :meth:`merge`).
-
-        Thread-safety: mutates under the instrument lock.
-        """
-        buckets = item.get("buckets") or []
-        if not buckets or buckets[-1].get("le") != "inf":
-            raise ConfigurationError(
-                f"histogram {self.name}: snapshot lacks the +inf bucket"
-            )
-        edges = tuple(float(b["le"]) for b in buckets[:-1])
-        if edges != self.edges:
-            raise ConfigurationError(
-                f"histogram {self.name}: cannot merge snapshot edges "
-                f"{edges} into {self.edges}"
-            )
-        count = int(item.get("count") or 0)
-        if count == 0:
-            return
-        counts = [int(b.get("count") or 0) for b in buckets]
-        exemplars: List[Optional[Exemplar]] = []
-        for bucket in buckets:
-            raw = bucket.get("exemplar")
-            if raw:
-                exemplars.append(
-                    Exemplar(
-                        value=float(raw["value"]),
-                        trace_id=str(raw["trace_id"]),
-                        ts=float(raw.get("ts") or 0.0),
-                    )
-                )
-            else:
-                exemplars.append(None)
-        total = float(item.get("sum") or 0.0)
-        lo = float(item["min"]) if item.get("min") is not None else float("inf")
-        hi = float(item["max"]) if item.get("max") is not None else float("-inf")
-        with self._lock:
-            self._counts = [a + b for a, b in zip(self._counts, counts)]
-            self._count += count
-            self._sum += total
-            if lo < self._min:
-                self._min = lo
-            if hi > self._max:
-                self._max = hi
-            for i, exemplar in enumerate(exemplars):
-                if exemplar is None:
-                    continue
-                mine = self._exemplars[i]
-                if mine is None or exemplar.ts >= mine.ts:
-                    self._exemplars[i] = exemplar
-
     def mean(self) -> float:
         """Mean of the observations (NaN when empty); sum and count are
         read under the lock so the ratio is internally consistent."""
@@ -488,45 +430,6 @@ class MetricsRegistry:
             else:
                 self.histogram(instrument.name, instrument.edges).merge(
                     instrument
-                )
-        return self
-
-    def merge_snapshot(self, snapshot: Iterable[dict]) -> "MetricsRegistry":
-        """Fold a plain-data :meth:`snapshot` into this registry.
-
-        The cross-process counterpart of :meth:`merge`: registries hold
-        locks and are not picklable, so process-pool workers return
-        ``registry.snapshot()`` lists and the parent folds them in here.
-        Counters add, gauges last-write-win (NaN skipped), histograms
-        combine bucket counts via :meth:`Histogram.merge_snapshot`.
-
-        Thread-safety: delegates to the lock-protected per-instrument
-        merge paths.  Returns self for chaining.
-        """
-        for item in snapshot:
-            kind = item.get("type")
-            name = item.get("name")
-            if not name:
-                raise ConfigurationError(
-                    f"metric snapshot item lacks a name: {item!r}"
-                )
-            if kind == "counter":
-                self.counter(name).inc(float(item.get("value") or 0.0))
-            elif kind == "gauge":
-                value = item.get("value")
-                if value is not None and not math.isnan(float(value)):
-                    self.gauge(name).set(float(value))
-            elif kind == "histogram":
-                buckets = item.get("buckets") or []
-                edges = tuple(
-                    float(b["le"]) for b in buckets
-                    if b.get("le") != "inf"
-                )
-                self.histogram(name, edges or None).merge_snapshot(item)
-            else:
-                raise ConfigurationError(
-                    f"metric snapshot item {name!r} has unknown "
-                    f"type {kind!r}"
                 )
         return self
 

@@ -34,7 +34,6 @@ from typing import (
 )
 
 from repro.analysis.runtime_locks import guarded_by, make_lock
-from repro.errors import ConfigurationError
 
 #: Version prefix emitted in ``traceparent`` headers (W3C trace-context).
 TRACEPARENT_VERSION = "00"
@@ -95,9 +94,9 @@ class SpanHandle(NamedTuple):
 
     A :class:`Span` object is bound to the tracer and thread that opened
     it; a handle carries just the identity (``span_id``), tree position
-    (``depth``), ``name`` and ``trace_id`` -- everything a worker
-    (thread or process-pool child) needs to parent its own spans under
-    the originating span without sharing the object itself.  See
+    (``depth``), ``name`` and ``trace_id`` -- everything a pool worker
+    thread needs to parent its own spans under the originating span
+    without sharing the object itself.  See
     :meth:`Tracer.attached`, which accepts handles directly.  The
     ``trace_id`` field defaults to ``""`` so pre-trace-context triples
     still construct.
@@ -201,35 +200,20 @@ class _SpanContext:
         return False
 
 
-@guarded_by("_lock", "_finished", "_seen_ids", "_stacks")
+@guarded_by("_lock", "_finished", "_stacks")
 class Tracer:
     """Collects spans with a thread-local active-span stack.
 
     Attributes:
         clock: monotonic time source (injectable for tests).
-
-    Args:
-        id_offset: start span ids at ``id_offset + 1``.  A process-pool
-            worker tracer must be created with a disjoint offset (e.g.
-            ``worker_index << 32``) so that spans merged back into the
-            parent's export never collide on ``span_id``; in-process
-            tracers keep the default 0.
     """
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        id_offset: int = 0,
-    ):
+    def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self.clock = clock
-        self._ids = itertools.count(1 + id_offset)
+        self._ids = itertools.count(1)
         self._local = threading.local()
         self._lock = make_lock("Tracer._lock")
         self._finished: List[Span] = []
-        # Ids of every span this tracer has collected (own or absorbed),
-        # kept so absorb() can reject offset-contract violations instead
-        # of silently corrupting the exported tree.
-        self._seen_ids: set = set()
         # Thread ident -> (thread name, that thread's live stack list).
         # Registered once per thread (on first _stack()) and never
         # removed: a registered list is aliased by the owning thread's
@@ -315,7 +299,6 @@ class Tracer:
             stack.remove(span)
         with self._lock:
             self._finished.append(span)
-            self._seen_ids.add(span.span_id)
 
     def active(self) -> Optional[Span]:
         """The current thread's innermost open span."""
@@ -364,11 +347,10 @@ class Tracer:
         ``parent`` may also be a :class:`SpanHandle` (see
         :meth:`Span.handle`): the handle is materialised as a borrowed
         placeholder span carrying the original id, depth and trace id,
-        so the caller only needs to ship a picklable tuple across the
-        worker boundary -- the contract the process-pool backend relies
-        on.  Spans opened under the placeholder inherit its
-        ``trace_id``, which is how one request trace crosses thread and
-        process boundaries.  A :class:`TraceContext` is also accepted:
+        so the caller only needs to ship a small value tuple across the
+        worker boundary.  Spans opened under the placeholder inherit its
+        ``trace_id``, which is how one request trace crosses thread
+        boundaries.  A :class:`TraceContext` is also accepted:
         its parent handle (if any) is attached and its ``trace_id``
         becomes the block's ambient trace (see :meth:`trace`), covering
         the parentless "same trace, new subtree" case.
@@ -408,47 +390,6 @@ class Tracer:
             elif parent in stack:
                 stack.remove(parent)
 
-    def absorb(self, spans: List[Span]) -> None:
-        """Adopt externally finished spans (e.g. from a worker process).
-
-        The process-pool backend runs each worker with its own tracer at
-        a disjoint ``id_offset``; the finished spans come back pickled
-        and are folded into this tracer's collection here, so one export
-        covers the whole cross-process sweep.  Absorb never renumbers --
-        the offset contract is the caller's to honour -- but it does
-        *verify* it: a span id already collected (own or previously
-        absorbed) raises :class:`~repro.errors.ConfigurationError`
-        naming the colliding ids, and the batch is rejected atomically
-        (nothing is absorbed), so a mis-offset worker corrupts nothing.
-
-        Thread-safety: checks and appends under the tracer lock.
-
-        Raises:
-            ConfigurationError: if any incoming ``span_id`` collides
-                with an already-collected span or with another span in
-                ``spans``.
-        """
-        with self._lock:
-            colliding = sorted(
-                {s.span_id for s in spans} & self._seen_ids
-            )
-            incoming = [s.span_id for s in spans]
-            if len(set(incoming)) != len(incoming):
-                duplicates = sorted(
-                    {i for i in incoming if incoming.count(i) > 1}
-                )
-                colliding = sorted(set(colliding) | set(duplicates))
-            if colliding:
-                shown = ", ".join(str(i) for i in colliding[:5])
-                raise ConfigurationError(
-                    "absorb: span id collision on "
-                    f"{shown}{'...' if len(colliding) > 5 else ''} -- "
-                    "worker tracers must use disjoint id_offset values "
-                    "(see Tracer(id_offset=...))"
-                )
-            self._finished.extend(spans)
-            self._seen_ids.update(incoming)
-
     def finished(self) -> List[Span]:
         """Snapshot of all completed spans, completion order."""
         with self._lock:
@@ -458,7 +399,6 @@ class Tracer:
         """Drop every collected span (open spans are unaffected)."""
         with self._lock:
             self._finished.clear()
-            self._seen_ids.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -21,7 +21,6 @@ from repro.sim.metrics import (
     spatial_rmse_map,
 )
 from repro.sim.runner import (
-    BACKENDS,
     DiagnosticsCapture,
     EvaluationRecord,
     EvaluationRun,
@@ -32,7 +31,6 @@ from repro.sim.scenario import grid_tag_positions, sample_tag_positions
 from repro.sim.testbed import Testbed, open_room_testbed, vicon_testbed
 
 __all__ = [
-    "BACKENDS",
     "ChannelMeasurementModel",
     "DiagnosticsCapture",
     "ErrorStats",

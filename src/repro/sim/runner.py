@@ -11,14 +11,9 @@ records come back in dataset order regardless of completion order, and
 with observability enabled each worker thread accumulates its per-fix
 metrics in a private registry that is merged into the session observer
 once the sweep finishes -- so parallel runs report the same totals as
-serial ones without contending on one registry per fix.
-
-``backend="process"`` trades layout for speed without changing results
-(see DESIGN.md's backend matrix): it fans fixes out over worker
-*processes* (module :mod:`repro.sim.procpool`), each seeded with the
-parent's steering entry -- the escape hatch from the GIL for the
-pure-Python part of a sweep.  It keeps dataset order, per-fix failure
-containment and merged observability.
+serial ones without contending on one registry per fix.  ``workers``
+is the only execution knob: ``workers=1`` runs serially and
+``workers>1`` runs the thread pool (DESIGN.md §9 has the measurements).
 """
 
 from __future__ import annotations
@@ -27,6 +22,7 @@ import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (
     Callable,
@@ -90,8 +86,6 @@ class EvaluationRun:
     Attributes:
         label: configuration name for reports.
         records: per-fix outcomes.
-        backend: execution backend the sweep ran on (``"serial"``,
-            ``"thread"`` or ``"process"``).
         effective_workers: worker count actually used after clamping to
             the entry count (what capacity planning should read, not the
             requested ``workers``).
@@ -99,7 +93,6 @@ class EvaluationRun:
 
     label: str
     records: List[EvaluationRecord] = field(default_factory=list)
-    backend: str = "serial"
     effective_workers: int = 1
 
     @property
@@ -264,19 +257,14 @@ def _finalize_capture(
             observer.metrics.counter("diag.bundles_written").inc()
 
 
-#: Recognised evaluation backends (see the module docstring).
-BACKENDS = ("serial", "thread", "process")
-
-
 def _resolve_workers(
     workers: Optional[int], num_entries: Optional[int] = None
 ) -> int:
     """Validate, default and clamp the worker count (None means serial).
 
     When the entry count is known the request is clamped to it: workers
-    beyond one-per-fix only sit idle (or, for the process backend, pay
-    a fork for nothing).  The clamped value is what sweeps record as
-    ``EvaluationRun.effective_workers``.
+    beyond one-per-fix only sit idle.  The clamped value is what sweeps
+    record as ``EvaluationRun.effective_workers``.
     """
     if workers is None:
         return 1
@@ -309,57 +297,23 @@ def _resolve_limit(
     return observations[:count]
 
 
-def _resolve_backend(
-    backend: Optional[str],
-    workers: int,
-    capture: Optional["DiagnosticsCapture"] = None,
-) -> str:
-    """Validate and default the backend choice.
-
-    ``None`` picks ``"thread"`` when ``workers > 1`` and ``"serial"``
-    otherwise, so existing call sites keep their behaviour.  An explicit
-    ``"serial"`` with ``workers > 1`` is a contradiction and raises.
-    Diagnostics capture pins the sweep to an in-process backend:
-    process workers would have to ship every fix's observations and
-    diagnostics back over IPC.
-    """
-    if backend is None:
-        backend = "thread" if workers > 1 else "serial"
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    if backend == "serial" and workers > 1:
-        raise ConfigurationError(
-            f"backend='serial' cannot run with workers={workers}; "
-            f"use backend='thread' or 'process'"
-        )
-    if capture is not None and backend == "process":
-        raise ConfigurationError(
-            "diagnostics capture requires an in-process backend "
-            "(serial or thread)"
-        )
-    return backend
-
-
 def _execute_fix(
     localizer: Localizer,
-    observations: ChannelObservations,
     fix_index: int,
+    observations: ChannelObservations,
+    metrics: Optional[MetricsRegistry],
+    *,
     label: str,
     transform: Optional[
         Callable[[ChannelObservations], ChannelObservations]
-    ] = None,
-    with_diagnostics: bool = False,
-    capture: Optional["DiagnosticsCapture"] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    ],
+    with_diagnostics: bool,
+    capture: Optional["DiagnosticsCapture"],
 ) -> EvaluationRecord:
     """One fix of an :func:`evaluate` sweep.
 
-    Module-level rather than a closure so the process backend
-    (:mod:`repro.sim.procpool`) can run the exact same body in pool
-    workers; ``metrics`` is the calling worker's private registry (None
-    when observability is off, in which case the span is a no-op too).
+    ``metrics`` is the calling worker's private registry (None when
+    observability is off, in which case the span is a no-op too).
     """
     observer = get_observer()
     if transform is not None:
@@ -405,17 +359,14 @@ def _execute_fix(
 
 def _execute_subset_fix(
     localizer: Localizer,
-    observations: ChannelObservations,
     fix_index: int,
+    observations: ChannelObservations,
+    metrics: Optional[MetricsRegistry],
+    *,
     label: str,
     subset_size: int,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> EvaluationRecord:
-    """One entry of an :func:`evaluate_anchor_subsets` sweep.
-
-    Module-level for the same reason as :func:`_execute_fix`: the
-    process backend runs it in pool workers.
-    """
+    """One entry of an :func:`evaluate_anchor_subsets` sweep."""
     from itertools import combinations
 
     observer = get_observer()
@@ -513,10 +464,9 @@ def _sweep(entries: Sequence, run_fix, workers: int) -> List[EvaluationRecord]:
     # The active-span stack is thread-local: without re-attaching the
     # caller's span in each worker, every per-fix span under workers=N
     # would be an orphaned root instead of a child of the evaluation
-    # span.  The parent crosses the worker boundary as a picklable
-    # SpanHandle (span id + depth), not as the Span object -- the same
-    # propagation contract a process-pool backend will use -- and
-    # tracer.attached() materialises it as a borrowed placeholder.
+    # span.  The parent crosses the worker boundary as a SpanHandle
+    # (span id + depth), not as the Span object, and tracer.attached()
+    # materialises it as a borrowed placeholder.
     parent = observer.tracer.active() if observer.enabled else None
     handle = parent.handle() if parent is not None else None
 
@@ -547,7 +497,6 @@ def evaluate(
     limit: Optional[int] = None,
     workers: Optional[int] = None,
     capture: Optional[DiagnosticsCapture] = None,
-    backend: Optional[str] = None,
 ) -> EvaluationRun:
     """Run a localizer over every dataset entry.
 
@@ -569,46 +518,28 @@ def evaluate(
             :class:`DiagnosticsCapture`.  Fix bundles for failures and
             the worst-N fixes are written after the sweep, and the
             capture's health monitor (when set) sees every fix's
-            diagnostics in dataset order.  Requires an in-process
-            ``backend`` (serial or thread).
-        backend: ``"serial"``, ``"thread"`` or ``"process"`` (None picks
-            thread when ``workers > 1``, serial otherwise).  The process
-            backend runs fixes in worker processes seeded with the
-            parent's steering entry; see :mod:`repro.sim.procpool`.
+            diagnostics in dataset order.
 
     A fix that raises :class:`~repro.errors.LocalizationError` is recorded
     as failed rather than aborting the run -- a localizer that cannot
-    produce a fix is a (bad) data point, not a crash.  Under the process
-    backend a fix lost to a *worker crash* is likewise a failure record,
-    with the worker death named in ``failure_reason``.
+    produce a fix is a (bad) data point, not a crash.
     """
     observer = get_observer()
     entries = _resolve_limit(limit, dataset.observations)
     workers = _resolve_workers(workers, len(entries))
-    backend = _resolve_backend(backend, workers, capture)
-    with_diagnostics = capture is not None and _accepts_diagnostics(
-        localizer
+    run_fix = partial(
+        _execute_fix,
+        localizer,
+        label=label,
+        transform=transform,
+        with_diagnostics=(
+            capture is not None and _accepts_diagnostics(localizer)
+        ),
+        capture=capture,
     )
 
-    def run_fix(
-        fix_index: int,
-        observations: ChannelObservations,
-        metrics: Optional[MetricsRegistry],
-    ) -> EvaluationRecord:
-        return _execute_fix(
-            localizer,
-            observations,
-            fix_index,
-            label,
-            transform=transform,
-            with_diagnostics=with_diagnostics,
-            capture=capture,
-            metrics=metrics,
-        )
-
     # The evaluate root span is what per-fix spans merge back under when
-    # workers fan out (thread pools via _sweep's handle propagation,
-    # process pools via procpool's span absorption); it also gives the
+    # workers fan out (via _sweep's handle propagation); it also gives the
     # sampling profiler a stable outermost frame for sweep time.  As a
     # root span it mints the sweep's trace_id, which the propagated
     # handles carry into every worker -- one sweep, one trace, so
@@ -618,27 +549,12 @@ def evaluate(
         label=label,
         workers=workers,
         fixes=len(entries),
-        backend=backend,
     ):
-        if backend == "process":
-            from repro.sim.procpool import process_sweep
-
-            records = process_sweep(
-                localizer,
-                entries,
-                label=label,
-                transform=transform,
-                workers=workers,
-            )
-        else:
-            records = _sweep(entries, run_fix, workers)
+        records = _sweep(entries, run_fix, workers)
     if capture is not None:
         _finalize_capture(capture, localizer, label, records)
     return EvaluationRun(
-        label=label,
-        records=records,
-        backend=backend,
-        effective_workers=workers,
+        label=label, records=records, effective_workers=workers
     )
 
 
@@ -649,7 +565,6 @@ def evaluate_anchor_subsets(
     label: str = "",
     limit: Optional[int] = None,
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EvaluationRun:
     """Average over all anchor subsets of a given size (Section 8.3).
 
@@ -660,24 +575,14 @@ def evaluate_anchor_subsets(
 
     ``workers`` parallelizes across dataset entries (each entry's subset
     loop stays serial inside its worker), with the same ordering and
-    metric-merging guarantees as :func:`evaluate`; ``backend`` picks the
-    thread or process pool as there.  Subset geometries differ per
-    sub-fix, so the process backend hands workers no steering entry
-    and lets each one build its own cache.
+    metric-merging guarantees as :func:`evaluate`.
     """
     observer = get_observer()
     entries = _resolve_limit(limit, dataset.observations)
     workers = _resolve_workers(workers, len(entries))
-    backend = _resolve_backend(backend, workers)
-
-    def run_fix(
-        fix_index: int,
-        observations: ChannelObservations,
-        metrics: Optional[MetricsRegistry],
-    ) -> EvaluationRecord:
-        return _execute_subset_fix(
-            localizer, observations, fix_index, label, subset_size, metrics
-        )
+    run_fix = partial(
+        _execute_subset_fix, localizer, label=label, subset_size=subset_size
+    )
 
     with observer.span(
         "evaluate",
@@ -685,25 +590,8 @@ def evaluate_anchor_subsets(
         workers=workers,
         fixes=len(entries),
         subset_size=subset_size,
-        backend=backend,
     ):
-        if backend == "process":
-            from repro.sim.procpool import process_sweep
-
-            records = process_sweep(
-                localizer,
-                entries,
-                label=label,
-                transform=None,
-                workers=workers,
-                mode="subsets",
-                subset_size=subset_size,
-            )
-        else:
-            records = _sweep(entries, run_fix, workers)
+        records = _sweep(entries, run_fix, workers)
     return EvaluationRun(
-        label=label,
-        records=records,
-        backend=backend,
-        effective_workers=workers,
+        label=label, records=records, effective_workers=workers
     )

@@ -66,7 +66,7 @@ class TestSteeringCacheInfoSnapshot:
         def churn():
             key = 0
             while not stop.is_set():
-                cache.seed(("k", key % 8), entry)
+                cache.get_or_build(("k", key % 8), lambda: entry)
                 key += 1
                 if key % 16 == 0:
                     cache.clear()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -223,12 +222,3 @@ class TestSteeringCache:
                 angles,
             ),
         )
-
-    def test_localizer_pickles_with_an_empty_cache(
-        self, clean_los_observations
-    ):
-        aoa = AoaLocalizer()
-        first = aoa.locate(clean_los_observations).position
-        clone = pickle.loads(pickle.dumps(aoa))
-        assert len(clone._steering) == 0
-        assert clone.locate(clean_los_observations).position == first

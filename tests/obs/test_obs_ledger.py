@@ -277,7 +277,6 @@ class TestNullSpeedupRendering:
         record = record_with(
             results={
                 "evaluate.speedup_parallel_vs_serial": None,
-                "process.speedup_process_vs_serial": None,
                 "other_thing": None,
                 "evaluate.serial_fixes_per_s": 40.0,
             }
@@ -285,10 +284,6 @@ class TestNullSpeedupRendering:
         keys = null_result_keys(record)
         assert (
             keys["result:evaluate.speedup_parallel_vs_serial"]
-            == "n/a (1 cpu)"
-        )
-        assert (
-            keys["result:process.speedup_process_vs_serial"]
             == "n/a (1 cpu)"
         )
         assert keys["result:other_thing"] == "n/a"

@@ -145,62 +145,6 @@ class TestRegistry:
         assert "x" not in reg and len(reg) == 0
 
 
-class TestMergeSnapshot:
-    """Cross-process merges: workers ship snapshots, not instruments."""
-
-    def test_counter_and_gauge_snapshot_fold(self):
-        worker = MetricsRegistry()
-        worker.counter("eval.fixes_total").inc(3)
-        worker.gauge("g").set(2.5)
-        main = MetricsRegistry()
-        main.counter("eval.fixes_total").inc(4)
-        main.merge_snapshot(worker.snapshot())
-        assert main.get("eval.fixes_total").value == 7
-        assert main.get("g").value == 2.5
-
-    def test_histogram_snapshot_fold(self):
-        edges = (1.0, 2.0, 4.0)
-        worker = MetricsRegistry()
-        worker.histogram("h", edges).observe(0.5)
-        worker.histogram("h", edges).observe(3.0)
-        main = MetricsRegistry()
-        main.histogram("h", edges).observe(1.5)
-        main.merge_snapshot(worker.snapshot())
-        merged = main.get("h")
-        assert merged.count == 3
-        assert merged.sum == pytest.approx(5.0)
-        assert merged.bucket_counts() == [1, 1, 1, 0]
-
-    def test_histogram_snapshot_rejects_mismatched_edges(self):
-        worker = MetricsRegistry()
-        worker.histogram("h", (1.0, 3.0)).observe(0.5)
-        main = MetricsRegistry()
-        main.histogram("h", (1.0, 2.0)).observe(0.5)
-        with pytest.raises(ConfigurationError):
-            main.merge_snapshot(worker.snapshot())
-
-    def test_empty_snapshot_is_noop(self):
-        main = MetricsRegistry()
-        main.counter("c").inc(1)
-        main.merge_snapshot([])
-        assert main.get("c").value == 1
-
-    def test_nameless_item_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MetricsRegistry().merge_snapshot([{"type": "counter"}])
-
-    def test_snapshot_round_trips_through_plain_data(self):
-        # The exact contract the process backend relies on: snapshot()
-        # out of one registry, merge_snapshot() into a fresh one, equal
-        # snapshots on both ends.
-        worker = MetricsRegistry()
-        worker.counter("eval.fixes_total").inc(5)
-        worker.histogram("eval.fix_latency_s").observe(0.01)
-        main = MetricsRegistry()
-        main.merge_snapshot(worker.snapshot())
-        assert main.snapshot() == worker.snapshot()
-
-
 class TestMerge:
     def test_counter_merge_adds(self):
         a, b = Counter("c"), Counter("c")

@@ -179,66 +179,6 @@ class TestSpanHandle:
                 raise RuntimeError
         assert tracer.active() is None
 
-    def test_worker_tracer_id_offset_keeps_ids_disjoint(self):
-        main = Tracer(clock=FakeClock())
-        worker = Tracer(clock=FakeClock(), id_offset=1 << 32)
-        with main.span("a") as a:
-            pass
-        with worker.span("b") as b:
-            pass
-        assert a.span_id == 1
-        assert b.span_id == (1 << 32) + 1
-        assert a.span_id != b.span_id
-
-
-class TestAbsorb:
-    """Folding worker-process spans into the parent tracer."""
-
-    def test_absorbed_spans_join_finished(self):
-        parent = Tracer(clock=FakeClock())
-        with parent.span("evaluate"):
-            pass
-        worker = Tracer(clock=FakeClock(), id_offset=1 << 32)
-        with worker.span("fix"):
-            pass
-        parent.absorb(worker.finished())
-        names = [s.name for s in parent.finished()]
-        assert names == ["evaluate", "fix"]
-
-    def test_absorb_preserves_worker_ids(self):
-        parent = Tracer(clock=FakeClock())
-        with parent.span("evaluate"):
-            pass
-        worker = Tracer(clock=FakeClock(), id_offset=1 << 32)
-        with worker.span("fix"):
-            pass
-        parent.absorb(worker.finished())
-        ids = [s.span_id for s in parent.finished()]
-        assert len(ids) == len(set(ids))
-        assert any(i >= 1 << 32 for i in ids)
-
-    def test_absorb_empty_is_noop(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.absorb([])
-        assert tracer.finished() == []
-
-    def test_absorbed_spans_survive_pickle_hop(self):
-        # The exact process-backend contract: spans pickle in a worker,
-        # unpickle in the parent, and land parented under the handle
-        # the worker attached to.
-        parent = Tracer(clock=FakeClock())
-        with parent.span("evaluate") as root:
-            handle = root.handle()
-        worker = Tracer(clock=FakeClock(), id_offset=1 << 32)
-        with worker.attached(handle):
-            with worker.span("fix"):
-                pass
-        shipped = pickle.loads(pickle.dumps(worker.finished()))
-        parent.absorb(shipped)
-        fix = [s for s in parent.finished() if s.name == "fix"][0]
-        assert fix.parent_id == root.span_id
-        assert fix.depth == root.depth + 1
-
 
 class TestActiveStacks:
     def test_empty_when_no_open_spans(self):

@@ -1,6 +1,6 @@
 """Tests for request-trace propagation: traceparent headers, trace-id
-inheritance, TraceContext attachment, absorb collision handling, and
-handle propagation across fork/spawn process boundaries.
+inheritance, TraceContext attachment, and handle propagation across
+fork/spawn process boundaries.
 
 The process-boundary worker lives at module level so it pickles under
 both fork and spawn start methods.
@@ -12,7 +12,6 @@ import multiprocessing
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.obs.trace import (
     SpanHandle,
     TraceContext,
@@ -140,7 +139,7 @@ class TestTraceContextAttached:
         origin = Tracer()
         with origin.span("request") as request:
             handle = request.handle()
-        worker = Tracer(id_offset=1 << 32)
+        worker = Tracer()
         with worker.attached(handle):
             with worker.span("work") as work:
                 pass
@@ -161,7 +160,7 @@ class TestTraceContextAttached:
         origin = Tracer()
         with origin.span("request") as request:
             context = request.context()
-        worker = Tracer(id_offset=1 << 32)
+        worker = Tracer()
         with worker.attached(context):
             with worker.span("work") as work:
                 pass
@@ -182,73 +181,9 @@ class TestTraceContextAttached:
         assert work.parent_id == 7
 
 
-class TestAbsorbCollisions:
-    def _worker_spans(self, offset, parent_handle=None, names=("w",)):
-        tracer = Tracer(id_offset=offset)
-        with tracer.attached(parent_handle):
-            for name in names:
-                with tracer.span(name):
-                    pass
-        return tracer.finished()
-
-    def test_disjoint_offsets_absorb_cleanly(self):
-        parent = Tracer()
-        with parent.span("root") as root:
-            handle = root.handle()
-        spans_a = self._worker_spans(1 << 32, handle)
-        spans_b = self._worker_spans(2 << 32, handle)
-        parent.absorb(spans_a)
-        parent.absorb(spans_b)
-        assert len(parent.finished()) == 3
-
-    def test_colliding_worker_ids_raise(self):
-        parent = Tracer()
-        with parent.span("root"):
-            pass
-        # Offset 0 collides with the parent's own id space.
-        spans = self._worker_spans(0)
-        with pytest.raises(ConfigurationError, match="collision"):
-            parent.absorb(spans)
-
-    def test_rejected_batch_absorbs_nothing(self):
-        parent = Tracer()
-        with parent.span("root"):
-            pass
-        clean = self._worker_spans(1 << 32)
-        dirty = clean + self._worker_spans(0)
-        before = len(parent.finished())
-        with pytest.raises(ConfigurationError):
-            parent.absorb(dirty)
-        # Atomic rejection: not even the clean spans landed.
-        assert len(parent.finished()) == before
-        parent.absorb(clean)  # still absorbable afterwards
-        assert len(parent.finished()) == before + len(clean)
-
-    def test_intra_batch_duplicates_raise(self):
-        parent = Tracer()
-        spans = self._worker_spans(1 << 32)
-        with pytest.raises(ConfigurationError, match="collision"):
-            parent.absorb(spans + spans)
-
-    def test_double_absorb_of_same_batch_raises(self):
-        parent = Tracer()
-        spans = self._worker_spans(1 << 32)
-        parent.absorb(spans)
-        with pytest.raises(ConfigurationError):
-            parent.absorb(spans)
-
-    def test_reset_clears_seen_ids(self):
-        parent = Tracer()
-        spans = self._worker_spans(1 << 32)
-        parent.absorb(spans)
-        parent.reset()
-        parent.absorb(spans)  # no longer a collision after reset
-        assert len(parent.finished()) == len(spans)
-
-
-def _remote_worker(handle, offset, queue):
+def _remote_worker(handle, queue):
     """Child-process body: open one span under the shipped handle."""
-    tracer = Tracer(id_offset=offset)
+    tracer = Tracer()
     with tracer.attached(handle):
         with tracer.span("remote"):
             pass
@@ -270,19 +205,15 @@ class TestCrossProcessAttached:
         with parent.span("sweep") as sweep:
             handle = sweep.handle()
             queue = context.Queue()
-            offset = 7 << 32
             child = context.Process(
-                target=_remote_worker, args=(handle, offset, queue)
+                target=_remote_worker, args=(handle, queue)
             )
             child.start()
             shipped = queue.get(timeout=30)
             child.join(timeout=30)
         assert child.exitcode == 0
-        parent.absorb(shipped)
-        (remote,) = [
-            s for s in parent.finished() if s.name == "remote"
-        ]
+        (remote,) = shipped
+        assert remote.name == "remote"
         assert remote.trace_id == sweep.trace_id
         assert remote.parent_id == sweep.span_id
         assert remote.depth == sweep.depth + 1
-        assert remote.span_id > offset

@@ -125,6 +125,14 @@ class TestParallelEvaluate:
         assert run.num_failed == len(dataset)
         assert run.failure_reasons() == ["nope"] * len(dataset)
 
+    def test_default_is_serial(self, dataset):
+        run = evaluate(PerfectOracle(), dataset)
+        assert run.effective_workers == 1
+
+    def test_workers_clamped_to_dataset(self, dataset):
+        run = evaluate(PerfectOracle(), dataset, workers=32)
+        assert run.effective_workers == len(dataset)
+
     def test_invalid_worker_count(self, dataset):
         from repro.errors import ConfigurationError
 
