@@ -439,6 +439,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
 
     from repro.errors import ReproError
     from repro.service import (
+        fetch_grid_resolution_m,
         fetch_metrics,
         make_server,
         run_loadtest,
@@ -467,8 +468,9 @@ def _run_loadtest(args: argparse.Namespace) -> int:
             seed=args.seed,
             api_key=args.api_key[0] if args.api_key else None,
         )
-        # Scrape /metrics while the server is still up (before the
-        # self-hosted one is torn down below).
+        # Ask the server for its grid and scrape /metrics while it is
+        # still up (before the self-hosted one is torn down below).
+        grid_resolution_m = fetch_grid_resolution_m(host, port)
         if getattr(args, "metrics_out", None):
             exposition = fetch_metrics(host, port)
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
@@ -507,9 +509,7 @@ def _run_loadtest(args: argparse.Namespace) -> int:
             result,
             scenario=args.scenario,
             clients=args.clients,
-            grid_resolution_m=(
-                args.resolution if args.self_host else None
-            ),
+            grid_resolution_m=grid_resolution_m,
         )
         print(f"[loadtest] wrote {args.bench_out}")
     results = getattr(args, "_ledger_results", None) or {}

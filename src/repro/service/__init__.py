@@ -25,6 +25,7 @@ from repro.service.telemetry import AccuracyTelemetry
 from repro.service.loadtest import (
     LoadtestResult,
     build_request_bodies,
+    fetch_grid_resolution_m,
     fetch_metrics,
     run_loadtest,
     update_bench_service_json,
@@ -89,6 +90,7 @@ __all__ = [
     "default_scenarios",
     "encode_observations",
     "error_body",
+    "fetch_grid_resolution_m",
     "fetch_metrics",
     "locate_response",
     "make_server",

@@ -253,10 +253,8 @@ def run_loadtest(
     )
 
 
-def fetch_metrics(
-    host: str, port: int, timeout_s: float = 10.0
-) -> str:
-    """``GET /metrics`` from a live server, returning the exposition.
+def _fetch(host: str, port: int, path: str, timeout_s: float) -> bytes:
+    """``GET path`` from a live server, returning the 200 body.
 
     Raises:
         ReproError: non-200 status or unreachable server.
@@ -265,18 +263,39 @@ def fetch_metrics(
         host, port, timeout=timeout_s
     )
     try:
-        connection.request("GET", "/metrics")
+        connection.request("GET", path)
         response = connection.getresponse()
         raw = response.read()
         if response.status != 200:
-            raise ReproError(
-                f"GET /metrics returned {response.status}"
-            )
-        return raw.decode("utf-8")
+            raise ReproError(f"GET {path} returned {response.status}")
+        return raw
     except (OSError, http.client.HTTPException) as exc:
-        raise ReproError(f"GET /metrics failed: {exc}") from exc
+        raise ReproError(f"GET {path} failed: {exc}") from exc
     finally:
         connection.close()
+
+
+def fetch_metrics(
+    host: str, port: int, timeout_s: float = 10.0
+) -> str:
+    """``GET /metrics`` from a live server, returning the exposition.
+
+    Raises:
+        ReproError: non-200 status or unreachable server.
+    """
+    return _fetch(host, port, "/metrics", timeout_s).decode("utf-8")
+
+
+def fetch_grid_resolution_m(
+    host: str, port: int, timeout_s: float = 10.0
+) -> float:
+    """The grid step a live server localizes on, from ``/v1/stats``.
+
+    Raises:
+        ReproError: non-200 status or unreachable server.
+    """
+    stats = json.loads(_fetch(host, port, "/v1/stats", timeout_s))
+    return float(stats["pool"]["grid_resolution_m"])
 
 
 def update_bench_service_json(

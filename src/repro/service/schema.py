@@ -6,18 +6,22 @@ One locate request is a JSON object::
       "key": "tenant-42",            # API key (rate-limit bucket)
       "scenario": "vicon",           # warm-pool key (anchor geometry)
       "observations": {
-        "frequencies_hz": [...],                 # (K,)
-        "tag_to_anchor": [[[[re, im], ...]]],    # (I, J, K, 2)
-        "master_to_anchor": [[[[re, im], ...]]], # (I, J, K, 2)
-        "band_snr_db": [[...]]                   # optional, (I, K)
+        "frequencies_hz": "AAAA...",    # base64 <f8, (K,)
+        "tag_to_anchor": "AAAA...",     # base64 <c16, (I, J, K)
+        "master_to_anchor": "AAAA...",  # base64 <c16, (I, J, K)
+        "band_snr_db": "AAAA..."        # optional, base64 <f8, (I, K)
       }
     }
 
 The anchor geometry deliberately does **not** travel with the request:
 it is what the server's warm pool is keyed on, so a client names a
-scenario and ships only the measured channels.  Complex arrays are
-encoded as a trailing ``[re, im]`` axis -- strict JSON has no complex
-type and no Inf/NaN, and the decoder enforces both.
+scenario and ships only the measured channels.  Each array is one
+base64 string of its little-endian C-order bytes; the decoder takes the
+shape from the scenario's anchors and the frequency count, so a byte
+count that does not fit is rejected, as is any Inf/NaN (a missing SNR
+travels as -999 dB).  Build bodies with :func:`encode_observations`.
+Binary keeps a 4x4x37 fix at ~26 kB, and the decode is a byte copy
+instead of parsing ~2,400 JSON floats.
 
 Validation failures raise :class:`SchemaError`, a typed error carrying
 the offending field, which the HTTP layer maps to a structured 400
@@ -27,6 +31,7 @@ scenario is a routing concern (404), not a schema concern (400).
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -38,7 +43,7 @@ from repro.errors import ReproError
 from repro.rf.antenna import Anchor
 
 #: Hard cap on request body size: the default 4x4x37 scenario encodes to
-#: ~120 kB, so 4 MiB leaves two orders of magnitude of headroom while
+#: ~26 kB, so 4 MiB leaves two orders of magnitude of headroom while
 #: still bounding a hostile payload.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
@@ -74,51 +79,70 @@ class LocateRequest:
     observations: Dict[str, Any]
 
 
-def encode_complex(array: np.ndarray) -> list:
-    """Encode a complex ndarray as nested lists with a [re, im] axis."""
-    stacked = np.stack(
-        [np.asarray(array).real, np.asarray(array).imag], axis=-1
-    )
-    return stacked.tolist()
+#: Wire dtypes: each array travels as its little-endian C-order bytes.
+_COMPLEX_WIRE = np.dtype("<c16")
+_FLOAT_WIRE = np.dtype("<f8")
 
 
-def _decode_float_array(
-    value: Any, field: str, shape: Optional[Tuple[int, ...]] = None
+def _encode_array(array: np.ndarray, dtype: np.dtype) -> str:
+    """Encode an ndarray as one base64 string of its ``dtype`` bytes."""
+    raw = np.ascontiguousarray(array, dtype=dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_array(
+    value: Any,
+    field: str,
+    dtype: np.dtype,
+    shape: Optional[Tuple[int, ...]] = None,
 ) -> np.ndarray:
-    """Nested JSON lists -> float ndarray, with shape/finiteness checks."""
+    """Decode a base64 ``dtype`` string into a native, writable ndarray.
+
+    ``shape=None`` takes a 1-D array of whatever length the bytes hold.
+
+    Raises:
+        SchemaError: not a string, not base64, a byte count that does
+            not fit the shape, or a non-finite value.
+    """
+    if not isinstance(value, str):
+        raise SchemaError(field, f"must be a base64 string of {dtype.str}")
     try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(field, f"not a numeric array: {exc}") from exc
-    if shape is not None and array.shape != shape:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise SchemaError(field, f"not valid base64: {exc}") from exc
+    if shape is None:
+        shape = (len(raw) // dtype.itemsize,)
+    expected = dtype.itemsize * int(np.prod(shape))
+    if len(raw) != expected:
         raise SchemaError(
-            field, f"shape {array.shape} != expected {shape}"
+            field,
+            f"{len(raw)} bytes != expected {expected} "
+            f"({dtype.str} of shape {shape})",
         )
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if not np.all(np.isfinite(array)):
         raise SchemaError(field, "contains non-finite values")
-    return array
-
-
-def decode_complex(
-    value: Any, field: str, shape: Tuple[int, ...]
-) -> np.ndarray:
-    """Decode a [re, im]-trailing nested list into a complex ndarray."""
-    array = _decode_float_array(value, field, shape=(*shape, 2))
-    return array[..., 0] + 1j * array[..., 1]
+    return array.astype(dtype.newbyteorder("="))
 
 
 def encode_observations(observations: ChannelObservations) -> dict:
     """Serialize one fix's channels for a locate request body."""
     payload: Dict[str, Any] = {
-        "frequencies_hz": observations.frequencies_hz.tolist(),
-        "tag_to_anchor": encode_complex(observations.tag_to_anchor),
-        "master_to_anchor": encode_complex(observations.master_to_anchor),
+        "frequencies_hz": _encode_array(
+            observations.frequencies_hz, _FLOAT_WIRE
+        ),
+        "tag_to_anchor": _encode_array(
+            observations.tag_to_anchor, _COMPLEX_WIRE
+        ),
+        "master_to_anchor": _encode_array(
+            observations.master_to_anchor, _COMPLEX_WIRE
+        ),
     }
     if observations.band_snr_db is not None:
         snr = np.nan_to_num(
             observations.band_snr_db, nan=-999.0
-        )  # strict JSON has no NaN; -999 dB is unambiguously "no signal"
-        payload["band_snr_db"] = snr.tolist()
+        )  # the decoder rejects NaN; -999 dB is unambiguously "no signal"
+        payload["band_snr_db"] = _encode_array(snr, _FLOAT_WIRE)
     return payload
 
 
@@ -138,34 +162,43 @@ def decode_observations(
         field: dotted prefix used in :class:`SchemaError` paths.
 
     Raises:
-        SchemaError: missing keys, wrong shapes, non-finite values.
+        SchemaError: missing keys, values that are not base64
+            strings, byte counts that do not fit the shapes, non-finite
+            values.
     """
     if not isinstance(payload, dict):
         raise SchemaError(field, "must be an object")
     for key in ("frequencies_hz", "tag_to_anchor", "master_to_anchor"):
         if key not in payload:
             raise SchemaError(f"{field}.{key}", "missing")
-    frequencies = _decode_float_array(
-        payload["frequencies_hz"], f"{field}.frequencies_hz"
+    frequencies = _decode_array(
+        payload["frequencies_hz"], f"{field}.frequencies_hz", _FLOAT_WIRE
     )
-    if frequencies.ndim != 1 or frequencies.size < 1:
+    if frequencies.size < 1:
         raise SchemaError(
             f"{field}.frequencies_hz", "must be a non-empty 1-D array"
         )
     num_anchors = len(anchors)
     num_antennas = max(a.num_antennas for a in anchors)
     shape = (num_anchors, num_antennas, int(frequencies.size))
-    tag = decode_complex(
-        payload["tag_to_anchor"], f"{field}.tag_to_anchor", shape
+    tag = _decode_array(
+        payload["tag_to_anchor"],
+        f"{field}.tag_to_anchor",
+        _COMPLEX_WIRE,
+        shape,
     )
-    master = decode_complex(
-        payload["master_to_anchor"], f"{field}.master_to_anchor", shape
+    master = _decode_array(
+        payload["master_to_anchor"],
+        f"{field}.master_to_anchor",
+        _COMPLEX_WIRE,
+        shape,
     )
     snr: Optional[np.ndarray] = None
     if payload.get("band_snr_db") is not None:
-        snr = _decode_float_array(
+        snr = _decode_array(
             payload["band_snr_db"],
             f"{field}.band_snr_db",
+            _FLOAT_WIRE,
             shape=(num_anchors, int(frequencies.size)),
         )
     return ChannelObservations(

@@ -111,13 +111,36 @@ class TestErrorPaths:
     def test_bad_shape_is_400(self, live_server, observations):
         host, port = live_server
         encoded = encode_observations(observations)
-        encoded["tag_to_anchor"] = encoded["tag_to_anchor"][:-1]
+        # One band short: valid base64 whose byte count misses (I, J, K).
+        encoded["tag_to_anchor"] = encode_observations(
+            observations.select_bands(range(observations.num_bands - 1))
+        )["tag_to_anchor"]
         body = json.dumps(
             {"scenario": "vicon", "observations": encoded}
         ).encode()
         status, payload, _ = _post(host, port, body)
         assert status == 400
         assert "tag_to_anchor" in payload["error"]["field"]
+        assert "bytes != expected" in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "value",
+        [7, "%%% not base64 %%%", [[[[1.0, 0.0]]]]],
+        ids=["non-string", "non-base64", "nested-list"],
+    )
+    def test_malformed_array_is_400_naming_field(
+        self, live_server, observations, value
+    ):
+        host, port = live_server
+        encoded = encode_observations(observations)
+        encoded["master_to_anchor"] = value
+        body = json.dumps(
+            {"scenario": "vicon", "observations": encoded}
+        ).encode()
+        status, payload, _ = _post(host, port, body)
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_request"
+        assert payload["error"]["field"] == "observations.master_to_anchor"
 
     def test_unknown_scenario_is_404(self, live_server, observations):
         host, port = live_server

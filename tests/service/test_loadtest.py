@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro.errors import ReproError
+from repro.service import (
+    LocalizationService,
+    LocalizerPool,
+    ServiceConfig,
+    make_server,
+)
 from repro.service.loadtest import (
     build_request_bodies,
+    fetch_grid_resolution_m,
     run_loadtest,
     update_bench_service_json,
 )
@@ -124,3 +132,53 @@ class TestCliSmoke:
         results = records[-1]["results"]
         assert results["service.p95_s"] > 0
         assert results["service.requests"] == 4
+
+
+class TestExternalServerGrid:
+    """``repro loadtest --port`` records the grid the server runs on."""
+
+    @pytest.fixture(scope="class")
+    def server_at_0_2(self):
+        service = LocalizationService(
+            pool=LocalizerPool(grid_resolution_m=0.2),
+            config=ServiceConfig(rate_per_s=10_000.0, burst=10_000),
+        )
+        server = make_server(service, host="127.0.0.1", port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        yield str(host), int(port)
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+    def test_fetch_grid_resolution(self, server_at_0_2):
+        assert fetch_grid_resolution_m(*server_at_0_2) == 0.2
+
+    def test_cli_records_server_grid(self, tmp_path, server_at_0_2):
+        from repro.__main__ import main
+
+        _, port = server_at_0_2
+        bench = tmp_path / "BENCH_service.json"
+        status = main(
+            [
+                "loadtest",
+                "--port",
+                str(port),
+                "--clients",
+                "1",
+                "--per-client",
+                "1",
+                "--bench-out",
+                str(bench),
+                "--ledger",
+                str(tmp_path / "runs.ndjson"),
+            ]
+        )
+        assert status == 0
+        payload = json.loads(bench.read_text())
+        assert payload["scenario"]["grid_resolution_m"] == 0.2
+
+    def test_unreachable_server_raises(self):
+        with pytest.raises(ReproError, match="/v1/stats"):
+            fetch_grid_resolution_m("127.0.0.1", 9, timeout_s=0.5)
