@@ -21,7 +21,6 @@ Quickstart::
 
 from repro.baselines import (
     AoaLocalizer,
-    RssiFingerprinting,
     RssiTrilateration,
     ShortestDistanceLocalizer,
     shortest_distance_localizer,
@@ -64,7 +63,6 @@ __all__ = [
     "IqMeasurementModel",
     "LocalizationResult",
     "Point",
-    "RssiFingerprinting",
     "RssiTrilateration",
     "ShortestDistanceLocalizer",
     "SteeringCache",

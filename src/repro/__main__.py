@@ -259,17 +259,15 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    """Observability tooling (``repro obs runs|diff|report|slo|trace|top``)."""
+    """Observability tooling (``repro obs runs|diff|report|slo|trace``)."""
     from repro.errors import ConfigurationError
     from repro.obs import RunLedger, default_ledger_path
 
     try:
-        # trace/top read NDJSON exports and access logs directly; only
-        # the ledger-backed subcommands construct a RunLedger.
+        # trace reads an NDJSON export directly; only the ledger-backed
+        # subcommands construct a RunLedger.
         if args.obs_command == "trace":
             return _obs_trace(args)
-        if args.obs_command == "top":
-            return _obs_top(args)
         ledger = RunLedger(args.ledger or default_ledger_path())
         if args.obs_command == "runs":
             return _obs_runs(args, ledger)
@@ -291,22 +289,6 @@ def _obs_trace(args: argparse.Namespace) -> int:
     trace_id = resolve_trace_id(records, args.trace_id)
     print(render_trace(records, trace_id))
     return 0
-
-
-def _obs_top(args: argparse.Namespace) -> int:
-    """Live dashboard over the service's NDJSON access log."""
-    from repro.obs import run_top
-
-    frames = 1 if args.once else None
-    rendered = run_top(
-        args.access_log,
-        url=args.url,
-        window_s=args.window,
-        interval_s=args.interval,
-        frames=frames,
-        clear=not args.once,
-    )
-    return 0 if rendered else 1
 
 
 def _obs_runs(args: argparse.Namespace, ledger: "RunLedger") -> int:
@@ -659,7 +641,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     obs = sub.add_parser(
         "obs",
-        help="observability tooling (runs/diff/report/slo/trace/top)",
+        help="observability tooling (runs/diff/report/slo/trace)",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
@@ -738,35 +720,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="span NDJSON written by --trace or observed() export",
     )
 
-    obs_top = obs_sub.add_parser(
-        "top",
-        help="live dashboard over the service's NDJSON access log",
-    )
-    obs_top.add_argument(
-        "access_log",
-        help="the service's --access-log NDJSON file",
-    )
-    obs_top.add_argument(
-        "--url",
-        metavar="URL",
-        default=None,
-        help="service base URL; when set, each frame also polls "
-        "/v1/stats for the cache hit ratio and pool warmth",
-    )
-    obs_top.add_argument(
-        "--window", type=float, default=60.0, metavar="S",
-        help="sliding window the rates cover (default: 60 s)",
-    )
-    obs_top.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
-        help="refresh interval (default: 1 s)",
-    )
-    obs_top.add_argument(
-        "--once",
-        action="store_true",
-        help="render one frame without clearing the screen and exit "
-        "(scripting/CI mode)",
-    )
     obs.set_defaults(func=cmd_obs)
 
     def add_service_flags(command: argparse.ArgumentParser) -> None:
@@ -870,7 +823,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help="with --self-host: write the server's NDJSON access log "
-        "to PATH (feeds `repro obs top`)",
+        "to PATH",
     )
     add_service_flags(lt)
     add_obs_flags(lt)

@@ -6,7 +6,6 @@ Every baseline consumes the same observations as BLoc so comparisons use
 
 from repro.baselines.aoa import AoaLocalizer, AoaResult
 from repro.baselines.rssi import (
-    RssiFingerprinting,
     RssiResult,
     RssiTrilateration,
     observation_rssi_dbm,
@@ -19,7 +18,6 @@ from repro.baselines.shortest import (
 __all__ = [
     "AoaLocalizer",
     "AoaResult",
-    "RssiFingerprinting",
     "RssiResult",
     "RssiTrilateration",
     "ShortestDistanceLocalizer",

@@ -86,7 +86,6 @@ class AoaLocalizer:
     grid_margin_m: float = 0.25
     num_angles: int = 361
     mode: str = "triangulation"
-    spectrum_method: str = "bartlett"
     bounds: Optional[Tuple[float, float, float, float]] = None
     _steering: LruCache = field(
         default_factory=lambda: LruCache(AOA_STEERING_CACHE_ENTRIES),
@@ -103,11 +102,6 @@ class AoaLocalizer:
         if self.mode not in AOA_MODES:
             raise ConfigurationError(
                 f"mode must be one of {AOA_MODES}, got {self.mode!r}"
-            )
-        if self.spectrum_method not in ("bartlett", "music"):
-            raise ConfigurationError(
-                "spectrum_method must be 'bartlett' or 'music', "
-                f"got {self.spectrum_method!r}"
             )
 
     def _grid_for(self, observations: ChannelObservations) -> Grid2D:
@@ -126,9 +120,7 @@ class AoaLocalizer:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One anchor's multi-band angle spectrum ``Pa(theta)``.
 
-        ``spectrum_method = "bartlett"`` is the paper's Eq. 3 beamformer;
-        ``"music"`` is the ArrayTrack-style subspace estimator using the
-        frequency bands as snapshots.
+        The paper's Eq. 3 Bartlett beamformer, summed over the bands.
 
         Thread-safety: safe to call concurrently; the steering cache
         guards its own entries and they are never written after the
@@ -136,18 +128,9 @@ class AoaLocalizer:
         """
         anchor = observations.anchors[anchor_index]
         angles = np.linspace(-np.pi / 2.0, np.pi / 2.0, self.num_angles)
-        channels = observations.tag_to_anchor[anchor_index]  # (J, K)
-        if self.spectrum_method == "music":
-            from repro.core.music import music_spectrum
-
-            centre = float(np.mean(observations.frequencies_hz))
-            return music_spectrum(
-                channels,
-                spacing_m=anchor.spacing_m,
-                frequency_hz=centre,
-                angles_rad=angles,
-            )
-        channels = np.asarray(channels, dtype=complex)
+        channels = np.asarray(
+            observations.tag_to_anchor[anchor_index], dtype=complex
+        )  # (J, K)
         freqs = np.asarray(observations.frequencies_hz, dtype=float)
         num_antennas = channels.shape[0]
         steering = self._steering.get_or_build(

@@ -1,22 +1,18 @@
-"""RSSI baselines: what BLE localization looked like before BLoc.
+"""RSSI baseline: what BLE localization looked like before BLoc.
 
 Section 2.2 and Section 9.2 describe the pre-BLoc state of the art: use
-``|h|`` as a proxy for distance.  Two classic variants are implemented:
+``|h|`` as a proxy for distance.  :class:`RssiTrilateration` fits a
+log-distance path-loss model and trilaterates: no training, but multipath
+fading corrupts the distances.  It is the service's last-resort provider.
 
-* :class:`RssiTrilateration` -- fit a log-distance path-loss model and
-  trilaterate; no training, but multipath fading corrupts the distances.
-* :class:`RssiFingerprinting` -- k-nearest-neighbour matching against a
-  recorded RSSI survey (the paper's [7] reaches 1.2 m median this way but
-  "requires finger printing of the environment").
-
-Both read only the channel magnitudes of the observations -- phase, the
+It reads only the channel magnitudes of the observations -- phase, the
 thing BLoc adds, is deliberately ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,57 +135,3 @@ class RssiTrilateration:
         return RssiResult(
             position=grid.point_at(row, col), distances_m=distances
         )
-
-
-@dataclass
-class RssiFingerprinting:
-    """k-NN fingerprinting over per-anchor RSSI vectors.
-
-    Attributes:
-        k: neighbours averaged for the estimate.
-    """
-
-    k: int = 3
-    _fingerprints: List[np.ndarray] = field(
-        init=False, default_factory=list, repr=False
-    )
-    _positions: List[Point] = field(
-        init=False, default_factory=list, repr=False
-    )
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
-
-    @property
-    def num_fingerprints(self) -> int:
-        """Size of the trained survey."""
-        return len(self._fingerprints)
-
-    def train(
-        self, observations_list: Sequence[ChannelObservations]
-    ) -> None:
-        """Record the survey (the costly manual step the paper criticises)."""
-        for obs in observations_list:
-            if obs.ground_truth is None:
-                raise ConfigurationError("fingerprints need ground truth")
-            self._fingerprints.append(observation_rssi_dbm(obs))
-            self._positions.append(obs.ground_truth)
-
-    def locate(
-        self, observations: ChannelObservations, keep_map: bool = True
-    ) -> RssiResult:
-        """Weighted k-NN estimate in RSSI space."""
-        if len(self._fingerprints) < self.k:
-            raise LocalizationError(
-                "fingerprint database smaller than k; call train() first"
-            )
-        query = observation_rssi_dbm(observations)
-        database = np.asarray(self._fingerprints)
-        distances = np.linalg.norm(database - query[None, :], axis=1)
-        nearest = np.argsort(distances)[: self.k]
-        weights = 1.0 / np.maximum(distances[nearest], 1e-6)
-        weights = weights / weights.sum()
-        x = sum(w * self._positions[i].x for w, i in zip(weights, nearest))
-        y = sum(w * self._positions[i].y for w, i in zip(weights, nearest))
-        return RssiResult(position=Point(float(x), float(y)))

@@ -4,8 +4,7 @@ The paper's primary contribution, end to end: measure CSI from GFSK tone
 runs (Section 4), cancel per-hop oscillator offsets collaboratively
 (Section 5.2, Eq. 10), map corrected channels to spatial likelihoods
 (Section 5.3, Eq. 15-17), and reject multipath ghost peaks with the
-entropy/distance score (Section 5.4, Eq. 18).  The one helper outside
-that pipeline is MUSIC (``music.py``), used by the AoA baseline.
+entropy/distance score (Section 5.4, Eq. 18).
 """
 
 from repro.core.correction import (
@@ -19,12 +18,6 @@ from repro.core.csi import (
     extract_band_csi,
     measure_segment_channel,
     stack_band_csi,
-)
-from repro.core.music import (
-    array_covariance,
-    estimate_num_sources,
-    music_angles,
-    music_spectrum,
 )
 from repro.core.engine import (
     SteeringCache,
@@ -74,18 +67,14 @@ __all__ = [
     "aliasing_distance_m",
     "anchor_baselines",
     "angle_spectrum",
-    "array_covariance",
     "build_steering_entry",
     "combine_tone_channels",
     "compute_likelihood_map",
     "correct_phase_offsets",
     "distance_spectrum",
-    "estimate_num_sources",
     "extract_band_csi",
     "find_peaks",
     "measure_segment_channel",
-    "music_angles",
-    "music_spectrum",
     "negentropy",
     "neighborhood_negentropy",
     "range_resolution_m",

@@ -91,14 +91,6 @@ from repro.obs.slo import (
     render_slo_results,
     slo_exit_code,
 )
-from repro.obs.top import (
-    AccessLogTail,
-    TopFrame,
-    build_frame,
-    read_access_records,
-    render_frame,
-    run_top,
-)
 from repro.obs.trace import (
     Span,
     SpanHandle,
@@ -110,7 +102,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "AccessLogTail",
     "AnchorHealthMonitor",
     "AnomalyEvent",
     "COUNT_BUCKETS",
@@ -136,10 +127,8 @@ __all__ = [
     "SloSpec",
     "Span",
     "SpanHandle",
-    "TopFrame",
     "TraceContext",
     "Tracer",
-    "build_frame",
     "build_run_record",
     "bundle_filename",
     "bundle_from_fix",
@@ -164,17 +153,14 @@ __all__ = [
     "observed",
     "parse_exposition",
     "parse_traceparent",
-    "read_access_records",
     "render_bundle",
     "render_diff",
-    "render_frame",
     "render_openmetrics",
     "render_report",
     "render_runs",
     "render_slo_results",
     "render_trace",
     "resolve_trace_id",
-    "run_top",
     "save_fix_bundle",
     "slo_exit_code",
     "span_quantiles",

@@ -95,8 +95,7 @@ class RotatingNdjsonLog:
     the file is non-empty), the current file is renamed to
     ``<path>.1`` -- replacing any previous ``.1`` -- and a fresh file is
     opened, so the log's disk footprint is bounded by roughly
-    ``2 * max_bytes``.  One generation is enough for a dashboard tail
-    (see ``repro obs top``, which follows the rotation).
+    ``2 * max_bytes``.
 
     Thread-safety: writes and rotation run under one lock.
     """

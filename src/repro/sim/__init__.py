@@ -5,13 +5,7 @@ Reproduces the paper's Section 7 methodology: the VICON-room testbed, the
 """
 
 from repro.sim.dataset import EvaluationDataset, build_dataset
-from repro.sim.interference import (
-    InterferedMeasurementModel,
-    WifiNetwork,
-    affected_data_channels,
-    blacklist_map,
-    inject_band_outage,
-)
+from repro.sim.interference import inject_band_outage
 from repro.sim.measurement import ChannelMeasurementModel, IqMeasurementModel
 from repro.sim.metrics import (
     ErrorStats,
@@ -37,12 +31,8 @@ __all__ = [
     "EvaluationDataset",
     "EvaluationRecord",
     "EvaluationRun",
-    "InterferedMeasurementModel",
     "IqMeasurementModel",
     "Testbed",
-    "WifiNetwork",
-    "affected_data_channels",
-    "blacklist_map",
     "build_dataset",
     "cdf_table",
     "errors_from_fixes",

@@ -1,77 +1,20 @@
-"""Wi-Fi interference: collisions that cost BLoc channel measurements.
+"""Fault injection: receive-side band outages at one anchor.
 
-Section 8.6's premise made physical: 2.4 GHz Wi-Fi traffic occupies 20 MHz
-blocks, and a BLE connection event landing inside an active block while a
-Wi-Fi frame is on air is lost (CRC failure at the anchors), so that band's
-CSI is missing from the sweep.  BLoc degrades gracefully -- the remaining
-comb of channels still spans most of the 80 MHz -- and adaptive channel
-maps (blacklisting) trade lost events for fewer, reliable channels.
-
-:class:`InterferedMeasurementModel` wraps a channel-fidelity model and
-deletes the affected bands per sweep.
+:func:`inject_band_outage` zeroes chosen bands at one anchor of a
+measured sweep, so the service's provider gating and the health
+monitor's ``band_outage`` detector can be exercised on otherwise clean
+observations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
-from repro.ble.channels import ChannelMap, data_channel_to_frequency
 from repro.core.observations import ChannelObservations
-from repro.errors import ConfigurationError, MeasurementError
-from repro.sim.measurement import ChannelMeasurementModel
-from repro.utils.geometry2d import Point
-from repro.utils.rng import RngLike, derive_rng
-
-#: Centre frequencies [Hz] of the non-overlapping 2.4 GHz Wi-Fi channels.
-WIFI_CHANNEL_CENTRES = {1: 2.412e9, 6: 2.437e9, 11: 2.462e9}
-
-#: Occupied half-bandwidth of a 20 MHz Wi-Fi transmission.
-WIFI_HALF_WIDTH_HZ = 10e6
-
-
-@dataclass(frozen=True)
-class WifiNetwork:
-    """One interfering Wi-Fi network.
-
-    Attributes:
-        channel: Wi-Fi channel number (1, 6 or 11).
-        duty_cycle: fraction of airtime the network transmits (0..1).
-    """
-
-    channel: int
-    duty_cycle: float
-
-    def __post_init__(self):
-        if self.channel not in WIFI_CHANNEL_CENTRES:
-            raise ConfigurationError(
-                f"Wi-Fi channel must be one of "
-                f"{sorted(WIFI_CHANNEL_CENTRES)}, got {self.channel}"
-            )
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise ConfigurationError("duty cycle must be in [0, 1]")
-
-    def overlaps(self, frequency_hz: float) -> bool:
-        """Whether a BLE band centre falls inside this network's block."""
-        centre = WIFI_CHANNEL_CENTRES[self.channel]
-        return abs(frequency_hz - centre) < WIFI_HALF_WIDTH_HZ
-
-
-def affected_data_channels(networks: Sequence[WifiNetwork]) -> List[int]:
-    """BLE data channels overlapped by any of the given networks."""
-    out = []
-    for channel in range(37):
-        frequency = data_channel_to_frequency(channel)
-        if any(network.overlaps(frequency) for network in networks):
-            out.append(channel)
-    return out
-
-
-def blacklist_map(networks: Sequence[WifiNetwork]) -> ChannelMap:
-    """Channel map avoiding every listed network (adaptive hopping)."""
-    return ChannelMap.from_blacklist(affected_data_channels(networks))
+from repro.errors import ConfigurationError
 
 
 def inject_band_outage(
@@ -81,9 +24,7 @@ def inject_band_outage(
 ) -> ChannelObservations:
     """Knock out specific bands at *one* anchor (fault injection).
 
-    Unlike the Wi-Fi model above -- which deletes a lost band for every
-    anchor, as a real collision at the tag's transmission does -- this
-    simulates a receive-side fault: anchor ``anchor_index`` records
+    This simulates a receive-side fault: anchor ``anchor_index`` records
     nothing usable on the given bands (front-end desense, a wedged
     radio) while the other anchors keep theirs.  The affected cells are
     zeroed, which :func:`repro.core.correction.usable_band_mask` and the
@@ -117,62 +58,3 @@ def inject_band_outage(
         master_to_anchor=master,
         band_snr_db=snr,
     )
-
-
-@dataclass
-class InterferedMeasurementModel:
-    """A measurement model whose sweeps lose events to Wi-Fi collisions.
-
-    Attributes:
-        base: the underlying channel-fidelity measurement model.
-        networks: active Wi-Fi networks.
-        min_surviving_bands: a sweep that keeps fewer bands than this
-            raises :class:`~repro.errors.MeasurementError` (the real
-            system would retry the sweep).
-        seed: RNG seed for the per-event collision draws.
-    """
-
-    base: ChannelMeasurementModel
-    networks: List[WifiNetwork] = field(default_factory=list)
-    min_surviving_bands: int = 4
-    seed: RngLike = 0
-
-    def __post_init__(self):
-        if self.min_surviving_bands < 2:
-            raise ConfigurationError("need at least 2 surviving bands")
-
-    def collision_probability(self, frequency_hz: float) -> float:
-        """Probability one event at this frequency is lost."""
-        survival = 1.0
-        for network in self.networks:
-            if network.overlaps(frequency_hz):
-                survival *= 1.0 - network.duty_cycle
-        return 1.0 - survival
-
-    def measure(
-        self, tag: Point, round_index: int = 0
-    ) -> ChannelObservations:
-        """One sweep with per-event collision losses applied.
-
-        Raises:
-            MeasurementError: when too few bands survive.
-        """
-        observations = self.base.measure(tag, round_index=round_index)
-        rng = derive_rng(self.seed, "wifi", round_index)
-        survivors = [
-            k
-            for k, frequency in enumerate(observations.frequencies_hz)
-            if rng.uniform() >= self.collision_probability(frequency)
-        ]
-        if len(survivors) < self.min_surviving_bands:
-            raise MeasurementError(
-                f"only {len(survivors)} bands survived interference"
-            )
-        return observations.select_bands(survivors)
-
-    def expected_loss_fraction(self) -> float:
-        """Mean fraction of sweep events lost to collisions."""
-        freqs = self.base.frequencies()
-        return float(
-            np.mean([self.collision_probability(f) for f in freqs])
-        )

@@ -1,4 +1,4 @@
-"""Tests for repro.baselines.rssi: trilateration and fingerprinting."""
+"""Tests for repro.baselines.rssi: RSSI trilateration."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.rssi import (
-    RssiFingerprinting,
     RssiTrilateration,
     observation_rssi_dbm,
 )
-from repro.errors import ConfigurationError, LocalizationError
+from repro.errors import ConfigurationError
 from repro.sim import ChannelMeasurementModel
 from repro.sim.scenario import sample_tag_positions
 from repro.sim.testbed import open_room_testbed
@@ -82,45 +81,3 @@ class TestTrilateration:
         obs.ground_truth = None
         with pytest.raises(ConfigurationError):
             RssiTrilateration().calibrate([obs])
-
-
-class TestFingerprinting:
-    def test_needs_training(self, los_model):
-        obs = los_model.measure(Point(0, 0))
-        with pytest.raises(LocalizationError):
-            RssiFingerprinting().locate(obs)
-
-    def test_invalid_k(self):
-        with pytest.raises(ConfigurationError):
-            RssiFingerprinting(k=0)
-
-    def test_exact_match_recovers_position(self, los_model):
-        positions = sample_tag_positions(los_model.testbed, 30, seed=6)
-        observations = [
-            los_model.measure(p, round_index=k)
-            for k, p in enumerate(positions)
-        ]
-        fingerprinting = RssiFingerprinting(k=1)
-        fingerprinting.train(observations)
-        result = fingerprinting.locate(observations[7])
-        assert (result.position - positions[7]).norm() < 1e-9
-
-    def test_interpolates_between_neighbours(self, los_model):
-        positions = sample_tag_positions(los_model.testbed, 40, seed=7)
-        observations = [
-            los_model.measure(p, round_index=k)
-            for k, p in enumerate(positions)
-        ]
-        fingerprinting = RssiFingerprinting(k=3)
-        fingerprinting.train(observations[:-5])
-        errors = [
-            (fingerprinting.locate(obs).position - obs.ground_truth).norm()
-            for obs in observations[-5:]
-        ]
-        assert np.median(errors) < 2.0
-
-    def test_num_fingerprints(self, los_model):
-        fingerprinting = RssiFingerprinting()
-        assert fingerprinting.num_fingerprints == 0
-        fingerprinting.train([los_model.measure(Point(0, 0))])
-        assert fingerprinting.num_fingerprints == 1

@@ -16,11 +16,13 @@ import pytest
 from repro.ble.channels import ChannelMap
 from repro.core import BlocConfig, BlocLocalizer
 from repro.errors import (
+    ConfigurationError,
     LocalizationError,
     MeasurementError,
     ReproError,
 )
 from repro.sim import ChannelMeasurementModel, IqMeasurementModel
+from repro.sim.interference import inject_band_outage
 from repro.sim.testbed import open_room_testbed
 from repro.utils.geometry2d import Point
 
@@ -101,6 +103,54 @@ class TestDegenerateObservations:
         result = localizer.locate(observations, keep_map=False)
         grid = localizer.grid_for(observations)
         assert grid.contains(result.position)
+
+
+class TestInjectBandOutage:
+    @pytest.fixture
+    def observations(self, model):
+        observations = model.measure(Point(0.5, 0.5))
+        snr = np.full(
+            (observations.num_anchors, observations.num_bands), 20.0
+        )
+        return dataclasses.replace(observations, band_snr_db=snr)
+
+    @pytest.mark.parametrize("anchor", [-1, 4])
+    def test_out_of_range_anchor_raises(self, observations, anchor):
+        with pytest.raises(ConfigurationError, match="anchor index"):
+            inject_band_outage(observations, anchor, [0])
+
+    @pytest.mark.parametrize("band", [-1, 37])
+    def test_out_of_range_band_raises(self, observations, band):
+        with pytest.raises(ConfigurationError, match="band index"):
+            inject_band_outage(observations, 1, [band])
+
+    def test_input_is_not_modified(self, observations):
+        tag = observations.tag_to_anchor.copy()
+        master = observations.master_to_anchor.copy()
+        snr = observations.band_snr_db.copy()
+        inject_band_outage(observations, 1, [3, 7])
+        np.testing.assert_array_equal(observations.tag_to_anchor, tag)
+        np.testing.assert_array_equal(observations.master_to_anchor, master)
+        np.testing.assert_array_equal(observations.band_snr_db, snr)
+
+    def test_chosen_cells_are_zeroed(self, observations):
+        out = inject_band_outage(observations, 1, [3, 7])
+        for field in ("tag_to_anchor", "master_to_anchor"):
+            before = getattr(observations, field)
+            after = getattr(out, field)
+            assert not np.any(after[1][:, [3, 7]])
+            mask = np.ones(before.shape, dtype=bool)
+            mask[1, :, [3, 7]] = False
+            np.testing.assert_array_equal(after[mask], before[mask])
+
+    def test_chosen_cells_snr_becomes_nan(self, observations):
+        out = inject_band_outage(observations, 1, [3, 7])
+        assert np.all(np.isnan(out.band_snr_db[1, [3, 7]]))
+        mask = np.ones(out.band_snr_db.shape, dtype=bool)
+        mask[1, [3, 7]] = False
+        np.testing.assert_array_equal(
+            out.band_snr_db[mask], observations.band_snr_db[mask]
+        )
 
 
 class TestIqPacketLoss:

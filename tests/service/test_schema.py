@@ -131,19 +131,6 @@ class TestObservationsCodec:
         assert raw == observations.tag_to_anchor.astype("<c16").tobytes()
         assert all(isinstance(value, str) for value in payload.values())
 
-    def test_snr_round_trips_finite_values(self, testbed, observations):
-        payload = encode_observations(observations)
-        if observations.band_snr_db is None:
-            pytest.skip("model produced no SNR annotations")
-        decoded = decode_observations(
-            payload, testbed.anchors, testbed.master_index
-        )
-        finite = np.isfinite(observations.band_snr_db)
-        np.testing.assert_allclose(
-            decoded.band_snr_db[finite],
-            observations.band_snr_db[finite],
-        )
-
     def test_wrong_shape_rejected(self, testbed, observations):
         # One band short: the byte count no longer fits (I, J, K).
         payload = encode_observations(observations)
