@@ -10,8 +10,13 @@ regression:
 * :mod:`repro.analysis.linting` -- an AST lint engine with pluggable
   rules and per-line ``# repro: noqa[RULE]`` suppression, driven by the
   ``repro lint`` CLI subcommand.
-* :mod:`repro.analysis.rules` -- the RPR001..RPR010 rule set, each one
-  grounded in a real hazard of this codebase (see DESIGN.md).
+* :mod:`repro.analysis.rules` -- the RPR rule set (RPR001..RPR010,
+  RPR012, RPR013 guarded-field access and RPR015 resource lifetime),
+  each one grounded in a real hazard of this codebase (see DESIGN.md).
+* :mod:`repro.analysis.runtime_locks` -- the ``make_lock`` factory and
+  the runtime lock-order checker (zero cost unless ``REPRO_LOCK_CHECKS``
+  is set; the test suite enables it), plus the ``@guarded_by``
+  declaration RPR013 reads.
 * :mod:`repro.analysis.contracts` -- the env-gated ``@shaped`` runtime
   shape/dtype contract decorator applied to the hottest core/rf
   signatures (zero cost unless ``REPRO_CONTRACTS`` is set; the test

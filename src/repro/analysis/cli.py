@@ -2,14 +2,9 @@
 
 Wired into ``python -m repro`` (see :mod:`repro.__main__`).  Exit codes:
 
-* 0 -- no failing findings (baselined/suppressed findings are fine),
-* 1 -- at least one failing (active, non-baselined) finding,
+* 0 -- no active findings (``# repro: noqa`` suppressed ones are fine),
+* 1 -- at least one active finding,
 * 2 -- a file could not be parsed.
-
-``--concurrency`` adds the opt-in RPR013-015 rules and, when the
-committed ``concurrency_baseline.json`` exists, automatically applies it
-as the waiver baseline (disable with ``--no-baseline``; point elsewhere
-with ``--baseline``; regenerate with ``--update-baseline``).
 """
 
 from __future__ import annotations
@@ -17,16 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    apply_baseline,
-    baseline_from_report,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.concurrency import CONCURRENCY_RULES, concurrency_rules
 from repro.analysis.linting import LintEngine, LintReport, Rule
 from repro.analysis.rules import ALL_RULES, default_rules
 
@@ -50,30 +37,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="IDS",
         default=None,
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="also run the concurrency rules (RPR013-RPR015)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "waiver baseline file (default with --concurrency: "
-            f"{DEFAULT_BASELINE_PATH} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any waiver baseline (report all findings as failing)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings and exit",
     )
     parser.add_argument(
         "--format",
@@ -104,23 +67,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _selected_rules(
-    select: Optional[str],
-    ignore: Optional[str],
-    concurrency: bool = False,
-) -> List[Rule]:
+def _selected_rules(select: Optional[str], ignore: Optional[str]) -> List[Rule]:
     rules = default_rules()
-    if concurrency:
-        rules = rules + concurrency_rules()
     if select:
         wanted = {s.strip().upper() for s in select.split(",") if s.strip()}
-        # An explicit --select of a concurrency rule enables it even
-        # without the --concurrency flag.
-        have = {r.id for r in rules}
-        for extra in concurrency_rules():
-            if extra.id in wanted and extra.id not in have:
-                rules.append(extra)
-                have.add(extra.id)
         unknown = wanted - {r.id for r in rules}
         if unknown:
             raise SystemExit(
@@ -142,22 +92,9 @@ def _rule_table() -> str:
             cls.title,
             "all" if cls.scopes is None else ",".join(cls.scopes),
         ]
-        for cls in (*ALL_RULES, *CONCURRENCY_RULES)
+        for cls in ALL_RULES
     ]
     return format_table(["rule", "checks for", "scope"], rows)
-
-
-def _baseline_path(args: argparse.Namespace) -> Optional[Path]:
-    """The baseline file to apply, or None."""
-    if args.no_baseline:
-        return None
-    if args.baseline:
-        return Path(args.baseline)
-    if args.concurrency or args.update_baseline:
-        default = Path(DEFAULT_BASELINE_PATH)
-        if default.exists() or args.update_baseline:
-            return default
-    return None
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -165,27 +102,8 @@ def run_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(_rule_table())
         return 0
-    engine = LintEngine(
-        rules=_selected_rules(
-            args.select, args.ignore, concurrency=args.concurrency
-        )
-    )
+    engine = LintEngine(rules=_selected_rules(args.select, args.ignore))
     report = engine.lint_paths([Path(p) for p in args.paths])
-    baseline_path = _baseline_path(args)
-    if args.update_baseline:
-        if baseline_path is None:
-            raise SystemExit(
-                "error: --update-baseline needs a baseline path "
-                "(--baseline or the default)"
-            )
-        write_baseline(baseline_path, baseline_from_report(report))
-        print(
-            f"repro lint: wrote {len(report.active)} waiver(s) to "
-            f"{baseline_path}"
-        )
-        return 2 if report.parse_errors else 0
-    if baseline_path is not None and baseline_path.exists():
-        report = apply_baseline(report, load_baseline(baseline_path))
     if args.output:
         Path(args.output).write_text(
             report.to_json() + "\n", encoding="utf-8"
@@ -199,7 +117,7 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"{rule_id:<8} {count}")
     if report.parse_errors:
         return 2
-    return 1 if report.failing else 0
+    return 1 if report.active else 0
 
 
 def _print_text_report(report: LintReport, show_suppressed: bool) -> None:
@@ -208,11 +126,10 @@ def _print_text_report(report: LintReport, show_suppressed: bool) -> None:
     if show_suppressed:
         for finding in report.suppressed:
             print(finding.render())
-    failing = len(report.failing)
+    failing = len(report.active)
     summary = (
         f"repro lint: {report.files_checked} file(s), "
         f"{failing} failing finding(s), "
-        f"{len(report.baselined)} baselined, "
         f"{len(report.suppressed)} suppressed"
     )
     print(summary, file=sys.stderr if failing else sys.stdout)

@@ -64,15 +64,10 @@ class Finding:
     col: int
     message: str
     suppressed: bool = False
-    baselined: bool = False
 
     def render(self) -> str:
         """``path:line:col: RULE message`` (plus a suppression marker)."""
-        tag = ""
-        if self.suppressed:
-            tag = "  [suppressed]"
-        elif self.baselined:
-            tag = "  [baselined]"
+        tag = "  [suppressed]" if self.suppressed else ""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}{tag}"
 
     def to_dict(self) -> dict:
@@ -84,7 +79,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
 
@@ -193,29 +187,6 @@ class Rule:
         raise NotImplementedError
 
 
-class ProjectRule(Rule):
-    """A rule that needs to see the whole linted file set at once.
-
-    Per-file rules answer "is this line wrong?"; a project rule answers
-    questions whose evidence is spread across modules -- lock-order
-    inversion (RPR014) is the canonical case: the two conflicting
-    acquisition paths usually live in different files.  The engine
-    collects every parsed :class:`FileContext` first, filters by
-    :meth:`Rule.applies_to`, and hands the survivors to
-    :meth:`check_project` in one call.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Per-file entry point: a project of one file."""
-        return self.check_project([ctx])
-
-    def check_project(
-        self, ctxs: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        """Yield findings for the whole file set."""
-        raise NotImplementedError
-
-
 @dataclass
 class LintReport:
     """Outcome of linting a set of files.
@@ -240,16 +211,6 @@ class LintReport:
         return [f for f in self.findings if f.suppressed]
 
     @property
-    def baselined(self) -> List[Finding]:
-        """Active findings covered by the waiver baseline."""
-        return [f for f in self.active if f.baselined]
-
-    @property
-    def failing(self) -> List[Finding]:
-        """Findings that should fail the run: active and not baselined."""
-        return [f for f in self.active if not f.baselined]
-
-    @property
     def parse_errors(self) -> List[Finding]:
         """Files the engine could not parse."""
         return [f for f in self.findings if f.rule == PARSE_ERROR_RULE]
@@ -265,11 +226,9 @@ class LintReport:
         """Plain-data view for the JSON report / CI artifact."""
         return {
             "format": "repro-lint",
-            "version": 2,
+            "version": 3,
             "files_checked": self.files_checked,
             "num_findings": len(self.active),
-            "num_failing": len(self.failing),
-            "num_baselined": len(self.baselined),
             "num_suppressed": len(self.suppressed),
             "counts_by_rule": self.counts_by_rule(),
             "findings": [f.to_dict() for f in self.active],
@@ -316,29 +275,19 @@ class LintEngine:
             )
         return FileContext(source, tree, path=path, rel=rel), None
 
-    def _run(self, ctxs: Sequence[FileContext]) -> List[Finding]:
-        """Run every rule: per-file rules per context, project rules
-        once over all applicable contexts."""
-        findings: List[Finding] = []
-        for rule in self.rules:
-            applicable = [c for c in ctxs if rule.applies_to(c)]
-            if isinstance(rule, ProjectRule):
-                if applicable:
-                    findings.extend(rule.check_project(applicable))
-            else:
-                for ctx in applicable:
-                    findings.extend(rule.check(ctx))
-        noqa_by_path: Dict[str, Dict[int, Set[str]]] = {
-            ctx.path: parse_noqa(ctx.source) for ctx in ctxs
-        }
+    def _run(self, ctx: FileContext) -> List[Finding]:
+        """Run every applicable rule over one file, marking noqa'd
+        findings suppressed."""
+        noqa = parse_noqa(ctx.source)
         out: List[Finding] = []
-        for finding in findings:
-            waived = noqa_by_path.get(finding.path, {}).get(
-                finding.line, ()
-            )
-            if BLANKET in waived or finding.rule.upper() in waived:
-                finding = replace(finding, suppressed=True)
-            out.append(finding)
+        for rule in self.rules:
+            if not rule.applies_to(ctx):
+                continue
+            for finding in rule.check(ctx):
+                waived = noqa.get(finding.line, ())
+                if BLANKET in waived or finding.rule.upper() in waived:
+                    finding = replace(finding, suppressed=True)
+                out.append(finding)
         out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return out
 
@@ -360,7 +309,7 @@ class LintEngine:
         ctx, error = self._parse(source, path, rel)
         if ctx is None:
             return [error] if error is not None else []
-        return self._run([ctx])
+        return self._run(ctx)
 
     def lint_file(self, path: Path) -> List[Finding]:
         """Lint one file on disk."""
@@ -368,22 +317,11 @@ class LintEngine:
         return self.lint_source(text, path=str(path))
 
     def lint_paths(self, paths: Sequence[Path]) -> LintReport:
-        """Lint files and/or directory trees (``**/*.py``).
-
-        All files are parsed up front so :class:`ProjectRule` rules see
-        the whole set at once; per-file rules behave exactly as before.
-        """
+        """Lint files and/or directory trees (``**/*.py``)."""
         report = LintReport()
-        ctxs: List[FileContext] = []
         for path in _expand(paths):
-            text = Path(path).read_text(encoding="utf-8")
-            ctx, error = self._parse(text, str(path), rel=None)
-            if error is not None:
-                report.findings.append(error)
-            if ctx is not None:
-                ctxs.append(ctx)
+            report.findings.extend(self.lint_file(path))
             report.files_checked += 1
-        report.findings.extend(self._run(ctxs))
         report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return report
 

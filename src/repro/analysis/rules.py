@@ -919,6 +919,290 @@ class UntracedServiceHandler(Rule):
 
 
 # ---------------------------------------------------------------------------
+# RPR013 -- guarded fields accessed without their lock
+# ---------------------------------------------------------------------------
+
+
+def _guarded_fields(cls: ast.ClassDef) -> Dict[str, str]:
+    """``field -> lock attr`` from a class's ``@guarded_by`` decorators."""
+    guards: Dict[str, str] = {}
+    for dec in cls.decorator_list:
+        if not isinstance(dec, ast.Call):
+            continue
+        func = dotted_name(dec.func)
+        if func is None or func.split(".")[-1] != "guarded_by":
+            continue
+        names = [
+            arg.value
+            for arg in dec.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+        ]
+        for field_name in names[1:]:
+            guards[field_name] = names[0]
+    return guards
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` when the node is exactly ``self.X``, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _with_holds(ctx: FileContext, node: ast.AST, lock_expr: str) -> bool:
+    """Whether an ancestor ``with`` statement acquires ``lock_expr``."""
+    for ancestor in ctx.ancestors(node):
+        if isinstance(ancestor, ast.With):
+            for item in ancestor.items:
+                if dotted_name(item.context_expr) == lock_expr:
+                    return True
+    return False
+
+
+class GuardedFieldDiscipline(Rule):
+    """RPR013: guarded fields touched outside their lock."""
+
+    id = "RPR013"
+    title = "guarded field accessed without its declared lock held"
+    rationale = (
+        "@guarded_by declarations are the thread-safety contract; a "
+        "read, write or in-place mutation outside 'with self._lock:' is "
+        "a data race waiting for traffic."
+    )
+    scopes = None
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                yield from self._check_class(ctx, node)
+
+    def _check_class(
+        self, ctx: FileContext, cls: ast.ClassDef
+    ) -> Iterator[Finding]:
+        guards = _guarded_fields(cls)
+        if not guards:
+            return
+        for node in ast.walk(cls):
+            field_name = _self_attr(node)
+            if field_name is None or field_name not in guards:
+                continue
+            lock_attr = guards[field_name]
+            func = enclosing_function(ctx, node)
+            if func is None:
+                continue  # class-level default, not instance state
+            if func.name in ("__init__", "__post_init__"):
+                continue  # construction happens-before sharing
+            if _with_holds(ctx, node, f"self.{lock_attr}"):
+                continue
+            verb = (
+                "written"
+                if isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+                else "read"
+            )
+            yield ctx.finding(
+                self.id,
+                node,
+                f"{cls.name}.{field_name} is guarded by "
+                f"{lock_attr!r} but {verb} in {qualname(ctx, func)} "
+                f"without 'with self.{lock_attr}:'",
+            )
+
+
+# ---------------------------------------------------------------------------
+# RPR015 -- resource lifetime
+# ---------------------------------------------------------------------------
+
+#: Method names that release a resource for RPR015 purposes.
+_CLOSER_METHODS: Set[str] = {
+    "close",
+    "shutdown",
+    "terminate",
+    "release",
+    "stop",
+    "join",
+}
+
+#: Callables whose result owns a releasable OS resource.
+_ACQUIRING_NAMES: Set[str] = {"open", "socket", "os.fdopen", "socket.socket"}
+
+
+def _contains(tree: ast.AST, needle: ast.AST) -> bool:
+    return any(node is needle for node in ast.walk(tree))
+
+
+class ResourceLifetime(Rule):
+    """RPR015: acquired OS resources not released on all paths."""
+
+    id = "RPR015"
+    title = "resource not closed on all paths"
+    rationale = (
+        "an open()/socket() whose close lives outside a 'with' or "
+        "'finally' leaks the handle on the exception path -- under real "
+        "traffic that is fd exhaustion"
+    )
+    scopes = None
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield from self._check_function(ctx, node)
+
+    def _acquires(self, call: ast.Call) -> Optional[str]:
+        """The resource kind a call acquires, or None."""
+        name = dotted_name(call.func)
+        if name in _ACQUIRING_NAMES:
+            return name
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+            return "*.open"
+        return None
+
+    def _check_function(
+        self, ctx: FileContext, func: ast.AST
+    ) -> Iterator[Finding]:
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            if enclosing_function(ctx, node) is not func:
+                continue  # belongs to a nested def
+            kind = self._acquires(node)
+            if kind is None:
+                continue
+            parent = ctx.parent(node)
+            if self._transferred(ctx, node, parent):
+                continue
+            if isinstance(parent, ast.Assign):
+                yield from self._check_assigned(
+                    ctx, func, node, parent, kind
+                )
+                continue
+            yield ctx.finding(
+                self.id,
+                node,
+                f"{kind}(...) result in {qualname(ctx, func)} is never "
+                f"closed (not a 'with' target, not handed off)",
+            )
+
+    @staticmethod
+    def _transferred(
+        ctx: FileContext, call: ast.Call, parent: Optional[ast.AST]
+    ) -> bool:
+        """Whether the fresh resource immediately leaves our hands."""
+        if isinstance(parent, ast.withitem):
+            return True
+        if isinstance(parent, (ast.Return, ast.Yield, ast.YieldFrom)):
+            return True
+        if isinstance(parent, ast.Call) and parent is not call:
+            return True  # argument: ownership transferred to the callee
+        if isinstance(parent, ast.Attribute):
+            return True  # immediately chained (e.g. Path(...).open handled)
+        if isinstance(parent, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                parent.targets
+                if isinstance(parent, ast.Assign)
+                else [parent.target]
+            )
+            for target in targets:
+                if isinstance(target, (ast.Attribute, ast.Subscript)):
+                    return True  # stored on an object: object's lifetime
+        return False
+
+    def _check_assigned(
+        self,
+        ctx: FileContext,
+        func: ast.AST,
+        call: ast.Call,
+        assign: ast.Assign,
+        kind: str,
+    ) -> Iterator[Finding]:
+        target = assign.targets[0]
+        if not isinstance(target, ast.Name):
+            return
+        name = target.id
+        closed_in_finally = False
+        closed_elsewhere = False
+        for node in ast.walk(func):
+            if node is call:
+                continue
+            if self._is_closer(node, name):
+                if self._in_finally(ctx, node, func):
+                    closed_in_finally = True
+                else:
+                    closed_elsewhere = True
+            elif self._escapes(node, name, assign):
+                return  # handed off / with-managed: not ours to close
+        if closed_in_finally:
+            return
+        if closed_elsewhere:
+            yield ctx.finding(
+                self.id,
+                call,
+                f"{kind}(...) bound to {name!r} in {qualname(ctx, func)} "
+                f"is closed only on the success path (use 'with' or "
+                f"'try/finally')",
+            )
+        else:
+            yield ctx.finding(
+                self.id,
+                call,
+                f"{kind}(...) bound to {name!r} in {qualname(ctx, func)} "
+                f"is never closed",
+            )
+
+    @staticmethod
+    def _is_closer(node: ast.AST, name: str) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _CLOSER_METHODS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == name
+        )
+
+    @staticmethod
+    def _in_finally(
+        ctx: FileContext, node: ast.AST, func: ast.AST
+    ) -> bool:
+        child = node
+        for ancestor in ctx.ancestors(node):
+            if isinstance(ancestor, ast.Try) and any(
+                child is stmt or _contains(stmt, child)
+                for stmt in ancestor.finalbody
+            ):
+                return True
+            if ancestor is func:
+                return False
+            child = ancestor
+        return False
+
+    @staticmethod
+    def _escapes(node: ast.AST, name: str, assign: ast.Assign) -> bool:
+        """Whether the named resource is handed off after acquisition."""
+        if isinstance(node, ast.withitem):
+            expr = node.context_expr
+            if isinstance(expr, ast.Name) and expr.id == name:
+                return True
+        if isinstance(node, (ast.Return, ast.Yield)) and node is not assign:
+            value = node.value
+            if isinstance(value, ast.Name) and value.id == name:
+                return True
+        if isinstance(node, ast.Call):
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                if isinstance(arg, ast.Name) and arg.id == name:
+                    return True
+        if isinstance(node, ast.Assign) and node is not assign:
+            if isinstance(node.value, ast.Name) and node.value.id == name:
+                for target in node.targets:
+                    if isinstance(target, (ast.Attribute, ast.Subscript)):
+                        return True
+        return False
+
+
+# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
@@ -934,6 +1218,8 @@ ALL_RULES = (
     MagicBleConstant,
     MissingThreadSafetyTag,
     UntracedServiceHandler,
+    GuardedFieldDiscipline,
+    ResourceLifetime,
 )
 
 

@@ -1,8 +1,12 @@
-"""tsan-lite: runtime lock-order and guarded-field checking.
+"""tsan-lite: the runtime lock-order checker and guard declarations.
 
-The static concurrency rules (:mod:`repro.analysis.concurrency`) prove
-what they can see lexically; this module catches what they cannot -- the
-*observed* behaviour of the running system.  Three pieces:
+Each concurrency property has one checker.  Lock *order* is checked
+here, at runtime, because every nested acquisition in the package
+crosses classes (a pool lock held while a cache or metric lock is
+taken), which a per-file static pass cannot resolve.  Guarded-field
+*access* -- reads, rebinds and in-place mutation -- is checked
+statically by lint rule RPR013, which reads the :func:`guarded_by`
+declarations this module records.
 
 * :func:`make_lock` -- the lock factory every lock-holding module in the
   repository routes through.  Disabled (the default) it returns a plain
@@ -17,28 +21,19 @@ what they can see lexically; this module catches what they cannot -- the
   can deadlock -- the classic single-run lock-order checker: the
   inversion is caught even when the interleaving that would deadlock
   never happens.
-* :func:`guarded_by` / :func:`holds_lock` -- declaration decorators.
-  ``@guarded_by("_lock", "_refs")`` on a class declares that ``_refs``
-  may only be written while ``self._lock`` is held; the declaration is
-  read statically by lint rule RPR013 and, when checks are enabled,
-  enforced at runtime through a ``__setattr__`` wrapper.
-  ``@holds_lock("_lock")`` on a method declares (and, enabled, asserts)
-  that callers enter it with the lock already held.
+* :func:`guarded_by` -- the class decorator declaring which fields a
+  lock guards.  It records the declaration and changes nothing else.
 
-Like the ``@shaped`` contracts, the whole layer is **zero-cost when
-disabled**: gating happens when the lock is created / the class is
-decorated, driven by the ``REPRO_LOCK_CHECKS`` environment variable.
-``tests/conftest.py`` enables it for the whole suite, so every tier-1
-run doubles as a lock-discipline audit.
+Like the ``@shaped`` contracts, the checker is **zero-cost when
+disabled**: gating happens when the lock is created, driven by the
+``REPRO_LOCK_CHECKS`` environment variable.  ``tests/conftest.py``
+enables it for the whole suite, so every tier-1 run doubles as a
+lock-order audit.
 
-Scope notes (deliberate):
-
-* Ranking is by lock *name*, not instance -- two instruments of the
-  same class share a rank, so cross-instance nesting of same-ranked
-  locks is reported as an inversion (it is one: two threads nesting
-  opposite instances deadlock).
-* Only attribute *rebinds* are checked at runtime (``self._x = ...``);
-  in-place container mutation and reads are the static pass's job.
+Ranking is by lock *name*, not instance -- two instruments of the same
+class share a rank, so cross-instance nesting of same-ranked locks is
+reported as an inversion (it is one: two threads nesting opposite
+instances deadlock).
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConcurrencyViolation, ConfigurationError
 
@@ -54,10 +49,6 @@ from repro.errors import ConcurrencyViolation, ConfigurationError
 LOCK_CHECKS_ENV_VAR = "REPRO_LOCK_CHECKS"
 
 _TRUTHY = {"1", "true", "on", "yes"}
-
-#: Attribute set on instances of @guarded_by classes once __init__ has
-#: finished; guarded-field writes are only checked after construction.
-_READY_FLAG = "_repro_guard_ready"
 
 
 def lock_checks_enabled() -> bool:
@@ -267,19 +258,12 @@ def make_lock(name: str) -> LockLike:
 def guarded_by(lock_attr: str, *fields: str) -> Callable[[type], type]:
     """Class decorator declaring fields guarded by a lock attribute.
 
-    ``@guarded_by("_lock", "_refs", "_shm")`` declares that ``_refs``
-    and ``_shm`` may only be accessed while ``self._lock`` is held.  The
+    ``@guarded_by("_lock", "_entries", "hits")`` declares that
+    ``_entries`` and ``hits`` may only be accessed while ``self._lock`` is held.  The
     declaration is recorded on the class as ``__guarded_fields__``
-    (``field -> lock attribute``) where both the static RPR013 pass and
-    this module's runtime enforcement read it.  Decorators stack: a
+    (``field -> lock attribute``) and checked statically by lint rule
+    RPR013; the class itself is returned unchanged.  Decorators stack: a
     class may declare different fields under different locks.
-
-    Runtime enforcement (only when ``REPRO_LOCK_CHECKS`` was truthy at
-    class-decoration time) wraps ``__setattr__``: rebinding a guarded
-    field after ``__init__`` finishes, while the guard is a
-    :class:`CheckedLock` the calling thread does not hold, raises
-    :class:`~repro.errors.ConcurrencyViolation`.  Reads and in-place
-    container mutation are checked statically, not here.
     """
     if not fields:
         raise ConfigurationError(
@@ -291,75 +275,6 @@ def guarded_by(lock_attr: str, *fields: str) -> Callable[[type], type]:
         for field_name in fields:
             declared[field_name] = lock_attr
         cls.__guarded_fields__ = declared  # type: ignore[attr-defined]
-        if not lock_checks_enabled():
-            return cls
-        if getattr(cls, "_repro_guard_installed", None) is not cls:
-            _install_guard_enforcement(cls)
         return cls
-
-    return decorate
-
-
-def _install_guard_enforcement(cls: type) -> None:
-    """Wrap ``__init__``/``__setattr__`` to enforce guarded writes."""
-    original_init = cls.__init__
-    original_setattr = cls.__setattr__
-
-    def checked_init(self: Any, *args: Any, **kwargs: Any) -> None:
-        original_init(self, *args, **kwargs)
-        object.__setattr__(self, _READY_FLAG, True)
-
-    def checked_setattr(self: Any, name: str, value: Any) -> None:
-        guard_attr = type(self).__guarded_fields__.get(name)
-        if guard_attr is not None and getattr(self, _READY_FLAG, False):
-            guard = getattr(self, guard_attr, None)
-            if isinstance(guard, CheckedLock) and not (
-                guard.held_by_current_thread()
-            ):
-                raise ConcurrencyViolation(
-                    f"{type(self).__name__}.{name} is guarded by "
-                    f"{guard_attr!r} but was written at {_call_site()} "
-                    f"without the lock held"
-                )
-        original_setattr(self, name, value)
-
-    cls.__init__ = checked_init  # type: ignore[method-assign]
-    cls.__setattr__ = checked_setattr  # type: ignore[method-assign]
-    cls._repro_guard_installed = cls  # type: ignore[attr-defined]
-
-
-def holds_lock(lock_attr: str) -> Callable[[Callable], Callable]:
-    """Method decorator: callers must already hold ``self.<lock_attr>``.
-
-    The static RPR013 pass treats a ``@holds_lock("_lock")`` method's
-    guarded-field accesses as lock-held (the tag is the method's
-    contract); at runtime (checks enabled at decoration time) entering
-    the method with a :class:`CheckedLock` guard the calling thread does
-    not hold raises :class:`~repro.errors.ConcurrencyViolation` -- so a
-    stale tag cannot quietly outlive the call sites that honoured it.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        fn.__repro_holds_lock__ = lock_attr  # type: ignore[attr-defined]
-        if not lock_checks_enabled():
-            return fn
-
-        import functools
-
-        @functools.wraps(fn)
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            guard = getattr(self, lock_attr, None)
-            if isinstance(guard, CheckedLock) and not (
-                guard.held_by_current_thread()
-            ):
-                raise ConcurrencyViolation(
-                    f"{type(self).__name__}.{fn.__name__} is tagged "
-                    f"@holds_lock({lock_attr!r}) but was entered at "
-                    f"{_call_site()} without the lock held"
-                )
-            return fn(self, *args, **kwargs)
-
-        wrapper.__repro_holds_lock__ = lock_attr  # type: ignore[attr-defined]
-        return wrapper
 
     return decorate

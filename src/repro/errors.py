@@ -56,7 +56,7 @@ class ContractViolation(ReproError):
 
 
 class ConcurrencyViolation(ReproError):
-    """A runtime concurrency contract (:mod:`repro.analysis.runtime_locks`)
-    was broken: a lock-order inversion against the observed acquisition
-    DAG, a guarded field written without its lock held, or a
-    ``@holds_lock`` method entered lock-free."""
+    """The runtime lock-order checker (:mod:`repro.analysis.runtime_locks`)
+    saw an acquisition that can deadlock: an order inverted against the
+    observed acquisition DAG, two locks of one rank nested, or a
+    non-reentrant lock re-acquired by its holder."""

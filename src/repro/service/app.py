@@ -57,7 +57,7 @@ from repro.service.pool import (
     LocalizerPool,
     UnknownScenarioError,
 )
-from repro.analysis.runtime_locks import guarded_by, holds_lock, make_lock
+from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.service.ratelimit import RateLimiter
 from repro.service.schema import (
     MAX_BODY_BYTES,
@@ -115,17 +115,13 @@ class RotatingNdjsonLog:
                 self._size > 0
                 and self._size + encoded_len > self.max_bytes
             ):
-                self._rotate_locked()
+                self._fh.close()
+                os.replace(self.path, self.path + ".1")
+                self._fh = open(self.path, "a", encoding="utf-8")
+                self._size = 0
             self._fh.write(line + "\n")
             self._fh.flush()
             self._size += encoded_len
-
-    @holds_lock("_lock")
-    def _rotate_locked(self) -> None:
-        self._fh.close()
-        os.replace(self.path, self.path + ".1")
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._size = 0
 
     def close(self) -> None:
         """Flush and close the current file."""

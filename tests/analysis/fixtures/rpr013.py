@@ -2,12 +2,7 @@
 
 import threading
 
-from repro.analysis.runtime_locks import guarded_by, holds_lock
-
-_LOCK = threading.Lock()
-_TABLE = {}  # guarded-by: _LOCK
-
-_TABLE["init"] = 0  # module-level init is exempt
+from repro.analysis.runtime_locks import guarded_by
 
 
 @guarded_by("_lock", "_count", "_items")
@@ -16,18 +11,11 @@ class Tracker:
         self._lock = threading.Lock()
         self._count = 0  # __init__ is exempt
         self._items = []
-        self._stats = {}  # guarded-by: _lock
 
     def safe_add(self, item):
         with self._lock:
             self._items.append(item)
             self._count += 1
-
-    @holds_lock("_lock")
-    def _drain_locked(self):
-        drained = list(self._items)
-        self._items.clear()
-        return drained
 
     def unsafe_read(self):
         return self._count
@@ -35,17 +23,22 @@ class Tracker:
     def unsafe_write(self, item):
         self._items.append(item)
 
-    def unsafe_comment_guard(self):
-        return dict(self._stats)
-
     def waived(self):
         return self._count  # repro: noqa[RPR013] -- fixture
 
 
-def unsafe_global():
-    return dict(_TABLE)
+@guarded_by("_stats_lock", "_stats")
+@guarded_by("_lock", "_total")
+class Split:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._stats_lock = threading.Lock()
+        self._total = 0
+        self._stats = {}
 
+    def wrong_lock(self, key):
+        with self._lock:
+            self._stats[key] = self._total
 
-def safe_global(key, value):
-    with _LOCK:
-        _TABLE[key] = value
+    def unsafe_rebind(self):
+        self._total = 0

@@ -2,10 +2,7 @@
 
 import threading
 
-from repro.analysis.runtime_locks import guarded_by, holds_lock
-
-_LOCK = threading.Lock()
-_TABLE = {}  # guarded-by: _LOCK
+from repro.analysis.runtime_locks import guarded_by
 
 
 @guarded_by("_lock", "_count", "_items")
@@ -20,13 +17,9 @@ class CleanTracker:
         with self._lock:
             self._items.append(item)
             self._count += 1
-            return self._flush_locked()
-
-    @holds_lock("_lock")
-    def _flush_locked(self):
-        drained = list(self._items)
-        self._items.clear()
-        return drained
+            drained = list(self._items)
+            self._items.clear()
+            return drained
 
     def count(self):
         with self._lock:
@@ -34,8 +27,3 @@ class CleanTracker:
 
     def free(self):
         return self.unguarded
-
-
-def read_global():
-    with _LOCK:
-        return dict(_TABLE)

@@ -1,6 +1,6 @@
 """RPR015 fixture: resources not released on all paths."""
 
-from multiprocessing import shared_memory
+import socket
 
 
 def never_closed(path):
@@ -15,9 +15,10 @@ def success_path_only(path):
     return data
 
 
-def segment_never_released(size):
-    shm = shared_memory.SharedMemory(create=True, size=size)
-    return shm.buf[0]
+def socket_never_closed(address):
+    sock = socket.socket()
+    sock.connect(address)
+    return sock.recv(1)
 
 
 def discarded_handle(path):

@@ -1,6 +1,6 @@
 """RPR015 clean fixture: every acquisition is released or handed off."""
 
-from multiprocessing import shared_memory
+import socket
 
 
 def with_statement(path):
@@ -30,17 +30,17 @@ def ownership_passed(path, sink):
 
 
 class Holder:
-    def __init__(self, size):
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
+    def __init__(self):
+        self._sock = socket.socket()
 
     def close(self):
-        self._shm.close()
+        self._sock.close()
 
 
-def segment_released(size):
-    shm = shared_memory.SharedMemory(create=True, size=size)
+def socket_released(address):
+    sock = socket.socket()
     try:
-        return bytes(shm.buf[:1])
+        sock.connect(address)
+        return sock.recv(1)
     finally:
-        shm.close()
-        shm.unlink()
+        sock.close()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,6 +12,17 @@ CLEAN = "x = 1\n"
 DIRTY = "def f(x):\n    return x == 0.5\n"
 BROKEN = "def broken(:\n"
 LEAKY = "def leak(path):\n    fh = open(path)\n    return fh.read()\n"
+RACY = (
+    "import threading\n"
+    "from repro.analysis.runtime_locks import guarded_by\n\n\n"
+    '@guarded_by("_lock", "_count")\n'
+    "class Racy:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._count = 0\n\n"
+    "    def bump(self):\n"
+    "        self._count += 1\n"
+)
 
 
 class TestLintCommand:
@@ -82,17 +92,21 @@ class TestLintCommand:
 
 
 class TestConcurrencyLint:
-    def test_off_by_default(self, tmp_path):
+    def test_on_by_default(self, tmp_path):
         (tmp_path / "leaky.py").write_text(LEAKY)
-        assert main(["lint", str(tmp_path)]) == 0
+        assert main(["lint", str(tmp_path)]) == 1
 
     def test_planted_violation_fails(self, tmp_path, capsys):
+        """The concurrency rules run by default: a guarded-field race
+        and a leaked handle each fail a plain ``repro lint``."""
         (tmp_path / "leaky.py").write_text(LEAKY)
-        code = main(["lint", str(tmp_path), "--concurrency", "--no-baseline"])
+        (tmp_path / "racy.py").write_text(RACY)
+        code = main(["lint", str(tmp_path)])
         assert code == 1
         captured = capsys.readouterr()
+        assert "RPR013" in captured.out
         assert "RPR015" in captured.out
-        assert "1 failing finding(s)" in captured.err
+        assert "2 failing finding(s)" in captured.err
 
     def test_select_enables_concurrency_rule_without_flag(self, tmp_path):
         (tmp_path / "leaky.py").write_text(LEAKY)
@@ -101,8 +115,9 @@ class TestConcurrencyLint:
     def test_list_rules_includes_concurrency(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPR013", "RPR014", "RPR015"):
+        for rule_id in ("RPR013", "RPR015"):
             assert rule_id in out
+        assert "RPR014" not in out
 
     def test_noqa_waives_concurrency_finding(self, tmp_path):
         (tmp_path / "waived.py").write_text(
@@ -110,7 +125,7 @@ class TestConcurrencyLint:
             "    fh = open(path)  # repro: noqa[RPR015] -- handed to caller\n"
             "    return fh.read()\n"
         )
-        assert main(["lint", str(tmp_path), "--concurrency"]) == 0
+        assert main(["lint", str(tmp_path)]) == 0
 
     def test_blanket_noqa_covers_concurrency_rules(self, tmp_path):
         (tmp_path / "waived.py").write_text(
@@ -118,129 +133,4 @@ class TestConcurrencyLint:
             "    fh = open(path)  # repro: noqa -- blanket\n"
             "    return fh.read()\n"
         )
-        assert main(["lint", str(tmp_path), "--concurrency"]) == 0
-
-
-class TestBaselineCli:
-    def test_update_baseline_writes_waivers(self, tmp_path, capsys):
-        (tmp_path / "leaky.py").write_text(LEAKY)
-        baseline = tmp_path / "waivers.json"
-        code = main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 0
-        assert "wrote 1 waiver(s)" in capsys.readouterr().out
-        waivers = json.loads(baseline.read_text())["waivers"]
-        assert list(waivers.values()) == [1]
-        assert list(waivers)[0].endswith("leaky.py::RPR015")
-
-    def test_baselined_run_exits_zero(self, tmp_path, capsys):
-        (tmp_path / "leaky.py").write_text(LEAKY)
-        baseline = tmp_path / "waivers.json"
-        main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--baseline",
-                str(baseline),
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["num_failing"] == 0
-        assert data["num_baselined"] == 1
-        (baselined,) = [f for f in data["findings"] if f["baselined"]]
-        assert baselined["rule"] == "RPR015"
-
-    def test_new_debt_beyond_baseline_fails(self, tmp_path, capsys):
-        (tmp_path / "leaky.py").write_text(LEAKY)
-        baseline = tmp_path / "waivers.json"
-        main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        capsys.readouterr()
-        (tmp_path / "leaky.py").write_text(
-            LEAKY + "\n\ndef second_leak(path):\n"
-            "    fh = open(path)\n"
-            "    return fh.read()\n"
-        )
-        code = main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "1 failing finding(s), 1 baselined" in captured.err
-
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        (tmp_path / "leaky.py").write_text(LEAKY)
-        baseline = tmp_path / "waivers.json"
-        main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--update-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        capsys.readouterr()
-        code = main(
-            [
-                "lint",
-                str(tmp_path),
-                "--concurrency",
-                "--baseline",
-                str(baseline),
-                "--no-baseline",
-            ]
-        )
-        assert code == 1
-
-    def test_committed_baseline_is_empty(self):
-        """The repo carries no concurrency debt: every violation found
-        during the rollout was fixed, not waived."""
-        from repro.analysis.baseline import (
-            DEFAULT_BASELINE_PATH,
-            load_baseline,
-        )
-
-        committed = (
-            Path(__file__).resolve().parents[2] / DEFAULT_BASELINE_PATH
-        )
-        assert committed.is_file()
-        assert load_baseline(committed) == {}
+        assert main(["lint", str(tmp_path)]) == 0

@@ -93,7 +93,7 @@ class TestEngine:
         report = LintEngine(rules=[_AlwaysFire()]).lint_paths([tmp_path])
         data = json.loads(report.to_json())
         assert data["format"] == "repro-lint"
-        assert data["version"] == 2
+        assert data["version"] == 3
         assert data["files_checked"] == 1
         assert data["num_findings"] == 1
         assert data["counts_by_rule"] == {"TEST001": 1}

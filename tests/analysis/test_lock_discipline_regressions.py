@@ -173,7 +173,7 @@ class TestGuardDeclarations:
     def test_every_guarded_class_names_a_real_lock_attribute(self):
         """``__guarded_fields__`` must point at lock attributes that the
         class actually creates -- a typo'd lock name would silently
-        disable both the static and the runtime checks."""
+        disable RPR013 for those fields."""
         import repro.core.engine
         import repro.obs.metrics
         import repro.obs.trace
