@@ -23,7 +23,9 @@ and overhead bound is an ``[slo.*]`` rule in ``slo.toml``, gated by
 from __future__ import annotations
 
 import json
+import math
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -39,7 +41,7 @@ from repro.experiments.common import (
 )
 from repro.obs import SamplingProfiler, get_observer, observed
 from repro.obs.ledger import RunLedger, build_run_record
-from repro.sim import evaluate
+from repro.sim import EvaluationDataset, evaluate
 
 #: Output file accumulating the perf numbers of both tests.
 BENCH_JSON_PATH = os.environ.get("REPRO_BENCH_JSON", "BENCH_localize.json")
@@ -48,8 +50,15 @@ BENCH_JSON_PATH = os.environ.get("REPRO_BENCH_JSON", "BENCH_localize.json")
 #: ``min(PARALLEL_WORKERS, cpus)`` workers, so every worker has a cpu.
 PARALLEL_WORKERS = 4
 
-#: Interleaved serial/parallel sweep pairs; each side keeps its best.
-SWEEP_ROUNDS = 5
+#: Interleaved serial/parallel sweep pairs; the speedup is the median
+#: of their per-round ratios.
+SWEEP_ROUNDS = 7
+
+#: Shortest serial sweep worth timing: the dataset is repeated until a
+#: sweep lasts about this long, so a scheduler hiccup of a few
+#: milliseconds cannot swing the ratio (a CI-sized 6-fix sweep alone
+#: lasts 5-10 ms).
+SWEEP_MIN_S = 0.05
 
 #: Interleaved direct/warm locate pairs; each side keeps its best.
 STEERING_ROUNDS = 5
@@ -200,28 +209,41 @@ def test_perf_parallel_evaluate(dataset, report_sink):
     # one-off engine build and the ratio compares the sweeps alone.
     for localizer in (serial_localizer, parallel_localizer):
         localizer.locate(dataset.observations[0], keep_map=False)
+    # The faster of two untimed sweeps sets how often the dataset is
+    # repeated for a sweep to last SWEEP_MIN_S.
+    base_s = float("inf")
+    for _ in range(2):
+        start = time.perf_counter()
+        evaluate(serial_localizer, dataset, label="calibrate")
+        base_s = min(base_s, time.perf_counter() - start)
+    sweep = EvaluationDataset(
+        testbed=dataset.testbed,
+        observations=dataset.observations * math.ceil(SWEEP_MIN_S / base_s),
+    )
 
-    # A CI-sized sweep lasts a few milliseconds, so one scheduler hiccup
-    # can double either side: take the best of interleaved rounds.
-    serial_s = parallel_s = float("inf")
+    serial_times, parallel_times, ratios = [], [], []
     for _ in range(SWEEP_ROUNDS):
         start = time.perf_counter()
-        serial_run = evaluate(serial_localizer, dataset, label="serial")
-        serial_s = min(serial_s, time.perf_counter() - start)
+        serial_run = evaluate(serial_localizer, sweep, label="serial")
+        serial_times.append(time.perf_counter() - start)
         start = time.perf_counter()
         parallel_run = evaluate(
             parallel_localizer,
-            dataset,
+            sweep,
             label="parallel",
             workers=workers,
         )
-        parallel_s = min(parallel_s, time.perf_counter() - start)
+        parallel_times.append(time.perf_counter() - start)
+        ratios.append(serial_times[-1] / parallel_times[-1])
 
     assert [r.error_m for r in serial_run.records] == [
         r.error_m for r in parallel_run.records
     ], "parallel evaluation must be record-for-record identical to serial"
 
-    fixes = len(dataset)
+    serial_s = statistics.median(serial_times)
+    parallel_s = statistics.median(parallel_times)
+    speedup = statistics.median(ratios)
+    fixes = len(sweep)
     effective_workers = parallel_run.effective_workers
     unreliable = effective_workers < 2
     serial_rate = fixes / serial_s
@@ -239,7 +261,7 @@ def test_perf_parallel_evaluate(dataset, report_sink):
         # With one worker (a 1-cpu host) there is no parallelism to
         # measure: record null, not a lie.
         "speedup_parallel_vs_serial": (
-            None if unreliable else serial_s / parallel_s
+            None if unreliable else speedup
         ),
     }
     _update_bench_json(
@@ -249,7 +271,7 @@ def test_perf_parallel_evaluate(dataset, report_sink):
         "[perf] evaluation sweep\n"
         f"  serial            {serial_rate:8.1f} fixes/s\n"
         f"  workers={effective_workers}         {parallel_rate:8.1f} "
-        f"fixes/s ({serial_s / parallel_s:.1f}x)"
+        f"fixes/s ({speedup:.1f}x)"
         + ("\n  [speedup not meaningful: one worker]"
            if unreliable else "")
     )

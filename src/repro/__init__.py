@@ -19,61 +19,46 @@ Quickstart::
     print(result.position, result.error_m(Point(0.8, 0.4)))
 """
 
-from repro.baselines import (
-    AoaLocalizer,
-    RssiTrilateration,
-    ShortestDistanceLocalizer,
-    shortest_distance_localizer,
+from typing import Any
+
+from repro._lazy import export_table, load_export
+
+_EXPORTS = export_table(
+    {
+        "repro.baselines.aoa": ("AoaLocalizer",),
+        "repro.baselines.rssi": ("RssiTrilateration",),
+        "repro.baselines.shortest": (
+            "ShortestDistanceLocalizer",
+            "shortest_distance_localizer",
+        ),
+        "repro.core.correction": (
+            "CorrectedChannels",
+            "correct_phase_offsets",
+        ),
+        "repro.core.engine": ("SteeringCache",),
+        "repro.core.localizer": (
+            "BlocConfig",
+            "BlocLocalizer",
+            "LocalizationResult",
+        ),
+        "repro.core.observations": ("ChannelObservations",),
+        "repro.sim.dataset": ("EvaluationDataset", "build_dataset"),
+        "repro.sim.measurement": (
+            "ChannelMeasurementModel",
+            "IqMeasurementModel",
+        ),
+        "repro.sim.metrics": ("ErrorStats",),
+        "repro.sim.runner": ("evaluate", "evaluate_anchor_subsets"),
+        "repro.sim.scenario": ("sample_tag_positions",),
+        "repro.sim.testbed": ("Testbed", "open_room_testbed", "vicon_testbed"),
+        "repro.utils.geometry2d": ("Point",),
+    }
 )
-from repro.core import (
-    BlocConfig,
-    BlocLocalizer,
-    ChannelObservations,
-    CorrectedChannels,
-    LocalizationResult,
-    SteeringCache,
-    correct_phase_offsets,
-)
-from repro.sim import (
-    ChannelMeasurementModel,
-    ErrorStats,
-    EvaluationDataset,
-    IqMeasurementModel,
-    Testbed,
-    build_dataset,
-    evaluate,
-    evaluate_anchor_subsets,
-    open_room_testbed,
-    sample_tag_positions,
-    vicon_testbed,
-)
-from repro.utils.geometry2d import Point
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AoaLocalizer",
-    "BlocConfig",
-    "BlocLocalizer",
-    "ChannelMeasurementModel",
-    "ChannelObservations",
-    "CorrectedChannels",
-    "ErrorStats",
-    "EvaluationDataset",
-    "IqMeasurementModel",
-    "LocalizationResult",
-    "Point",
-    "RssiTrilateration",
-    "ShortestDistanceLocalizer",
-    "SteeringCache",
-    "Testbed",
-    "build_dataset",
-    "correct_phase_offsets",
-    "evaluate",
-    "evaluate_anchor_subsets",
-    "open_room_testbed",
-    "sample_tag_positions",
-    "shortest_distance_localizer",
-    "vicon_testbed",
-    "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

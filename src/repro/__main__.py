@@ -13,6 +13,10 @@ Usage::
     python -m repro obs slo             # evaluate the SLO gate
     python -m repro serve               # warm-pool localization service
     python -m repro loadtest --self-host   # drive it and record latency
+
+Each command imports what it runs inside its handler, so ``repro
+serve`` never loads the lint engine, the run ledger or the evaluation
+runner, and can pin BLAS threads before numpy loads.
 """
 
 from __future__ import annotations
@@ -24,22 +28,20 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
+from repro.constants import DEFAULT_SERVICE_RESOLUTION_M
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs import RunLedger
     from repro.service import LocalizationService, LocalizerPool
 
-from repro import (
-    AoaLocalizer,
-    BlocLocalizer,
-    ChannelMeasurementModel,
-    Point,
-    build_dataset,
-    evaluate,
-    shortest_distance_localizer,
-    vicon_testbed,
+#: BLAS thread pools ``repro serve`` pins to one thread before numpy
+#: loads: requests already run in parallel on server threads, and a
+#: two-thread OpenBLAS pool turns a ~1 ms fix into 7-12 ms.
+BLAS_THREAD_ENV = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
 )
-from repro.ble.throughput import throughput_with_localization
-from repro.viz import render_map, render_testbed
 
 
 def _ledger_path(args: argparse.Namespace) -> Optional[Union[str, Path]]:
@@ -166,6 +168,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _run_demo(args: argparse.Namespace) -> int:
+    from repro import (
+        BlocLocalizer,
+        ChannelMeasurementModel,
+        Point,
+        vicon_testbed,
+    )
+    from repro.viz import render_map
+
     testbed = vicon_testbed()
     model = ChannelMeasurementModel(testbed=testbed, seed=args.seed)
     tag = Point(args.x, args.y)
@@ -192,6 +202,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _run_evaluate(args: argparse.Namespace) -> int:
+    from repro import (
+        AoaLocalizer,
+        BlocLocalizer,
+        build_dataset,
+        evaluate,
+        shortest_distance_localizer,
+        vicon_testbed,
+    )
+
     testbed = vicon_testbed()
     dataset = build_dataset(testbed, num_positions=args.num, seed=args.seed)
     schemes = {
@@ -381,6 +400,10 @@ def _service_from_args(
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    # Takes effect only while numpy is not yet loaded, which holds for
+    # `python -m repro serve`; a value set in the environment wins.
+    for name in BLAS_THREAD_ENV:
+        os.environ.setdefault(name, "1")
     return _maybe_observed(args, lambda: _run_serve(args))
 
 
@@ -512,12 +535,17 @@ def _run_loadtest(args: argparse.Namespace) -> int:
 
 
 def cmd_floorplan(args: argparse.Namespace) -> int:
+    from repro.sim.testbed import vicon_testbed
+    from repro.viz import render_testbed
+
     print(render_testbed(vicon_testbed(), width=args.width))
     print("M = master anchor, A = anchors, # = reflectors/clutter")
     return 0
 
 
 def cmd_throughput(args: argparse.Namespace) -> int:
+    from repro.ble.throughput import throughput_with_localization
+
     report = throughput_with_localization(
         sweeps_per_second=args.sweeps
     )
@@ -723,8 +751,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs.set_defaults(func=cmd_obs)
 
     def add_service_flags(command: argparse.ArgumentParser) -> None:
-        from repro.service.pool import DEFAULT_SERVICE_RESOLUTION_M
-
         command.add_argument(
             "--resolution",
             type=float,

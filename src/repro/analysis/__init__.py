@@ -27,33 +27,32 @@ regression:
   annotation coverage only moves forward.
 """
 
-from repro.analysis.contracts import (
-    CONTRACTS_ENV_VAR,
-    ArraySpec,
-    arr,
-    contracts_enabled,
-    shaped,
-)
-from repro.analysis.linting import (
-    Finding,
-    LintEngine,
-    LintReport,
-    Rule,
-    parse_noqa,
-)
-from repro.analysis.rules import ALL_RULES, default_rules
+from typing import Any
 
-__all__ = [
-    "ALL_RULES",
-    "ArraySpec",
-    "CONTRACTS_ENV_VAR",
-    "Finding",
-    "LintEngine",
-    "LintReport",
-    "Rule",
-    "arr",
-    "contracts_enabled",
-    "default_rules",
-    "parse_noqa",
-    "shaped",
-]
+from repro._lazy import export_table, load_export
+
+_EXPORTS = export_table(
+    {
+        "repro.analysis.contracts": (
+            "CONTRACTS_ENV_VAR",
+            "ArraySpec",
+            "arr",
+            "contracts_enabled",
+            "shaped",
+        ),
+        "repro.analysis.linting": (
+            "Finding",
+            "LintEngine",
+            "LintReport",
+            "Rule",
+            "parse_noqa",
+        ),
+        "repro.analysis.rules": ("ALL_RULES", "default_rules"),
+    }
+)
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.linting import LintEngine, LintReport, Rule
-from repro.analysis.rules import ALL_RULES, default_rules
+if TYPE_CHECKING:
+    from repro.analysis.linting import LintReport, Rule
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -68,6 +68,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _selected_rules(select: Optional[str], ignore: Optional[str]) -> List[Rule]:
+    from repro.analysis.rules import default_rules
+
     rules = default_rules()
     if select:
         wanted = {s.strip().upper() for s in select.split(",") if s.strip()}
@@ -84,6 +86,7 @@ def _selected_rules(select: Optional[str], ignore: Optional[str]) -> List[Rule]:
 
 
 def _rule_table() -> str:
+    from repro.analysis.rules import ALL_RULES
     from repro.obs.export import format_table
 
     rows = [
@@ -98,7 +101,13 @@ def _rule_table() -> str:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    """Entry point for the `repro lint` subcommand."""
+    """Entry point for the `repro lint` subcommand.
+
+    The rule set loads here, not at import: every ``python -m repro``
+    command builds the lint argument parser.
+    """
+    from repro.analysis.linting import LintEngine
+
     if args.list_rules:
         print(_rule_table())
         return 0

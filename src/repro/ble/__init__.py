@@ -5,83 +5,62 @@ Implements the subset of the Bluetooth Core Specification that BLoc
 operates on realistic on-air bit streams and baseband IQ.
 """
 
-from repro.ble.access_address import (
-    is_valid_access_address,
-    random_access_address,
-)
-from repro.ble.channels import (
-    ChannelMap,
-    all_data_channel_frequencies,
-    channel_index_to_frequency,
-    data_channel_to_frequency,
-    frequency_to_data_channel,
-    is_advertising_channel,
-)
-from repro.ble.crc import append_crc, check_crc, crc24
-from repro.ble.gfsk import GfskDemodulator, GfskModulator, gaussian_pulse
-from repro.ble.hopping import HopSequence, hop_cycle
-from repro.ble.link_layer import (
-    Connection,
-    ConnectionEvent,
-    establish_connection,
-)
-from repro.ble.localization import (
-    ToneSegment,
-    design_payload,
-    find_tone_segments,
-    localization_pdu,
-    tone_pattern,
-)
-from repro.ble.pdu import (
-    DataPdu,
-    OnAirPacket,
-    assemble_packet,
-    bits_to_bytes,
-    bytes_to_bits,
-    disassemble_packet,
-)
-from repro.ble.throughput import (
-    ThroughputReport,
-    localization_packet_duration_s,
-    throughput_with_localization,
-)
-from repro.ble.whitening import dewhiten, longest_run, whiten
+from typing import Any
 
-__all__ = [
-    "ChannelMap",
-    "Connection",
-    "ConnectionEvent",
-    "DataPdu",
-    "GfskDemodulator",
-    "GfskModulator",
-    "HopSequence",
-    "OnAirPacket",
-    "ThroughputReport",
-    "ToneSegment",
-    "all_data_channel_frequencies",
-    "append_crc",
-    "assemble_packet",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "channel_index_to_frequency",
-    "check_crc",
-    "crc24",
-    "data_channel_to_frequency",
-    "design_payload",
-    "dewhiten",
-    "disassemble_packet",
-    "establish_connection",
-    "find_tone_segments",
-    "frequency_to_data_channel",
-    "gaussian_pulse",
-    "hop_cycle",
-    "is_advertising_channel",
-    "is_valid_access_address",
-    "localization_packet_duration_s",
-    "localization_pdu",
-    "longest_run",
-    "random_access_address",
-    "throughput_with_localization",
-    "tone_pattern",
-    "whiten",
-]
+from repro._lazy import export_table, load_export
+
+_EXPORTS = export_table(
+    {
+        "repro.ble.access_address": (
+            "is_valid_access_address",
+            "random_access_address",
+        ),
+        "repro.ble.channels": (
+            "ChannelMap",
+            "all_data_channel_frequencies",
+            "channel_index_to_frequency",
+            "data_channel_to_frequency",
+            "frequency_to_data_channel",
+            "is_advertising_channel",
+        ),
+        "repro.ble.crc": ("append_crc", "check_crc", "crc24"),
+        "repro.ble.gfsk": (
+            "GfskDemodulator",
+            "GfskModulator",
+            "gaussian_pulse",
+        ),
+        "repro.ble.hopping": ("HopSequence", "hop_cycle"),
+        "repro.ble.link_layer": (
+            "Connection",
+            "ConnectionEvent",
+            "establish_connection",
+        ),
+        "repro.ble.localization": (
+            "ToneSegment",
+            "design_payload",
+            "find_tone_segments",
+            "localization_pdu",
+            "tone_pattern",
+        ),
+        "repro.ble.pdu": (
+            "DataPdu",
+            "OnAirPacket",
+            "assemble_packet",
+            "bits_to_bytes",
+            "bytes_to_bits",
+            "disassemble_packet",
+        ),
+        "repro.ble.throughput": (
+            "ThroughputReport",
+            "localization_packet_duration_s",
+            "throughput_with_localization",
+        ),
+        "repro.ble.whitening": ("dewhiten", "longest_run", "whiten"),
+    }
+)
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -127,3 +127,15 @@ BLOC_DATASET_SIZE = 1700
 #: Duration a transmitter must dwell on a single tone for a stable CSI
 #: sample (Section 6: "8 usec for each 0 and 1").
 BLOC_TONE_DWELL_S = 8.0e-6
+
+# ---------------------------------------------------------------------------
+# Service
+# ---------------------------------------------------------------------------
+
+#: Grid resolution the localization service defaults to.  Coarser than
+#: the paper's 0.05 m because a service trades a few centimetres of grid
+#: quantisation for a ~4x smaller steering build per key; pass your own
+#: specs/resolution to run the full-resolution grid.  Kept here, in a
+#: module without imports, so ``repro serve`` can build its argument
+#: parser before numpy loads.
+DEFAULT_SERVICE_RESOLUTION_M = 0.1

@@ -7,80 +7,64 @@ runs (Section 4), cancel per-hop oscillator offsets collaboratively
 entropy/distance score (Section 5.4, Eq. 18).
 """
 
-from repro.core.correction import (
-    CorrectedChannels,
-    anchor_baselines,
-    correct_phase_offsets,
-)
-from repro.core.csi import (
-    BandCsi,
-    combine_tone_channels,
-    extract_band_csi,
-    measure_segment_channel,
-    stack_band_csi,
-)
-from repro.core.engine import (
-    SteeringCache,
-    SteeringEntry,
-    build_steering_entry,
-)
-from repro.core.entropy import (
-    negentropy,
-    neighborhood_negentropy,
-    shannon_entropy,
-)
-from repro.core.likelihood import LikelihoodMap, compute_likelihood_map
-from repro.core.localizer import (
-    BlocConfig,
-    BlocLocalizer,
-    LocalizationResult,
-)
-from repro.core.observations import ChannelObservations
-from repro.core.peaks import Peak, PeakConfig, find_peaks, refine_peak_position
-from repro.core.scoring import (
-    ScoredPeak,
-    ScoringConfig,
-    score_peaks,
-    select_direct_path,
-)
-from repro.core.steering import (
-    aliasing_distance_m,
-    angle_spectrum,
-    distance_spectrum,
-    range_resolution_m,
+from typing import Any
+
+from repro._lazy import export_table, load_export
+
+_EXPORTS = export_table(
+    {
+        "repro.core.correction": (
+            "CorrectedChannels",
+            "anchor_baselines",
+            "correct_phase_offsets",
+        ),
+        "repro.core.csi": (
+            "BandCsi",
+            "combine_tone_channels",
+            "extract_band_csi",
+            "measure_segment_channel",
+            "stack_band_csi",
+        ),
+        "repro.core.engine": (
+            "SteeringCache",
+            "SteeringEntry",
+            "build_steering_entry",
+        ),
+        "repro.core.entropy": (
+            "negentropy",
+            "neighborhood_negentropy",
+            "shannon_entropy",
+        ),
+        "repro.core.likelihood": ("LikelihoodMap", "compute_likelihood_map"),
+        "repro.core.localizer": (
+            "BlocConfig",
+            "BlocLocalizer",
+            "LocalizationResult",
+        ),
+        "repro.core.observations": ("ChannelObservations",),
+        "repro.core.peaks": (
+            "Peak",
+            "PeakConfig",
+            "find_peaks",
+            "refine_peak_position",
+        ),
+        "repro.core.scoring": (
+            "ScoredPeak",
+            "ScoringConfig",
+            "score_peaks",
+            "select_direct_path",
+        ),
+        "repro.core.steering": (
+            "aliasing_distance_m",
+            "angle_spectrum",
+            "distance_spectrum",
+            "range_resolution_m",
+        ),
+    }
 )
 
-__all__ = [
-    "BandCsi",
-    "BlocConfig",
-    "BlocLocalizer",
-    "ChannelObservations",
-    "CorrectedChannels",
-    "LikelihoodMap",
-    "LocalizationResult",
-    "Peak",
-    "PeakConfig",
-    "ScoredPeak",
-    "SteeringCache",
-    "SteeringEntry",
-    "ScoringConfig",
-    "aliasing_distance_m",
-    "anchor_baselines",
-    "angle_spectrum",
-    "build_steering_entry",
-    "combine_tone_channels",
-    "compute_likelihood_map",
-    "correct_phase_offsets",
-    "distance_spectrum",
-    "extract_band_csi",
-    "find_peaks",
-    "measure_segment_channel",
-    "negentropy",
-    "neighborhood_negentropy",
-    "range_resolution_m",
-    "refine_peak_position",
-    "score_peaks",
-    "select_direct_path",
-    "shannon_entropy",
-    "stack_band_csi",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

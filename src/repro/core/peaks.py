@@ -2,9 +2,10 @@
 
 The multipath-resolution stage (Section 5.4) reasons about *peaks* of the
 combined likelihood: the direct path and each resolvable reflection appear
-as local maxima.  This module finds them with a maximum filter, prunes
-weak ones, and enforces a minimum separation so one physical peak is not
-reported twice.
+as local maxima.  This module finds them with a maximum filter (a
+separable numpy running max, so serving never loads ``scipy.ndimage``),
+prunes weak ones, and enforces a minimum separation so one physical peak
+is not reported twice.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import ndimage
 
 from repro.analysis.contracts import shaped
 from repro.errors import ConfigurationError, LocalizationError
@@ -148,11 +148,38 @@ def find_peaks(
         raise ConfigurationError(
             f"map shape {arr.shape} does not match grid {grid.shape}"
         )
-    local_max = (
-        ndimage.maximum_filter(arr, size=config.neighborhood, mode="nearest")
-        == arr
-    )
+    local_max = local_maxima(arr, config.neighborhood)
     return select_peaks(arr, local_max, grid, config)
+
+
+def local_maxima(values: np.ndarray, neighborhood: int) -> np.ndarray:
+    """Cells equal to the maximum of their ``neighborhood``-square window.
+
+    The window is clipped at the map border, which is
+    ``scipy.ndimage.maximum_filter(size=neighborhood, mode="nearest")``:
+    an edge-replicated copy adds no new values to any window.  The 2-D
+    max is two 1-D passes, one per axis; each pass is the elementwise
+    max of the edge-padded shifts, so the result is exact.
+    """
+    arr = np.asarray(values, dtype=float)
+    half = neighborhood // 2
+    return _running_max(_running_max(arr, half).T, half).T == arr
+
+
+def _running_max(arr: np.ndarray, half: int) -> np.ndarray:
+    """Max over rows ``r - half .. r + half`` of a 2-D array, edge-padded."""
+    rows = arr.shape[0]
+    padded = np.concatenate(
+        [
+            np.repeat(arr[:1], half, axis=0),
+            arr,
+            np.repeat(arr[-1:], half, axis=0),
+        ]
+    )
+    out = padded[:rows].copy()
+    for shift in range(1, 2 * half + 1):
+        np.maximum(out, padded[shift:shift + rows], out=out)
+    return out
 
 
 @shaped(values=("H", "W"))

@@ -5,53 +5,44 @@ USRPs: image-method multipath with non-ideal (scattering) reflectors,
 per-retune oscillator phase offsets, and AWGN.
 """
 
-from repro.rf.antenna import Anchor, default_anchor_ring
-from repro.rf.channel_model import ChannelSimulator
-from repro.rf.environment import Environment, Reflector
-from repro.rf.imaging import ImagingConfig, trace_paths
-from repro.rf.materials import (
-    ABSORBER,
-    CONCRETE,
-    DRYWALL,
-    GLASS,
-    MATERIALS,
-    METAL,
-    Material,
-    material_by_name,
-)
-from repro.rf.noise import add_awgn, channel_estimation_noise, measure_snr_db
-from repro.rf.oscillator import Oscillator
-from repro.rf.paths import (
-    PathKind,
-    PropagationPath,
-    dominant_path,
-    paths_to_channel,
-    shortest_path,
+from typing import Any
+
+from repro._lazy import export_table, load_export
+
+_EXPORTS = export_table(
+    {
+        "repro.rf.antenna": ("Anchor", "default_anchor_ring"),
+        "repro.rf.channel_model": ("ChannelSimulator",),
+        "repro.rf.environment": ("Environment", "Reflector"),
+        "repro.rf.imaging": ("ImagingConfig", "trace_paths"),
+        "repro.rf.materials": (
+            "ABSORBER",
+            "CONCRETE",
+            "DRYWALL",
+            "GLASS",
+            "MATERIALS",
+            "METAL",
+            "Material",
+            "material_by_name",
+        ),
+        "repro.rf.noise": (
+            "add_awgn",
+            "channel_estimation_noise",
+            "measure_snr_db",
+        ),
+        "repro.rf.oscillator": ("Oscillator",),
+        "repro.rf.paths": (
+            "PathKind",
+            "PropagationPath",
+            "dominant_path",
+            "paths_to_channel",
+            "shortest_path",
+        ),
+    }
 )
 
-__all__ = [
-    "ABSORBER",
-    "Anchor",
-    "CONCRETE",
-    "ChannelSimulator",
-    "DRYWALL",
-    "Environment",
-    "GLASS",
-    "ImagingConfig",
-    "MATERIALS",
-    "METAL",
-    "Material",
-    "Oscillator",
-    "PathKind",
-    "PropagationPath",
-    "Reflector",
-    "add_awgn",
-    "channel_estimation_noise",
-    "default_anchor_ring",
-    "dominant_path",
-    "material_by_name",
-    "measure_snr_db",
-    "paths_to_channel",
-    "shortest_path",
-    "trace_paths",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    return load_export(__name__, _EXPORTS, name)

@@ -2,13 +2,13 @@
 
 The expensive part of a BLoc fix is not the warm Eq. 17 kernel -- it
 is building the steering entry for a (grid, anchors, band plan) tuple:
-range-profile samples plus one sparse gather per anchor, 9.4 MB at the
-paper's 5 cm grid and 2.8 MB at the service's 0.1 m default.  The pool
-pays that build once per scenario key and keeps the result warm: every
-scenario maps to exactly one :class:`~repro.core.engine.SteeringCache`
-entry in one cache shared across the pool, so concurrent requests
-against the same geometry all ride the same entry and the second
-request for a key never rebuilds.
+range-profile samples plus one stacked sparse gather over every
+anchor, 9.4 MB at the paper's 5 cm grid and 2.8 MB at the service's
+0.1 m default.  The pool pays that build once per scenario key and
+keeps the result warm: every scenario maps to exactly one
+:class:`~repro.core.engine.SteeringCache` entry in one cache shared
+across the pool, so concurrent requests against the same geometry all
+ride the same entry and the second request for a key never rebuilds.
 
 Scenarios are server-side configuration (name -> testbed factory), not
 request payload: a client names ``"vicon"`` and ships only channels,
@@ -22,21 +22,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.analysis.runtime_locks import guarded_by, make_lock
+from repro.ble.channels import ChannelMap
+from repro.constants import DEFAULT_SERVICE_RESOLUTION_M
 from repro.core.engine import SteeringCache
 from repro.core.localizer import BlocConfig, BlocLocalizer
+from repro.core.observations import ChannelObservations
 from repro.errors import LocalizationError, ReproError
 from repro.obs import get_observer
 from repro.service.providers import ProviderChain, QualityGates
-from repro.sim.measurement import ChannelMeasurementModel
 from repro.sim.testbed import Testbed, open_room_testbed, vicon_testbed
-from repro.utils.geometry2d import Point
-
-#: Grid resolution the service defaults to.  Coarser than the paper's
-#: 0.05 m because a service trades a few centimetres of grid quantisation
-#: for a ~4x smaller steering build per key; pass your own specs/
-#: resolution to run the full-resolution grid.
-DEFAULT_SERVICE_RESOLUTION_M = 0.1
 
 
 class UnknownScenarioError(ReproError):
@@ -175,12 +172,14 @@ class LocalizerPool:
     def _build(self, spec: ScenarioSpec) -> WarmScenario:
         """Build one scenario's testbed, localizer and steering entry.
 
-        The warm-up fix runs a synthetic centre-of-room measurement
-        through the BLoc path and the AoA fallback purely to populate
-        their steering caches; the results are discarded.  The build
-        runs inside a ``service.pool_build`` span, so a request that
-        paid the cold build (rather than riding a warm entry) shows it
-        in its trace.
+        The warm-up fix runs unit channels on the scenario's anchors and
+        the full BLE band plan (the geometry every measured request
+        carries) through the BLoc path and the AoA fallback, purely to
+        populate their steering caches; the results are discarded.
+        Nothing is ray-traced: the caches key on geometry and bands, not
+        on channel values.  The build runs inside a
+        ``service.pool_build`` span, so a request that paid the cold
+        build (rather than riding a warm entry) shows it in its trace.
         """
         started = time.perf_counter()
         with get_observer().span("service.pool_build", scenario=spec.name):
@@ -192,10 +191,7 @@ class LocalizerPool:
                 engine=self.engine,
             )
             chain = ProviderChain(bloc=bloc, gates=self.gates)
-            model = ChannelMeasurementModel(testbed, seed=0)
-            x_min, x_max, y_min, y_max = testbed.environment.bounds()
-            centre = Point((x_min + x_max) / 2.0, (y_min + y_max) / 2.0)
-            warmup = model.measure(centre)
+            warmup = _unit_observations(testbed)
             for localizer in (bloc, chain.aoa):
                 try:
                     localizer.locate(warmup, keep_map=False)
@@ -232,3 +228,25 @@ class LocalizerPool:
             "grid_resolution_m": self.grid_resolution_m,
             "engine": self.engine.info(),
         }
+
+
+def _unit_observations(testbed: Testbed) -> ChannelObservations:
+    """All-ones channels over the testbed's anchors and every data band.
+
+    Same anchors, master and (sorted) band plan as a full measured sweep
+    of the scenario, so the steering-cache keys match real requests.
+    """
+    anchors = list(testbed.anchors)
+    frequencies = np.array(sorted(ChannelMap.all_channels().frequencies()))
+    shape = (
+        len(anchors),
+        max(a.num_antennas for a in anchors),
+        frequencies.size,
+    )
+    return ChannelObservations(
+        anchors=anchors,
+        master_index=testbed.master_index,
+        frequencies_hz=frequencies,
+        tag_to_anchor=np.ones(shape, dtype=complex),
+        master_to_anchor=np.ones(shape, dtype=complex),
+    )

@@ -1,7 +1,9 @@
 """Array-native peak selection and Eq. 18 scoring against loop oracles.
 
-The oracles below are the per-candidate ``select_peaks`` loop and the
-per-peak Eq. 18 loop that the array code replaced.  They live here only
+The oracles below are ``scipy.ndimage.maximum_filter`` (for the numpy
+local-maximum filter, here only: serving never loads ``scipy.ndimage``),
+the per-candidate ``select_peaks`` loop and the per-peak Eq. 18 loop
+that the array code replaced.  They live here only
 to pin the array code down: the array code must return the very same
 ``Peak`` and ``ScoredPeak`` records, every float bit for bit.  (Exact
 ties in the score keep their input order, so even a one-ulp difference
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.core.entropy import negentropy
-from repro.core.peaks import Peak, PeakConfig, select_peaks
+from repro.core.peaks import Peak, PeakConfig, local_maxima, select_peaks
 from repro.core.scoring import ScoredPeak, ScoringConfig, score_peaks
 from repro.errors import ConfigurationError, LocalizationError
 from repro.rf.antenna import Anchor
@@ -188,6 +190,46 @@ class TestSelectPeaksOracle:
         assert select_peaks(
             values, local_max, grid, config
         ) == select_peaks_oracle(values, local_max, grid, config)
+
+
+@st.composite
+def filter_problems(draw):
+    """A map (1x1 up, often smaller than the window) and an odd window.
+
+    A handful of levels makes plateaus and ties common; the continuous
+    part, when drawn, covers maps with distinct values.
+    """
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    size = shape[0] * shape[1]
+    if draw(st.booleans()):
+        values = np.array(
+            draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+            dtype=float,
+        )
+    else:
+        seed = draw(st.integers(0, 2**16))
+        values = np.random.default_rng(seed).standard_normal(size)
+    neighborhood = draw(st.sampled_from([3, 5, 7, 9]))
+    return values.reshape(shape), neighborhood
+
+
+class TestLocalMaximaOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(problem=filter_problems())
+    def test_matches_scipy_maximum_filter(self, problem):
+        values, neighborhood = problem
+        expected = (
+            ndimage.maximum_filter(
+                values, size=neighborhood, mode="nearest"
+            )
+            == values
+        )
+        assert np.array_equal(local_maxima(values, neighborhood), expected)
+
+    @pytest.mark.parametrize("neighborhood", [3, 5, 7, 9])
+    def test_plateau_map_is_all_maxima(self, neighborhood):
+        values = np.full((4, 6), 2.5)
+        assert local_maxima(values, neighborhood).all()
 
 
 class TestFlatCheck:
