@@ -64,15 +64,14 @@ def pytest_unconfigure(config):
 
     profiler = getattr(config, "_repro_profiler", None)
     if profiler is not None:
-        from repro.obs import export_folded, export_speedscope
+        from repro.obs import export_folded
 
         profiler.stop()
         prefix = config._repro_profile_prefix
         export_folded(f"{prefix}.folded", profiler.report)
-        export_speedscope(f"{prefix}.speedscope.json", profiler.report)
         sys.__stdout__.write(
             f"\n[obs] profiler: {profiler.report.samples_total} samples "
-            f"-> {prefix}.folded, {prefix}.speedscope.json\n"
+            f"-> {prefix}.folded\n"
         )
     install(None)
     path = config._repro_trace_path

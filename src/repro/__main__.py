@@ -72,10 +72,9 @@ def _maybe_observed(
     NDJSON to PATH; with ``--metrics`` (or ``--trace``) the span-timing
     and metrics summary tables are printed after the command output.
     With ``--profile PREFIX`` (or ``REPRO_PROFILE=PREFIX``) a sampling
-    profiler runs for the duration and writes ``PREFIX.folded`` plus
-    ``PREFIX.speedscope.json``.  Commands wired to the run ledger also
-    append a RunRecord -- which needs a live observer, so the ledger
-    alone is enough to enable one.
+    profiler runs for the duration and writes ``PREFIX.folded``.
+    Commands wired to the run ledger also append a RunRecord -- which
+    needs a live observer, so the ledger alone is enough to enable one.
     """
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
@@ -91,7 +90,6 @@ def _maybe_observed(
         build_run_record,
         export_folded,
         export_ndjson,
-        export_speedscope,
         observed,
         summary,
     )
@@ -122,15 +120,11 @@ def _maybe_observed(
         print(f"[obs] wrote {lines} NDJSON lines to {trace_path}")
     if profiler is not None:
         folded_path = f"{profile_prefix}.folded"
-        speedscope_path = f"{profile_prefix}.speedscope.json"
         export_folded(folded_path, profiler.report)
-        export_speedscope(
-            speedscope_path, profiler.report, name=args.command
-        )
-        artifacts += [folded_path, speedscope_path]
+        artifacts.append(folded_path)
         print(
             f"[obs] profiler: {profiler.report.samples_total} samples "
-            f"-> {folded_path}, {speedscope_path}"
+            f"-> {folded_path}"
         )
     if ledger_target is not None and status == 0:
         record = build_run_record(
@@ -278,7 +272,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    """Observability tooling (``repro obs runs|diff|report|slo|trace``)."""
+    """Observability tooling (``repro obs runs|diff|slo|trace``)."""
     from repro.errors import ConfigurationError
     from repro.obs import RunLedger, default_ledger_path
 
@@ -292,8 +286,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
             return _obs_runs(args, ledger)
         if args.obs_command == "diff":
             return _obs_diff(args, ledger)
-        if args.obs_command == "report":
-            return _obs_report(args, ledger)
         return _obs_slo(args, ledger)
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,13 +315,6 @@ def _obs_diff(args: argparse.Namespace, ledger: "RunLedger") -> int:
     record_a = ledger.resolve(args.a)
     record_b = ledger.resolve(args.b)
     print(render_diff(record_a, record_b, min_pct=args.min_change))
-    return 0
-
-
-def _obs_report(args: argparse.Namespace, ledger: "RunLedger") -> int:
-    from repro.obs import render_report
-
-    print(render_report(ledger.last(args.num), min_pct=args.min_change))
     return 0
 
 
@@ -584,8 +569,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metavar="PREFIX",
             default=None,
             help="run the sampling profiler and write PREFIX.folded "
-            "(flamegraph) and PREFIX.speedscope.json "
-            "(env REPRO_PROFILE=PREFIX does the same)",
+            "(collapsed stacks for flamegraph viewers; "
+            "env REPRO_PROFILE=PREFIX does the same)",
         )
 
     def add_ledger_flags(
@@ -669,7 +654,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     obs = sub.add_parser(
         "obs",
-        help="observability tooling (runs/diff/report/slo/trace)",
+        help="observability tooling (runs/diff/slo/trace)",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
 
@@ -705,19 +690,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="hide rows whose relative change is below FRAC",
     )
     add_obs_ledger_arg(obs_diff)
-
-    obs_report = obs_sub.add_parser(
-        "report", help="regression report over recent runs"
-    )
-    obs_report.add_argument(
-        "-n", "--num", type=int, default=10,
-        help="consider the most recent N runs (default: 10)",
-    )
-    obs_report.add_argument(
-        "--min-change", type=float, default=0.0, metavar="FRAC",
-        help="hide diff rows whose relative change is below FRAC",
-    )
-    add_obs_ledger_arg(obs_report)
 
     obs_slo = obs_sub.add_parser(
         "slo", help="evaluate the SLO gate (exit 1 on violation)"

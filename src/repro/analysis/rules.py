@@ -318,11 +318,12 @@ class UnlockedSharedMutation(Rule):
     id = "RPR003"
     title = "unlocked mutation of module-level mutable state"
     rationale = (
-        "evaluate(workers=N) fans fixes out over a thread pool; any "
-        "module-level dict/list a worker-reachable function mutates "
-        "without holding a lock is a data race (lost updates, torn "
-        "iteration).  Mutations must sit inside `with <lock>:` or be "
-        "explicitly waived with a justification."
+        "evaluate(workers=N) fans fixes out over a thread pool and "
+        "`repro serve` runs each request on its own ThreadingHTTPServer "
+        "thread; any module-level dict/list a function reachable from "
+        "those threads mutates without holding a lock is a data race "
+        "(lost updates, torn iteration).  Mutations must sit inside "
+        "`with <lock>:` or be explicitly waived with a justification."
     )
     scopes = ("core", "obs", "sim", "rf")
 
@@ -773,8 +774,9 @@ class MagicBleConstant(Rule):
 # RPR010 -- missing thread-safety tag on worker-reachable functions
 # ---------------------------------------------------------------------------
 
-#: Functions reachable from the evaluate(workers=N) thread pool that must
-#: document their thread-safety contract, keyed by path suffix.
+#: Functions reachable from concurrent threads (the evaluate(workers=N)
+#: pool and the service's request threads) that must document their
+#: thread-safety contract, keyed by path suffix.
 WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/baselines/aoa.py": ("AoaLocalizer.anchor_spectrum",),
     "repro/core/engine.py": (
@@ -784,12 +786,10 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/core/localizer.py": ("BlocLocalizer.locate",),
     "repro/obs/metrics.py": (
         "Counter.inc",
-        "Counter.merge",
         "Gauge.set",
-        "Gauge.merge",
         "Histogram.observe",
-        "Histogram.merge",
-        "MetricsRegistry.merge",
+        "MetricsRegistry.counter",
+        "MetricsRegistry.histogram",
     ),
     "repro/obs/ledger.py": ("RunLedger.append",),
     "repro/obs/prof.py": (
@@ -799,10 +799,7 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/obs/trace.py": (
         "Tracer.active_stacks",
     ),
-    "repro/sim/runner.py": (
-        "DiagnosticsCapture.collect",
-        "_WorkerRegistries.current",
-    ),
+    "repro/sim/runner.py": ("DiagnosticsCapture.collect",),
 }
 
 _THREAD_TAG_WORDS = ("thread-safe", "thread-safety", "thread safety")
@@ -814,10 +811,11 @@ class MissingThreadSafetyTag(Rule):
     id = "RPR010"
     title = "worker-reachable function lacks a thread-safety docstring tag"
     rationale = (
-        "evaluate(workers=N) calls these functions from pool threads; "
-        "their docstrings must state the thread-safety contract "
-        "(lock-protected, thread-local, or caller-serialised) so the "
-        "next concurrency change knows what it may assume."
+        "the evaluate(workers=N) pool and the service's "
+        "ThreadingHTTPServer request threads call these functions "
+        "concurrently; their docstrings must state the thread-safety "
+        "contract (lock-protected, thread-local, or caller-serialised) "
+        "so the next concurrency change knows what it may assume."
     )
     scopes = None
 

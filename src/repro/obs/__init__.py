@@ -28,7 +28,6 @@ _EXPORTS = export_table(
             "get_observer",
             "install",
             "observed",
-            "traced",
         ),
         "repro.obs.diag": (
             "FixBundle",
@@ -43,7 +42,6 @@ _EXPORTS = export_table(
         "repro.obs.export": (
             "export_folded",
             "export_ndjson",
-            "export_speedscope",
             "folded_stacks",
             "format_table",
             "load_ndjson",
@@ -51,7 +49,6 @@ _EXPORTS = export_table(
             "render_trace",
             "resolve_trace_id",
             "span_summary",
-            "speedscope_document",
             "summary",
             "trace_spans",
         ),
@@ -68,7 +65,6 @@ _EXPORTS = export_table(
             "diff_records",
             "fingerprint_of",
             "render_diff",
-            "render_report",
             "render_runs",
             "span_quantiles",
         ),
@@ -99,8 +95,6 @@ _EXPORTS = export_table(
         ),
         "repro.obs.trace": (
             "Span",
-            "SpanHandle",
-            "TraceContext",
             "Tracer",
             "format_traceparent",
             "new_trace_id",

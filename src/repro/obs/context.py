@@ -17,7 +17,6 @@ shows e.g. the CRC-failure count even when it stayed at zero.
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
@@ -108,7 +107,7 @@ class Observability:
         """A span context manager (no-op when disabled).
 
         ``trace_id`` pins the span to an existing request trace; omitted,
-        the tracer inherits the parent's (or ambient) trace id.
+        the tracer inherits the parent's trace id.
         """
         if not self.enabled:
             return _NOOP_SPAN
@@ -179,26 +178,3 @@ def observed(
         yield obs
     finally:
         install(previous)
-
-
-def traced(name: Optional[str] = None):
-    """Decorator: run the function inside a span named after it.
-
-    The observer is resolved at call time, so decorating a function is
-    free until observability is enabled.
-    """
-
-    def decorate(func):
-        span_name = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            observer = get_observer()
-            if not observer.enabled:
-                return func(*args, **kwargs)
-            with observer.tracer.span(span_name):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -368,11 +368,8 @@ def render_trace(records: Sequence[dict], trace_id: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Profiler exports (flamegraph / speedscope)
+# Profiler export (folded stacks)
 # ---------------------------------------------------------------------------
-
-#: JSON schema URL speedscope uses to recognise its file format.
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
 def folded_stacks(report: "ProfileReport") -> str:
@@ -380,7 +377,8 @@ def folded_stacks(report: "ProfileReport") -> str:
 
     One line per unique span-stack path, ``root;child;leaf <count>``,
     sorted by descending count -- the input format of
-    ``flamegraph.pl`` and most flamegraph viewers.
+    ``flamegraph.pl`` and of flamegraph viewers that import collapsed
+    stacks, so this is the one profile artifact.
     """
     ranked = sorted(
         report.stacks.items(), key=lambda kv: (-kv[1], kv[0])
@@ -397,58 +395,3 @@ def export_folded(path: Union[str, Path], report: "ProfileReport") -> int:
         text + ("\n" if text else ""), encoding="utf-8"
     )
     return len(report.stacks)
-
-
-def speedscope_document(
-    report: "ProfileReport", name: str = "repro"
-) -> dict:
-    """A speedscope-compatible ``sampled`` profile document.
-
-    Each unique stack becomes one sample whose weight is
-    ``count * interval_s`` seconds; frame order is root-first, matching
-    speedscope's convention.  The document is strict JSON (no NaN/Inf)
-    and loads directly at https://www.speedscope.app.
-    """
-    frame_index: Dict[str, int] = {}
-    frames: List[dict] = []
-    samples: List[List[int]] = []
-    weights: List[float] = []
-    ranked = sorted(
-        report.stacks.items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    for stack, count in ranked:
-        indices = []
-        for frame_name in stack:
-            if frame_name not in frame_index:
-                frame_index[frame_name] = len(frames)
-                frames.append({"name": frame_name})
-            indices.append(frame_index[frame_name])
-        samples.append(indices)
-        weights.append(count * report.interval_s)
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "seconds",
-                "startValue": 0,
-                "endValue": _json_safe(sum(weights)),
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }
-
-
-def export_speedscope(
-    path: Union[str, Path], report: "ProfileReport", name: str = "repro"
-) -> int:
-    """Write a speedscope JSON profile; returns the sample count."""
-    document = speedscope_document(report, name=name)
-    Path(path).write_text(
-        json.dumps(document, allow_nan=False) + "\n", encoding="utf-8"
-    )
-    return len(document["profiles"][0]["samples"])

@@ -525,20 +525,3 @@ def render_diff(a: dict, b: dict, min_pct: float = 0.0) -> str:
         header
         + [format_table(["metric", "A", "B", "delta", "change"], rows)]
     )
-
-
-def render_report(records: Sequence[dict], min_pct: float = 0.0) -> str:
-    """Regression report: run listing plus the latest-pair diff."""
-    if len(records) < 2:
-        return (
-            "need >= 2 ledger records for a report; have "
-            f"{len(records)}\n" + render_runs(records)
-        )
-    parts = [
-        "== runs ==",
-        render_runs(records),
-        "",
-        "== latest diff (previous -> latest) ==",
-        render_diff(records[-2], records[-1], min_pct=min_pct),
-    ]
-    return "\n".join(parts)

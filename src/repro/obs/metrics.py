@@ -95,10 +95,6 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter's total into this one (thread-safe)."""
-        self.inc(other.value)
-
     def snapshot(self) -> dict:
         """Plain-data view for export."""
         with self._lock:
@@ -137,13 +133,6 @@ class Gauge:
                 self._value = float(amount)
             else:
                 self._value += float(amount)
-
-    def merge(self, other: "Gauge") -> None:
-        """Adopt another gauge's value (thread-safe; last write wins,
-        NaN is skipped)."""
-        value = other.value
-        if not math.isnan(value):
-            self.set(value)
 
     def snapshot(self) -> dict:
         """Plain-data view for export."""
@@ -255,42 +244,6 @@ class Histogram:
         with self._lock:
             return list(self._exemplars)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Both histograms must share the same bucket edges (edges are part
-        of the instrument identity).  Thread-safety: the other histogram
-        is snapshotted under its own lock first, so merging is safe while
-        writers are still observing into either side.
-        """
-        if other.edges != self.edges:
-            raise ConfigurationError(
-                f"histogram {self.name}: cannot merge edges {other.edges} "
-                f"into {self.edges}"
-            )
-        with other._lock:
-            counts = list(other._counts)
-            exemplars = list(other._exemplars)
-            count = other._count
-            total = other._sum
-            lo, hi = other._min, other._max
-        if count == 0:
-            return
-        with self._lock:
-            self._counts = [a + b for a, b in zip(self._counts, counts)]
-            self._count += count
-            self._sum += total
-            if lo < self._min:
-                self._min = lo
-            if hi > self._max:
-                self._max = hi
-            for i, exemplar in enumerate(exemplars):
-                if exemplar is None:
-                    continue
-                mine = self._exemplars[i]
-                if mine is None or exemplar.ts >= mine.ts:
-                    self._exemplars[i] = exemplar
-
     def mean(self) -> float:
         """Mean of the observations (NaN when empty); sum and count are
         read under the lock so the ratio is internally consistent."""
@@ -366,7 +319,10 @@ class MetricsRegistry:
     Instrument accessors create on first use and return the existing
     instrument afterwards; requesting an existing name as a different
     instrument kind (or a histogram with different buckets) raises
-    :class:`~repro.errors.ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`.  One registry serves every
+    thread of the process (pool workers and service request threads
+    alike): creation runs under the registry lock and each instrument
+    locks its own updates.
     """
 
     def __init__(self):
@@ -388,7 +344,8 @@ class MetricsRegistry:
             return instrument
 
     def counter(self, name: str) -> Counter:
-        """Get or create a counter."""
+        """Get or create a counter (thread-safe: creation runs under the
+        registry lock, so racing first uses share one counter)."""
         return self._get_or_create(name, lambda: Counter(name), "counter")
 
     def gauge(self, name: str) -> Gauge:
@@ -398,7 +355,11 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Optional[Sequence[Number]] = None
     ) -> Histogram:
-        """Get or create a histogram (default buckets: latency seconds)."""
+        """Get or create a histogram (default buckets: latency seconds).
+
+        Thread-safe: creation runs under the registry lock, so racing
+        first uses share one histogram.
+        """
         requested = tuple(
             float(b) for b in (buckets or LATENCY_BUCKETS_S)
         )
@@ -411,27 +372,6 @@ class MetricsRegistry:
                 f"{instrument.edges}, requested {requested}"
             )
         return instrument
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold every instrument of ``other`` into this registry.
-
-        Counterpart instruments are created on demand; counters add,
-        gauges last-write-win, histograms combine bucket counts.  Used by
-        the parallel evaluation runner to collapse per-worker registries
-        into the session observer.  Thread-safety: each instrument merge
-        locks both sides' instruments, so folding is safe while workers
-        still write into ``other``.  Returns self for chaining.
-        """
-        for instrument in other.instruments():
-            if instrument.kind == "counter":
-                self.counter(instrument.name).merge(instrument)
-            elif instrument.kind == "gauge":
-                self.gauge(instrument.name).merge(instrument)
-            else:
-                self.histogram(instrument.name, instrument.edges).merge(
-                    instrument
-                )
-        return self
 
     def get(self, name: str) -> Optional[Instrument]:
         """Look up an instrument without creating it."""

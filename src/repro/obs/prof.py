@@ -6,9 +6,10 @@ threads.  The :class:`SamplingProfiler` answers that: a background
 daemon thread wakes every ``interval_s``, snapshots every thread's
 open-span stack via :meth:`repro.obs.trace.Tracer.active_stacks`, and
 counts one sample against each stack path (root ``;`` ... ``;``
-innermost).  The result folds straight into flamegraph tools
-(:func:`repro.obs.export.export_folded`) or speedscope
-(:func:`repro.obs.export.export_speedscope`).
+innermost).  The result exports as folded stacks
+(:func:`repro.obs.export.export_folded`), the one profile artifact:
+``flamegraph.pl`` and web viewers that import collapsed stacks read it
+directly.
 
 Cost model: a tick copies one small list per thread with an open span
 -- O(threads x depth) python-level work, a few microseconds -- so at

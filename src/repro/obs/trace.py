@@ -7,6 +7,11 @@ parent of the four stage spans it encloses.  Finished spans are collected
 in completion order (children finish before their parents) and can be
 exported as NDJSON by :mod:`repro.obs.export`.
 
+One tracer serves every thread of the process.  A pool worker (the
+``evaluate(workers=N)`` sweep) parents its spans under the caller's
+live span via :meth:`Tracer.attached`; the service's request threads
+open root spans pinned to the request's trace id.
+
 The tracer never touches the traced computation: entering a span reads a
 clock and pushes a frame, exiting reads the clock again and pops.  When
 observability is disabled the pipeline uses a shared no-op context
@@ -22,16 +27,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.analysis.runtime_locks import guarded_by, make_lock
 
@@ -89,44 +85,6 @@ def parse_traceparent(header: Optional[str]) -> Optional[str]:
     return trace_id
 
 
-class SpanHandle(NamedTuple):
-    """A picklable reference to an open span, for cross-worker handoff.
-
-    A :class:`Span` object is bound to the tracer and thread that opened
-    it; a handle carries just the identity (``span_id``), tree position
-    (``depth``), ``name`` and ``trace_id`` -- everything a pool worker
-    thread needs to parent its own spans under the originating span
-    without sharing the object itself.  See
-    :meth:`Tracer.attached`, which accepts handles directly.  The
-    ``trace_id`` field defaults to ``""`` so pre-trace-context triples
-    still construct.
-    """
-
-    span_id: int
-    depth: int
-    name: str
-    trace_id: str = ""
-
-
-class TraceContext(NamedTuple):
-    """Picklable identity of one request's trace, for propagation.
-
-    Carries the ``trace_id`` plus (optionally) the handle of the span
-    that should parent remote work.  Ship one of these across a thread
-    or process boundary and enter ``tracer.attached(context)`` on the
-    far side: spans opened inside inherit both the tree position and
-    the trace id.
-    """
-
-    trace_id: str
-    parent: Optional[SpanHandle] = None
-
-    def traceparent(self) -> str:
-        """The W3C ``traceparent`` header value for this context."""
-        parent_id = self.parent.span_id if self.parent is not None else 0
-        return format_traceparent(self.trace_id, parent_id)
-
-
 @dataclass
 class Span:
     """One timed, possibly nested, unit of work.
@@ -166,19 +124,6 @@ class Span:
         """Attach annotations; returns self for chaining."""
         self.attributes.update(attributes)
         return self
-
-    def handle(self) -> SpanHandle:
-        """A picklable :class:`SpanHandle` for cross-worker propagation."""
-        return SpanHandle(
-            span_id=self.span_id,
-            depth=self.depth,
-            name=self.name,
-            trace_id=self.trace_id,
-        )
-
-    def context(self) -> TraceContext:
-        """A :class:`TraceContext` parenting remote work under this span."""
-        return TraceContext(trace_id=self.trace_id, parent=self.handle())
 
 
 class _SpanContext:
@@ -244,10 +189,9 @@ class Tracer:
         """Open a span as a child of the current thread's active span.
 
         The span's ``trace_id`` resolves in priority order: the explicit
-        ``trace_id`` keyword, the parent span's trace id, the thread's
-        ambient trace (see :meth:`trace`), else -- for root spans only --
-        a freshly generated id, so every span always belongs to exactly
-        one trace.
+        ``trace_id`` keyword, the parent span's trace id, else -- for root
+        spans only -- a freshly generated id, so every span always belongs
+        to exactly one trace.
         """
         stack = self._stack()
         parent = stack[-1] if stack else None
@@ -255,7 +199,7 @@ class Tracer:
             if parent is not None and parent.trace_id:
                 trace_id = parent.trace_id
             else:
-                trace_id = getattr(self._local, "trace", "") or new_trace_id()
+                trace_id = new_trace_id()
         span = Span(
             name=name,
             span_id=next(self._ids),
@@ -271,21 +215,6 @@ class Tracer:
         )
         stack.append(span)
         return _SpanContext(self, span)
-
-    @contextmanager
-    def trace(self, trace_id: str) -> Iterator[None]:
-        """Make ``trace_id`` the thread's ambient trace for a block.
-
-        Root spans opened inside adopt it instead of generating a fresh
-        id; nested spans keep inheriting from their parents as usual.
-        Nesting restores the previous ambient trace on exit.
-        """
-        previous = getattr(self._local, "trace", "")
-        self._local.trace = trace_id
-        try:
-            yield
-        finally:
-            self._local.trace = previous
 
     def _finish(self, span: Span) -> None:
         span.end_s = self.clock()
@@ -329,55 +258,23 @@ class Tracer:
         return snapshot
 
     @contextmanager
-    def attached(
-        self, parent: Optional[Union[Span, SpanHandle, TraceContext]]
-    ):
+    def attached(self, parent: Optional[Span]) -> Iterator[None]:
         """Adopt ``parent`` as this thread's active span for a block.
 
         The active-span stack is thread-local, so work handed to a pool
         thread loses its caller's span context and every span it opens
         becomes an orphaned root.  Wrapping the worker body in
         ``tracer.attached(parent)`` seeds the worker's stack with the
-        caller's span: spans opened inside nest under ``parent`` exactly
-        as they would have on the calling thread.  The parent span is
-        *borrowed*, never finished here -- only its owning thread's
-        context manager closes it.  ``parent=None`` is a no-op, so
-        callers can pass ``tracer.active()`` straight through.
-
-        ``parent`` may also be a :class:`SpanHandle` (see
-        :meth:`Span.handle`): the handle is materialised as a borrowed
-        placeholder span carrying the original id, depth and trace id,
-        so the caller only needs to ship a small value tuple across the
-        worker boundary.  Spans opened under the placeholder inherit its
-        ``trace_id``, which is how one request trace crosses thread
-        boundaries.  A :class:`TraceContext` is also accepted:
-        its parent handle (if any) is attached and its ``trace_id``
-        becomes the block's ambient trace (see :meth:`trace`), covering
-        the parentless "same trace, new subtree" case.
+        caller's live span: spans opened inside nest under ``parent``,
+        with its depth and trace id, exactly as they would have on the
+        calling thread.  The parent span is *borrowed*, never finished
+        here -- only its owning thread's context manager closes it.
+        ``parent=None`` is a no-op, so callers can pass
+        ``tracer.active()`` straight through.
         """
         if parent is None:
             yield
             return
-        trace_seed = ""
-        if isinstance(parent, TraceContext):
-            trace_seed = parent.trace_id
-            parent = parent.parent
-            if parent is None:
-                with self.trace(trace_seed):
-                    yield
-                return
-        if isinstance(parent, SpanHandle):
-            # Borrowed placeholder: same id/depth as the original, never
-            # finished or collected here (status stays "borrowed").
-            parent = Span(
-                name=parent.name,
-                span_id=parent.span_id,
-                parent_id=None,
-                depth=parent.depth,
-                start_s=float("nan"),
-                status="borrowed",
-                trace_id=parent.trace_id or trace_seed,
-            )
         stack = self._stack()
         stack.append(parent)
         try:

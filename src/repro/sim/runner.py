@@ -8,18 +8,16 @@ Section 8 experiment is one :func:`evaluate` call per configuration.
 Sweeps parallelize across fixes with ``workers=N``: entries are fanned
 out over a thread pool (the hot path is numpy, which releases the GIL),
 records come back in dataset order regardless of completion order, and
-with observability enabled each worker thread accumulates its per-fix
-metrics in a private registry that is merged into the session observer
-once the sweep finishes -- so parallel runs report the same totals as
-serial ones without contending on one registry per fix.  ``workers``
-is the only execution knob: ``workers=1`` runs serially and
+with observability enabled every worker writes the session observer's
+one registry and tracer -- the instruments are lock-protected, so
+parallel runs report the same totals and span tree as serial ones.
+``workers`` is the only execution knob: ``workers=1`` runs serially and
 ``workers>1`` runs the thread pool (DESIGN.md §9 has the measurements).
 """
 
 from __future__ import annotations
 
 import inspect
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -412,40 +410,6 @@ def _execute_subset_fix(
     )
 
 
-@guarded_by("_lock", "_registries")
-class _WorkerRegistries:
-    """One private :class:`MetricsRegistry` per worker thread.
-
-    Workers write their per-fix counters and latency histograms into a
-    thread-local registry; :meth:`merge_into` folds every worker registry
-    into the session observer after the sweep, so totals match a serial
-    run exactly while the hot loop never contends on shared instruments.
-    """
-
-    def __init__(self):
-        self._local = threading.local()
-        self._lock = make_lock("_WorkerRegistries._lock")
-        self._registries: List[MetricsRegistry] = []
-
-    def current(self) -> MetricsRegistry:
-        """The calling thread's registry (thread-safe; created on
-        first use and tracked for the final merge)."""
-        registry = getattr(self._local, "registry", None)
-        if registry is None:
-            registry = MetricsRegistry()
-            with self._lock:
-                self._registries.append(registry)
-            self._local.registry = registry
-        return registry
-
-    def merge_into(self, target: MetricsRegistry) -> None:
-        """Fold every worker registry into ``target``."""
-        with self._lock:
-            registries = list(self._registries)
-        for registry in registries:
-            target.merge(registry)
-
-
 def _sweep(entries: Sequence, run_fix, workers: int) -> List[EvaluationRecord]:
     """Run ``run_fix(index, entry, metrics)`` over all entries.
 
@@ -454,37 +418,26 @@ def _sweep(entries: Sequence, run_fix, workers: int) -> List[EvaluationRecord]:
     records are in dataset order either way.
     """
     observer = get_observer()
+    metrics = observer.metrics if observer.enabled else None
     if workers == 1 or len(entries) <= 1:
-        metrics = observer.metrics if observer.enabled else None
         return [
             run_fix(index, entry, metrics)
             for index, entry in enumerate(entries)
         ]
-    worker_metrics = _WorkerRegistries() if observer.enabled else None
     # The active-span stack is thread-local: without re-attaching the
     # caller's span in each worker, every per-fix span under workers=N
-    # would be an orphaned root instead of a child of the evaluation
-    # span.  The parent crosses the worker boundary as a SpanHandle
-    # (span id + depth), not as the Span object, and tracer.attached()
-    # materialises it as a borrowed placeholder.
+    # would be an orphaned root instead of a child of the evaluate span.
     parent = observer.tracer.active() if observer.enabled else None
-    handle = parent.handle() if parent is not None else None
 
     def job(item):
         index, entry = item
-        metrics = worker_metrics.current() if worker_metrics else None
-        if handle is not None:
-            with observer.tracer.attached(handle):
-                return run_fix(index, entry, metrics)
-        return run_fix(index, entry, metrics)
+        with observer.tracer.attached(parent):
+            return run_fix(index, entry, metrics)
 
     with ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix="eval-worker"
     ) as pool:
-        records = list(pool.map(job, enumerate(entries)))
-    if worker_metrics is not None:
-        worker_metrics.merge_into(observer.metrics)
-    return records
+        return list(pool.map(job, enumerate(entries)))
 
 
 def evaluate(
@@ -511,8 +464,8 @@ def evaluate(
             :class:`~repro.errors.ConfigurationError`).
         workers: worker count for parallel evaluation (None or 1 runs
             serially), clamped to the entry count.  Records keep dataset
-            order and per-worker metrics are merged into the active
-            observer (see module docstring); the localizer must tolerate
+            order and every worker writes the active observer (see
+            module docstring); the localizer must tolerate
             concurrent ``locate`` calls, which BLoc and the baselines do.
         capture: opt-in per-fix diagnostics collection; see
             :class:`DiagnosticsCapture`.  Fix bundles for failures and
@@ -538,12 +491,12 @@ def evaluate(
         capture=capture,
     )
 
-    # The evaluate root span is what per-fix spans merge back under when
-    # workers fan out (via _sweep's handle propagation); it also gives the
-    # sampling profiler a stable outermost frame for sweep time.  As a
-    # root span it mints the sweep's trace_id, which the propagated
-    # handles carry into every worker -- one sweep, one trace, so
-    # `repro obs trace` reconstructs the whole fan-out from the export.
+    # The evaluate root span is what per-fix spans nest under when
+    # workers fan out (each worker attaches it, see _sweep); it also gives
+    # the sampling profiler a stable outermost frame for sweep time.  As
+    # a root span it mints the sweep's trace_id, which every worker's
+    # spans inherit -- one sweep, one trace, so `repro obs trace`
+    # reconstructs the whole fan-out from the export.
     with observer.span(
         "evaluate",
         label=label,

@@ -93,8 +93,6 @@ class TestCliObservability:
         assert get_observer().enabled is False
 
     def test_evaluate_profile_exports_flamegraph(self, capsys, tmp_path):
-        import json
-
         prefix = tmp_path / "prof"
         assert main(
             ["evaluate", "-n", "2", "--no-ledger",
@@ -104,14 +102,13 @@ class TestCliObservability:
         for line in folded.strip().splitlines():
             stack, _, count = line.rpartition(" ")
             assert stack and int(count) > 0
-        doc = json.loads(
-            (tmp_path / "prof.speedscope.json").read_text(
-                encoding="utf-8"
-            )
+        assert any(
+            line.startswith("evaluate;") for line in folded.splitlines()
         )
-        assert doc["profiles"][0]["type"] == "sampled"
+        # The folded file is the one profile artifact.
+        assert [p.name for p in tmp_path.iterdir()] == ["prof.folded"]
         out = capsys.readouterr().out
-        assert "[obs] profiler:" in out
+        assert f"-> {prefix}.folded\n" in out
 
 
 class TestCliLedgerAndSlo:
@@ -152,10 +149,13 @@ class TestCliLedgerAndSlo:
         assert "A:" in out and "B:" in out
         assert "result:bloc.median_m" in out
 
-        assert main(["obs", "report", "--ledger", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "== runs ==" in out
-        assert "latest diff" in out
+        # The refs default to the latest pair.
+        assert main(["obs", "diff", "--ledger", str(path)]) == 0
+        assert capsys.readouterr().out == out
+
+        # The runs listing plus the default diff is the whole report.
+        with pytest.raises(SystemExit):
+            main(["obs", "report", "--ledger", str(path)])
 
     def test_obs_runs_empty_ledger(self, capsys, tmp_path):
         path = tmp_path / "absent.ndjson"

@@ -17,7 +17,6 @@ from repro.obs import (
     get_observer,
     install,
     observed,
-    traced,
 )
 
 
@@ -54,21 +53,6 @@ class TestSwitchboard:
         # The no-op context is shared and reusable.
         assert disabled.span("other") is cm
         assert len(disabled.tracer) == 0
-
-    def test_traced_decorator(self):
-        calls = []
-
-        @traced("custom-name")
-        def work(x):
-            calls.append(x)
-            return x * 2
-
-        assert work(2) == 4  # disabled: no span recorded
-        with observed() as obs:
-            assert work(3) == 6
-        names = [s.name for s in obs.tracer.finished()]
-        assert names == ["custom-name"]
-        assert calls == [2, 3]
 
 
 class TestNoopBitIdentical:

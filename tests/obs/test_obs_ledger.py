@@ -17,7 +17,6 @@ from repro.obs.ledger import (
     fingerprint_of,
     null_result_keys,
     render_diff,
-    render_report,
     render_runs,
     scalar_view,
     span_quantiles,
@@ -256,18 +255,16 @@ class TestDiffAndRender:
         assert "result:small" not in text
 
     def test_render_runs_and_report(self):
+        # The report is two renders: the run listing and the diff of the
+        # latest pair (`repro obs runs` then `repro obs diff`).
         a = record_with(results={"x": 1.0})
         b = record_with(results={"x": 2.0})
         b = dict(b, run_id="r2")
-        assert "r1" in render_runs([a, b])
-        report = render_report([a, b])
-        assert "== runs ==" in report
-        assert "latest diff" in report
-        assert "result:x" in report
-
-    def test_report_needs_two_records(self):
-        text = render_report([record_with()])
-        assert "need >= 2 ledger records" in text
+        runs = render_runs([a, b])
+        assert "r1" in runs and "r2" in runs
+        diff = render_diff(a, b)
+        assert "A: r1" in diff and "B: r2" in diff
+        assert "result:x" in diff
 
 
 class TestNullSpeedupRendering:
@@ -305,7 +302,7 @@ class TestNullSpeedupRendering:
             ),
             run_id="r2",
         )
-        report = render_report([a, b])
+        report = render_diff(a, b)
         assert "result:evaluate.speedup_parallel_vs_serial" in report
         assert "n/a (1 cpu)" in report
 

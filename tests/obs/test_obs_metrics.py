@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -145,131 +147,61 @@ class TestRegistry:
         assert "x" not in reg and len(reg) == 0
 
 
-class TestMerge:
-    def test_counter_merge_adds(self):
-        a, b = Counter("c"), Counter("c")
-        a.inc(3)
-        b.inc(4)
-        a.merge(b)
-        assert a.value == 7
+class TestSharedRegistryAcrossThreads:
+    """Pool workers and request threads all write one registry."""
 
-    def test_gauge_merge_last_write_wins(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(1.0)
-        b.set(2.5)
-        a.merge(b)
-        assert a.value == 2.5
+    THREADS = 8
+    OPS = 2_000
+    HOT = 4  # counters every thread increments throughout
+    PER_NAME = 8  # consecutive observations into one histogram
+    EDGES = (1.0, 2.0, 3.0, 4.0)
 
-    def test_gauge_merge_skips_nan(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(1.0)
-        a.merge(b)  # b never set: stays 1.0
-        assert a.value == 1.0
+    def _work(self, registry):
+        # Every thread walks the same names in the same order: the few
+        # counters are contended for the whole run, and each of the 250
+        # histograms is first used by all threads at once, so creation
+        # races with creation and with observations.
+        for op in range(self.OPS):
+            registry.counter(f"c{op % self.HOT}").inc()
+            registry.histogram(f"h{op // self.PER_NAME}", self.EDGES).observe(
+                (op % 10) * 0.5
+            )
 
-    def test_histogram_merge_combines_everything(self):
-        edges = (1, 2, 4)
-        a, b = Histogram("h", edges), Histogram("h", edges)
-        a.observe(0.5)
-        a.observe(3.0)
-        b.observe(1.5)
-        b.observe(10.0)
-        a.merge(b)
-        assert a.count == 4
-        assert a.sum == pytest.approx(15.0)
-        assert a.min == 0.5
-        assert a.max == 10.0
-        assert a.bucket_counts() == [1, 1, 1, 1]
+    def test_racing_first_use_keeps_exact_totals(self):
+        shared = MetricsRegistry()
+        start = threading.Barrier(self.THREADS)
 
-    def test_histogram_merge_rejects_mismatched_edges(self):
-        a = Histogram("h", (1, 2))
-        b = Histogram("h", (1, 3))
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
+        def worker():
+            start.wait()
+            self._work(shared)
 
-    def test_empty_histogram_merge_is_noop(self):
-        a = Histogram("h", (1, 2))
-        a.observe(0.5)
-        a.merge(Histogram("h", (1, 2)))
-        assert a.count == 1
-        assert a.min == 0.5
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker) for _ in range(self.THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
 
-    def test_registry_merge_creates_and_combines(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.counter("shared").inc(1)
-        worker.counter("shared").inc(2)
-        worker.counter("worker_only").inc(5)
-        worker.gauge("g").set(3.0)
-        worker.histogram("h", (1, 2)).observe(1.5)
-        main.merge(worker)
-        assert main.counter("shared").value == 3
-        assert main.counter("worker_only").value == 5
-        assert main.gauge("g").value == 3.0
-        assert main.histogram("h", (1, 2)).count == 1
-
-    def test_registry_merge_kind_conflict_raises(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.counter("x")
-        worker.gauge("x").set(1.0)
-        with pytest.raises(ConfigurationError):
-            main.merge(worker)
-
-    @pytest.mark.parametrize(
-        "make_main, make_worker",
-        [
-            (lambda r: r.counter("x"), lambda r: r.histogram("x", (1.0,))),
-            (lambda r: r.histogram("x", (1.0,)), lambda r: r.counter("x")),
-            (lambda r: r.gauge("x"), lambda r: r.histogram("x", (1.0,))),
-            (lambda r: r.histogram("x", (1.0,)), lambda r: r.gauge("x")),
-            (lambda r: r.gauge("x"), lambda r: r.counter("x")),
-        ],
-    )
-    def test_registry_merge_every_kind_conflict_raises(
-        self, make_main, make_worker
-    ):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        make_main(main)
-        make_worker(worker)
-        with pytest.raises(ConfigurationError):
-            main.merge(worker)
-
-    def test_merge_of_empty_registries_is_noop(self):
-        main = MetricsRegistry()
-        assert main.merge(MetricsRegistry()) is main
-        assert len(main) == 0
-
-    def test_merge_empty_into_populated_preserves_values(self):
-        main = MetricsRegistry()
-        main.counter("c").inc(2)
-        main.histogram("h", (1, 2)).observe(0.5)
-        main.merge(MetricsRegistry())
-        assert main.counter("c").value == 2
-        assert main.histogram("h", (1, 2)).count == 1
-
-    def test_registry_merge_mismatched_histogram_edges_raises(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.histogram("h", (1.0, 2.0))
-        worker.histogram("h", (1.0, 3.0)).observe(0.5)
-        with pytest.raises(ConfigurationError):
-            main.merge(worker)
-
-    def test_merge_after_snapshot_reflects_new_observations(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        main.counter("c").inc(1)
-        before = {s["name"]: s for s in main.snapshot()}
-        assert before["c"]["value"] == 1
-        worker.counter("c").inc(4)
-        worker.histogram("late", (1,)).observe(0.5)
-        main.merge(worker)
-        after = {s["name"]: s for s in main.snapshot()}
-        assert after["c"]["value"] == 5
-        assert after["late"]["count"] == 1
-        # The earlier snapshot is plain data: unaffected by the merge.
-        assert before["c"]["value"] == 1
-
-    def test_merge_same_worker_twice_double_counts(self):
-        # Callers must merge each worker registry exactly once; the
-        # registry itself does not dedupe.
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        worker.counter("c").inc(3)
-        main.merge(worker).merge(worker)
-        assert main.counter("c").value == 6
+        # Every thread made the same calls, so the shared totals are
+        # exactly THREADS times one serial pass's.
+        one_pass = MetricsRegistry()
+        self._work(one_pass)
+        assert len(shared) == len(one_pass)
+        for name in range(self.HOT):
+            assert shared.counter(f"c{name}").value == (
+                self.THREADS * self.OPS / self.HOT
+            )
+        for name in range(self.OPS // self.PER_NAME):
+            got = shared.histogram(f"h{name}")
+            want = one_pass.histogram(f"h{name}")
+            assert got.count == self.THREADS * want.count
+            assert got.bucket_counts() == [
+                self.THREADS * count for count in want.bucket_counts()
+            ]
+            assert got.sum == self.THREADS * want.sum

@@ -8,12 +8,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.export import (
-    export_folded,
-    export_speedscope,
-    folded_stacks,
-    speedscope_document,
-)
+from repro.obs.export import export_folded, folded_stacks
 from repro.obs.prof import IDLE_STACK, ProfileReport, SamplingProfiler
 from repro.obs.trace import Tracer
 
@@ -172,26 +167,3 @@ class TestExports:
             stack, _, count = line.rpartition(" ")
             counts[stack] = int(count)
         assert counts["root;leaf"] == 2
-
-    def test_speedscope_document_is_valid(self):
-        doc = speedscope_document(self._report(), name="unit")
-        assert doc["$schema"].startswith("https://www.speedscope.app/")
-        frames = [f["name"] for f in doc["shared"]["frames"]]
-        profile = doc["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert len(profile["samples"]) == len(profile["weights"])
-        # Samples index into the shared frame table, root first.
-        for sample in profile["samples"]:
-            assert all(0 <= idx < len(frames) for idx in sample)
-        named = [
-            [frames[idx] for idx in sample]
-            for sample in profile["samples"]
-        ]
-        assert ["root", "leaf"] in named
-        json.dumps(doc, allow_nan=False)
-
-    def test_export_speedscope_writes_strict_json(self, tmp_path):
-        path = tmp_path / "out.speedscope.json"
-        export_speedscope(path, self._report())
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert loaded["profiles"][0]["unit"] == "seconds"

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
 
-from repro.obs.trace import SpanHandle, Tracer
+from repro.obs.trace import Tracer
 
 
 class FakeClock:
@@ -132,30 +131,33 @@ class TestThreads:
 
 
 class TestSpanHandle:
-    def test_handle_carries_identity_and_pickles(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("evaluate") as span:
-            handle = span.handle()
-        assert handle == SpanHandle(
-            span_id=span.span_id,
-            depth=span.depth,
-            name="evaluate",
-            trace_id=span.trace_id,
-        )
-        assert pickle.loads(pickle.dumps(handle)) == handle
+    """A live span handed to another thread via ``Tracer.attached``."""
 
     def test_attached_span_parents_children_under_handle(self):
         tracer = Tracer(clock=FakeClock())
+        children = []
+
+        def worker(parent):
+            with tracer.attached(parent):
+                with tracer.span("fix") as child:
+                    children.append(child)
+
         with tracer.span("evaluate") as parent:
-            handle = parent.handle()
-        with tracer.attached(handle):
-            with tracer.span("fix") as child:
-                pass
+            thread = threading.Thread(
+                target=worker, args=(parent,), name="eval-worker_0"
+            )
+            thread.start()
+            thread.join()
+        (child,) = children
         assert child.parent_id == parent.span_id
         assert child.depth == parent.depth + 1
-        # The borrowed placeholder is never collected as finished.
+        assert child.trace_id == parent.trace_id
+        assert child.thread == "eval-worker_0"
+        assert parent.thread == threading.current_thread().name
+        # The borrowed parent is finished once, by its owning thread.
         names = [s.name for s in tracer.finished()]
         assert names.count("evaluate") == 1
+        assert parent.status == "ok"
 
     def test_attached_accepts_span_and_none(self):
         tracer = Tracer(clock=FakeClock())
@@ -175,7 +177,7 @@ class TestSpanHandle:
         with tracer.span("root") as root:
             pass
         with pytest.raises(RuntimeError):
-            with tracer.attached(root.handle()):
+            with tracer.attached(root):
                 raise RuntimeError
         assert tracer.active() is None
 

@@ -141,21 +141,33 @@ class TestParallelEvaluate:
         with pytest.raises(ConfigurationError):
             evaluate(PerfectOracle(), dataset, workers=-2)
 
-    def test_worker_metrics_merged(self, dataset):
+    @staticmethod
+    def _observed_sweep(localizer, dataset, workers):
         from repro.obs import observed
 
         with observed() as obs:
-            evaluate(PerfectOracle(), dataset, workers=3)
-        assert obs.metrics.get("eval.fixes_total").value == len(dataset)
-        assert obs.metrics.get("eval.fix_latency_s").count == len(dataset)
+            evaluate(localizer, dataset, workers=workers)
+        return {
+            inst.name: inst.value
+            for inst in obs.metrics.instruments()
+            if inst.kind == "counter"
+        }, obs.metrics.get("eval.fix_latency_s").count
 
-    def test_worker_failure_counters_merged(self, dataset):
-        from repro.obs import observed
+    def test_worker_metrics(self, dataset):
+        # Workers write the session registry directly: a pool sweep's
+        # counters equal a serial sweep's.
+        serial = self._observed_sweep(PerfectOracle(), dataset, workers=1)
+        parallel = self._observed_sweep(PerfectOracle(), dataset, workers=3)
+        assert parallel == serial
+        counters, latencies = parallel
+        assert counters["eval.fixes_total"] == latencies == len(dataset)
 
-        with observed() as obs:
-            evaluate(AlwaysFails(), dataset, workers=4)
-        counter = obs.metrics.get("eval.failures.LocalizationError")
-        assert counter is not None and counter.value == len(dataset)
+    def test_worker_failure_counters(self, dataset):
+        serial = self._observed_sweep(AlwaysFails(), dataset, workers=1)
+        parallel = self._observed_sweep(AlwaysFails(), dataset, workers=3)
+        assert parallel == serial
+        counters, _ = parallel
+        assert counters["eval.failures.LocalizationError"] == len(dataset)
 
     def test_fix_spans_recorded_from_worker_threads(self, dataset):
         from repro.obs import observed
@@ -376,13 +388,13 @@ class TestParallelSpanPropagation:
         assert roots[0].parent_id == session.span_id
         fixes = [s for s in spans if s.name == "fix"]
         assert len(fixes) == len(dataset)
-        # Per-fix spans merge back under the evaluate root even though
-        # workers ran them: the parent id crossed the pool boundary as a
-        # SpanHandle, not as the live Span object.
+        # Per-fix spans nest under the evaluate root even though workers
+        # ran them: each worker attached the caller's live span.
         assert {s.parent_id for s in fixes} == {roots[0].span_id}
         assert {s.depth for s in fixes} == {roots[0].depth + 1}
         # Workers really ran the fixes, yet parentage survived the hop.
-        assert len({s.thread for s in fixes}) >= 1
+        assert all(s.thread.startswith("eval-worker") for s in fixes)
+        assert {s.trace_id for s in fixes} == {roots[0].trace_id}
 
     def test_serial_and_parallel_same_span_tree_shape(self, dataset):
         from repro.obs import observed
