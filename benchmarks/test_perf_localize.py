@@ -1,4 +1,4 @@
-"""Bench: steering-engine cold/warm cost and serial/parallel sweep rates.
+"""Bench: steering-engine cold/warm cost and the serial sweep rate.
 
 Not a paper figure -- this tracks the localization hot path itself, on
 the default 4-anchor / 4-antenna / 37-band scenario:
@@ -6,7 +6,7 @@ the default 4-anchor / 4-antenna / 37-band scenario:
 * the direct Eq. 17 oracle (rebuild geometry every fix, from
   ``tests/eq17_oracle.py``) vs a cold steering cache (first fix pays
   the build) vs a warm cache (matvecs only);
-* serial ``evaluate()`` vs a thread sweep;
+* the serial ``evaluate()`` sweep rate on a warm cache;
 * the sampling profiler's overhead on a warm fix.
 
 Each test folds its measurements into ``BENCH_localize.json`` (path
@@ -46,17 +46,12 @@ from repro.sim import EvaluationDataset, evaluate
 #: Output file accumulating the perf numbers of both tests.
 BENCH_JSON_PATH = os.environ.get("REPRO_BENCH_JSON", "BENCH_localize.json")
 
-#: Largest thread pool of the parallel sweep measurement; the sweep runs
-#: ``min(PARALLEL_WORKERS, cpus)`` workers, so every worker has a cpu.
-PARALLEL_WORKERS = 4
-
-#: Interleaved serial/parallel sweep pairs; the speedup is the median
-#: of their per-round ratios.
+#: Timed serial sweeps; the rate is taken from their median.
 SWEEP_ROUNDS = 7
 
 #: Shortest serial sweep worth timing: the dataset is repeated until a
 #: sweep lasts about this long, so a scheduler hiccup of a few
-#: milliseconds cannot swing the ratio (a CI-sized 6-fix sweep alone
+#: milliseconds cannot swing the rate (a CI-sized 6-fix sweep alone
 #: lasts 5-10 ms).
 SWEEP_MIN_S = 0.05
 
@@ -90,8 +85,8 @@ def bench_ledger_record():
     for section in sections:
         for key, value in payload.get(section, {}).items():
             if value is None:
-                # Explicit null (e.g. a speedup on a 1-cpu host) is
-                # data: the report renders it as "n/a (1 cpu)".
+                # Explicit null (e.g. the profiler overhead on a 1-cpu
+                # host) is data: the report renders it as "n/a".
                 results[f"{section}.{key}"] = None
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -196,84 +191,52 @@ def test_perf_steering_cache(dataset, report_sink):
     )
 
 
-def test_perf_parallel_evaluate(dataset, report_sink):
-    """Thread sweep: identical records, measured throughput.
+def test_perf_serial_evaluate(dataset, report_sink):
+    """Serial sweep rate on a warm steering cache.
 
-    The speedup floor is ``slo.thread_speedup_vs_serial``.
+    The floor is ``slo.serial_fixes_per_s``.
     """
-    cpus = os.cpu_count() or 1
-    workers = min(PARALLEL_WORKERS, cpus)
-    serial_localizer = BlocLocalizer(config=_bloc_config())
-    parallel_localizer = BlocLocalizer(config=_bloc_config())
-    # Warm both steering caches untimed, so neither sweep pays the
-    # one-off engine build and the ratio compares the sweeps alone.
-    for localizer in (serial_localizer, parallel_localizer):
-        localizer.locate(dataset.observations[0], keep_map=False)
+    localizer = BlocLocalizer(config=_bloc_config())
+    # Warm the steering cache untimed, so no sweep pays the one-off
+    # engine build.
+    localizer.locate(dataset.observations[0], keep_map=False)
     # The faster of two untimed sweeps sets how often the dataset is
     # repeated for a sweep to last SWEEP_MIN_S.
     base_s = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        evaluate(serial_localizer, dataset, label="calibrate")
+        evaluate(localizer, dataset, label="calibrate")
         base_s = min(base_s, time.perf_counter() - start)
     sweep = EvaluationDataset(
         testbed=dataset.testbed,
         observations=dataset.observations * math.ceil(SWEEP_MIN_S / base_s),
     )
 
-    serial_times, parallel_times, ratios = [], [], []
+    times, runs = [], []
     for _ in range(SWEEP_ROUNDS):
         start = time.perf_counter()
-        serial_run = evaluate(serial_localizer, sweep, label="serial")
-        serial_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        parallel_run = evaluate(
-            parallel_localizer,
-            sweep,
-            label="parallel",
-            workers=workers,
-        )
-        parallel_times.append(time.perf_counter() - start)
-        ratios.append(serial_times[-1] / parallel_times[-1])
+        runs.append(evaluate(localizer, sweep, label="serial"))
+        times.append(time.perf_counter() - start)
 
-    assert [r.error_m for r in serial_run.records] == [
-        r.error_m for r in parallel_run.records
-    ], "parallel evaluation must be record-for-record identical to serial"
+    errors = [r.error_m for r in runs[0].records]
+    assert all(
+        [r.error_m for r in run.records] == errors for run in runs
+    ), "repeat sweeps must be record-for-record identical"
+    assert localizer.engine.misses == 1
 
-    serial_s = statistics.median(serial_times)
-    parallel_s = statistics.median(parallel_times)
-    speedup = statistics.median(ratios)
+    serial_s = statistics.median(times)
     fixes = len(sweep)
-    effective_workers = parallel_run.effective_workers
-    unreliable = effective_workers < 2
     serial_rate = fixes / serial_s
-    parallel_rate = fixes / parallel_s
     data = {
         "fixes": fixes,
-        "cpus": cpus,
+        "cpus": os.cpu_count() or 1,
         "serial_s": serial_s,
         "serial_fixes_per_s": serial_rate,
-        "workers": workers,
-        "effective_workers": effective_workers,
-        "unreliable_single_core": unreliable,
-        "parallel_s": parallel_s,
-        "parallel_fixes_per_s": parallel_rate,
-        # With one worker (a 1-cpu host) there is no parallelism to
-        # measure: record null, not a lie.
-        "speedup_parallel_vs_serial": (
-            None if unreliable else speedup
-        ),
     }
-    _update_bench_json(
-        _scenario(dataset, serial_localizer), "evaluate", data
-    )
+    _update_bench_json(_scenario(dataset, localizer), "evaluate", data)
     report_sink.append(
         "[perf] evaluation sweep\n"
-        f"  serial            {serial_rate:8.1f} fixes/s\n"
-        f"  workers={effective_workers}         {parallel_rate:8.1f} "
-        f"fixes/s ({speedup:.1f}x)"
-        + ("\n  [speedup not meaningful: one worker]"
-           if unreliable else "")
+        f"  serial            {serial_rate:8.1f} fixes/s"
     )
     assert Path(BENCH_JSON_PATH).exists()
 
@@ -306,10 +269,9 @@ def test_perf_profiler_overhead(dataset, report_sink):
     both sides) and the median is reported.  On a single-core host the
     profiler thread and the workload fight for the one CPU, so the
     measurement is scheduler noise: the JSON then records
-    ``overhead_frac = null`` with ``unreliable_single_core = true`` --
-    the same treatment the thread sweep bench gives its speedup -- which
-    makes the ``slo.profiler_overhead_frac`` ceiling skip instead of
-    flaking CI.
+    ``overhead_frac = null`` with ``unreliable_single_core = true``,
+    which makes the ``slo.profiler_overhead_frac`` ceiling skip instead
+    of flaking CI.
     """
     localizer = BlocLocalizer(config=_bloc_config())
     observations = dataset.observations[0]

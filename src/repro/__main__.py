@@ -130,7 +130,6 @@ def _maybe_observed(
         record = build_run_record(
             command=args.command,
             observer=obs,
-            workers=getattr(args, "workers", None),
             config=_command_config(args),
             results=getattr(args, "_ledger_results", None),
             artifacts=artifacts,
@@ -146,7 +145,7 @@ def _maybe_observed(
 def _command_config(args: argparse.Namespace) -> dict:
     """The fingerprintable configuration of a CLI invocation."""
     keep = (
-        "command", "num", "seed", "workers", "x", "y",
+        "command", "num", "seed", "x", "y",
         "bundle_worst", "scenario", "clients",
         "per_client", "resolution", "port",
     )
@@ -229,7 +228,6 @@ def _run_evaluate(args: argparse.Namespace) -> int:
             localizer,
             dataset,
             label=name,
-            workers=args.workers,
             capture=capture,
         )
         stats = run.stats()
@@ -614,13 +612,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="N",
         help="with --bundle-dir: also bundle the N worst successful "
         "fixes (default: 3)",
-    )
-    ev.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the evaluation sweeps (1: serial)",
     )
     add_obs_flags(ev)
     # Every evaluate run lands in the persistent ledger unless opted out.

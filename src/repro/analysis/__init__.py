@@ -2,8 +2,8 @@
 
 BLoc's correctness rests on invariants the Python type system cannot
 express: phase math must stay complex128 end-to-end, physics code must be
-deterministic under an injected RNG, and the thread-pooled evaluation
-paths must not mutate shared state unlocked.  This package holds the
+deterministic under an injected RNG, and the service's threaded
+request paths must not mutate shared state unlocked.  This package holds the
 tooling that enforces those invariants *before* they show up as a bench
 regression:
 

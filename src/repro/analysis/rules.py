@@ -318,10 +318,10 @@ class UnlockedSharedMutation(Rule):
     id = "RPR003"
     title = "unlocked mutation of module-level mutable state"
     rationale = (
-        "evaluate(workers=N) fans fixes out over a thread pool and "
         "`repro serve` runs each request on its own ThreadingHTTPServer "
-        "thread; any module-level dict/list a function reachable from "
-        "those threads mutates without holding a lock is a data race "
+        "thread and the sampling profiler runs on a thread of its own; "
+        "any module-level dict/list a function reachable from those "
+        "threads mutates without holding a lock is a data race "
         "(lost updates, torn iteration).  Mutations must sit inside "
         "`with <lock>:` or be explicitly waived with a justification."
     )
@@ -408,7 +408,7 @@ class UnlockedSharedMutation(Rule):
                 self.id,
                 node,
                 f"module-level mutable {target_name!r} mutated "
-                f"({what}) outside a lock; worker threads reach this "
+                f"({what}) outside a lock; request threads reach this "
                 f"module",
             )
 
@@ -631,7 +631,7 @@ class MutableDefaultArg(Rule):
     title = "mutable default argument"
     rationale = (
         "Defaults are evaluated once at import; a mutable default is "
-        "shared across every call *and every worker thread*.  Use None "
+        "shared across every call *and every thread*.  Use None "
         "plus an in-function default, or dataclass field factories."
     )
     scopes = None
@@ -774,8 +774,8 @@ class MagicBleConstant(Rule):
 # RPR010 -- missing thread-safety tag on worker-reachable functions
 # ---------------------------------------------------------------------------
 
-#: Functions reachable from concurrent threads (the evaluate(workers=N)
-#: pool and the service's request threads) that must document their
+#: Functions reachable from concurrent threads (the service's request
+#: threads and the profiler thread) that must document their
 #: thread-safety contract, keyed by path suffix.
 WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/baselines/aoa.py": ("AoaLocalizer.anchor_spectrum",),
@@ -799,7 +799,6 @@ WORKER_REACHABLE: Dict[str, Tuple[str, ...]] = {
     "repro/obs/trace.py": (
         "Tracer.active_stacks",
     ),
-    "repro/sim/runner.py": ("DiagnosticsCapture.collect",),
 }
 
 _THREAD_TAG_WORDS = ("thread-safe", "thread-safety", "thread safety")
@@ -811,11 +810,11 @@ class MissingThreadSafetyTag(Rule):
     id = "RPR010"
     title = "worker-reachable function lacks a thread-safety docstring tag"
     rationale = (
-        "the evaluate(workers=N) pool and the service's "
-        "ThreadingHTTPServer request threads call these functions "
-        "concurrently; their docstrings must state the thread-safety "
-        "contract (lock-protected, thread-local, or caller-serialised) "
-        "so the next concurrency change knows what it may assume."
+        "the service's ThreadingHTTPServer request threads and the "
+        "sampling profiler thread call these functions concurrently; "
+        "their docstrings must state the thread-safety contract "
+        "(lock-protected, thread-local, or caller-serialised) so the "
+        "next concurrency change knows what it may assume."
     )
     scopes = None
 
@@ -845,8 +844,8 @@ class MissingThreadSafetyTag(Rule):
                 yield ctx.finding(
                     self.id,
                     node,
-                    f"{qual} is reachable from the evaluate() worker "
-                    f"pool but its docstring does not document "
+                    f"{qual} is reachable from concurrent threads "
+                    f"but its docstring does not document "
                     f"thread-safety",
                 )
 

@@ -52,7 +52,6 @@ _EXPORTS = export_table(
             "ScoredPeak",
             "ScoringConfig",
             "score_peaks",
-            "select_direct_path",
         ),
         "repro.core.steering": (
             "aliasing_distance_m",

@@ -50,8 +50,7 @@ Entries live in a :class:`SteeringCache`, an LRU keyed by the full
 geometry signature, so sweeps that alternate between a handful of
 configurations (bandwidth ablations, anchor subsets) stay warm while
 unbounded geometry churn cannot exhaust memory.  The cache is
-thread-safe: the parallel evaluation runner shares one cache across
-worker threads.
+thread-safe: the service's request threads share one cache.
 """
 
 from __future__ import annotations
@@ -166,22 +165,12 @@ class SteeringEntry:
         point.
 
         Thread-safety: read-only over the immutable cached arrays, safe
-        to call concurrently from evaluation workers.
+        to call concurrently from the service's request threads.
         """
         alpha = np.asarray(alpha)
         a, _, k = alpha.shape
         profile = (alpha.reshape(-1, k) @ self.samples.T).reshape(-1)
         return np.abs(self.gather @ profile).reshape(a, -1)
-
-    @shaped(alpha_anchor=arr(("J", "K"), np.complexfloating))
-    def anchor_likelihood(
-        self, anchor_index: int, alpha_anchor: np.ndarray
-    ) -> np.ndarray:
-        """Eq. 17 for one anchor of one fix, shape ``(size,)``."""
-        profile = (np.asarray(alpha_anchor) @ self.samples.T).ravel()
-        row, col = anchor_index * self.grid.size, anchor_index * profile.size
-        block = self.gather[row:row + self.grid.size, col:col + profile.size]
-        return np.abs(block @ profile)
 
 
 def _profile_grid(span: float, delta: float) -> Tuple[int, float]:
@@ -381,7 +370,7 @@ class SteeringCache(LruCache):
         """The (possibly freshly built) entry for a fix's geometry.
 
         Thread-safety: cache-miss builds happen under the cache lock;
-        concurrent workers asking for the same geometry block until the
+        concurrent requests for the same geometry block until the
         first build lands, then all share the one (immutable) entry.
         """
         key = steering_cache_key(

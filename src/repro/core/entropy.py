@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.analysis.contracts import shaped
 from repro.constants import BLOC_ENTROPY_WINDOW
-from repro.core.peaks import Peak
 from repro.errors import ConfigurationError
 from repro.utils.gridmap import Grid2D
 
@@ -120,34 +119,3 @@ def neighborhood_negentropy(
     return np.where(
         empty, 0.0, np.log(inside.sum(axis=1)) + _row_sums(plogp, mass)
     )
-
-
-@shaped(values=("H", "W"))
-def spread_metric(
-    values: np.ndarray,
-    grid: Grid2D,
-    peak: Peak,
-    window: int = BLOC_ENTROPY_WINDOW,
-) -> float:
-    """Complementary diagnostic: RMS spatial spread [m] of the
-    neighbourhood mass around the peak.
-
-    Not used by the paper's score; exposed for analysis notebooks and the
-    ablation bench that compares spread- vs entropy-based rejection.
-    """
-    _check_window(window)
-    half = window // 2
-    neighborhood = np.asarray(
-        grid.window(values, peak.row, peak.col, half), dtype=float
-    )
-    total = neighborhood.sum()
-    if total <= 0:
-        return float(grid.resolution * half)
-    rows, cols = np.indices(neighborhood.shape)
-    # Offsets relative to the window centre in metres.
-    r0 = min(peak.row, half)
-    c0 = min(peak.col, half)
-    dy = (rows - r0) * grid.resolution
-    dx = (cols - c0) * grid.resolution
-    weights = neighborhood / total
-    return float(np.sqrt(np.sum(weights * (dx**2 + dy**2))))

@@ -175,9 +175,9 @@ class BlocLocalizer:
                 the failing stage) are attached to the exception as
                 ``exc.diagnostics``.
 
-        Thread-safety: safe to call concurrently from evaluation workers;
-        all per-fix state is local and the shared steering cache guards
-        its own entries.
+        Thread-safety: safe to call concurrently from the service's
+        request threads; all per-fix state is local and the shared
+        steering cache guards its own entries.
 
         Raises:
             LocalizationError: when fewer than two anchors were heard

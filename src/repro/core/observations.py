@@ -58,6 +58,10 @@ class ChannelObservations:
         self.frequencies_hz = np.asarray(self.frequencies_hz, dtype=float)
         if self.frequencies_hz.size < 1:
             raise MeasurementError("need at least one frequency band")
+        if not np.all(
+            np.isfinite(self.frequencies_hz) & (self.frequencies_hz > 0)
+        ):
+            raise MeasurementError("frequencies must be finite and positive")
         self.tag_to_anchor = np.asarray(self.tag_to_anchor, dtype=complex)
         self.master_to_anchor = np.asarray(self.master_to_anchor, dtype=complex)
         if self.band_snr_db is not None:

@@ -123,10 +123,3 @@ def score_peaks(
             "peaks.score_margin", STANDARD_METRICS["peaks.score_margin"][1]
         ).observe(margin)
     return scored
-
-
-def select_direct_path(scored: Sequence[ScoredPeak]) -> ScoredPeak:
-    """The winning peak (highest Eq. 18 score)."""
-    if not scored:
-        raise LocalizationError("no scored peaks")
-    return max(scored, key=lambda s: s.score)

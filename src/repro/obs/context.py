@@ -146,8 +146,9 @@ def install(observer: Optional[Observability]) -> Observability:
 
     Passing None restores the disabled default.
     """
-    # Atomic reference swap under the GIL; installs happen before worker
-    # threads start (see evaluate()), so no lock is needed here.
+    # Atomic reference swap under the GIL; installs happen before any
+    # traced thread starts (the CLI installs before `serve` listens),
+    # so no lock is needed here.
     global _current  # repro: noqa[RPR003]
     previous = _current
     _current = observer if observer is not None else _DISABLED

@@ -284,8 +284,7 @@ def trace_spans(records: Sequence[dict], trace_id: str) -> List[dict]:
     """Span records belonging to one trace.
 
     Every span of a request -- handler, provider chain, localizer
-    stages, including spans from sweep worker threads -- carries the
-    request's ``trace_id``, so selecting by it is the whole
+    stages -- carries the request's ``trace_id``, so selecting by it is the whole
     reconstruction.
     """
     return [

@@ -12,8 +12,7 @@ A record carries:
   timestamp, the command that produced it, and the git commit;
 * comparability keys -- a configuration/scenario ``fingerprint``
   (sha256 of the canonical JSON) and host info including the *real*
-  ``os.cpu_count()``, so a 1-core CI "parallel speedup" is never again
-  mistaken for a multi-core measurement;
+  ``os.cpu_count()``, so a timing is never read without its host;
 * the measurements -- the metrics-registry snapshot, per-span-name
   latency quantiles (p50/p95/p99), headline ``results`` numbers, and
   paths of artifacts (traces, profiles, bundles) the run wrote.
@@ -31,7 +30,6 @@ import math
 import os
 import platform
 import subprocess
-import threading
 import uuid
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -145,7 +143,6 @@ class RunRecord:
     fingerprint: str
     host: dict
     label: str = ""
-    workers: Optional[int] = None
     metrics: List[dict] = field(default_factory=list)
     spans: Dict[str, dict] = field(default_factory=dict)
     results: dict = field(default_factory=dict)
@@ -166,7 +163,6 @@ def build_run_record(
     *,
     label: str = "",
     config: Any = None,
-    workers: Optional[int] = None,
     results: Optional[dict] = None,
     artifacts: Sequence[Union[str, Path]] = (),
     profile: Optional[dict] = None,
@@ -203,7 +199,6 @@ def build_run_record(
         fingerprint=fingerprint_of(config) if config is not None else "",
         host=host_info(),
         label=label,
-        workers=workers,
         metrics=metrics,
         spans=spans,
         results=dict(results or {}),
@@ -327,33 +322,19 @@ _HIST_FIELDS = ("count", "mean", "p50", "p95")
 _SPAN_FIELDS = ("count", "p50_s", "p95_s", "p99_s")
 
 
-#: Result-key suffixes that are recorded as explicit ``null`` when the
-#: measurement is not meaningful (rather than being dropped), mapped to
-#: the label the report renders for them.
-_NULL_RESULT_LABELS = {
-    "speedup_parallel_vs_serial": "n/a (1 cpu)",
-}
-
-
 def null_result_keys(record: dict) -> Dict[str, str]:
     """Result keys explicitly recorded as ``null``, with render labels.
 
-    A bench run on a single-core host records e.g.
-    ``speedup_parallel_vs_serial: null`` instead of a misleading ~1.0x
-    number; the report shows these as ``n/a (1 cpu)`` instead of
+    A bench run records a measurement that is not meaningful (e.g. the
+    profiler overhead on a single-core host) as ``null`` rather than a
+    misleading number; the report shows these as ``n/a`` instead of
     silently dropping the row.
     """
-    out: Dict[str, str] = {}
-    for key, value in (record.get("results") or {}).items():
-        if value is not None:
-            continue
-        for suffix, label in _NULL_RESULT_LABELS.items():
-            if key.endswith(suffix):
-                out[f"result:{key}"] = label
-                break
-        else:
-            out[f"result:{key}"] = "n/a"
-    return out
+    return {
+        f"result:{key}": "n/a"
+        for key, value in (record.get("results") or {}).items()
+        if value is None
+    }
 
 
 def scalar_view(record: dict) -> Dict[str, float]:
@@ -447,7 +428,6 @@ def render_runs(records: Sequence[dict]) -> str:
                 record.get("label", "") or "-",
                 str(record.get("git_sha", "?"))[:10],
                 str((record.get("host") or {}).get("cpu_count", "?")),
-                str(record.get("workers") or "-"),
                 _fmt(fixes),
                 _fmt(fix_p95),
             ]
@@ -460,7 +440,6 @@ def render_runs(records: Sequence[dict]) -> str:
             "label",
             "git",
             "cpus",
-            "workers",
             "fixes",
             "fix p95 s",
         ],

@@ -320,8 +320,8 @@ class MetricsRegistry:
     instrument afterwards; requesting an existing name as a different
     instrument kind (or a histogram with different buckets) raises
     :class:`~repro.errors.ConfigurationError`.  One registry serves every
-    thread of the process (pool workers and service request threads
-    alike): creation runs under the registry lock and each instrument
+    thread of the process (the service's request threads included):
+    creation runs under the registry lock and each instrument
     locks its own updates.
     """
 

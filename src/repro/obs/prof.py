@@ -1,7 +1,7 @@
 """Sampling wall-clock profiler attributing time to open obs spans.
 
 Span timings say how long each stage took; they cannot say where the
-wall time of a whole run *went* when stages interleave across worker
+wall time of a whole run *went* when stages interleave across
 threads.  The :class:`SamplingProfiler` answers that: a background
 daemon thread wakes every ``interval_s``, snapshots every thread's
 open-span stack via :meth:`repro.obs.trace.Tracer.active_stacks`, and
@@ -139,7 +139,7 @@ class SamplingProfiler:
         Thread-safe: the pass reads the tracer's stack registry through
         :meth:`Tracer.active_stacks` (lock-protected snapshot) and
         mutates only this profiler's report under the profiler lock, so
-        it may run concurrently with worker threads opening/closing
+        it may run concurrently with traced threads opening/closing
         spans and with a caller polling :attr:`report`.
         """
         tick_start = self.clock()

@@ -7,10 +7,9 @@ parent of the four stage spans it encloses.  Finished spans are collected
 in completion order (children finish before their parents) and can be
 exported as NDJSON by :mod:`repro.obs.export`.
 
-One tracer serves every thread of the process.  A pool worker (the
-``evaluate(workers=N)`` sweep) parents its spans under the caller's
-live span via :meth:`Tracer.attached`; the service's request threads
-open root spans pinned to the request's trace id.
+One tracer serves every thread of the process.  Each thread keeps its
+own active-span stack: the service's request threads open root spans
+pinned to the request's trace id.
 
 The tracer never touches the traced computation: entering a span reads a
 clock and pushes a frame, exiting reads the clock again and pops.  When
@@ -25,9 +24,8 @@ import itertools
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.runtime_locks import guarded_by, make_lock
 
@@ -204,9 +202,6 @@ class Tracer:
             name=name,
             span_id=next(self._ids),
             parent_id=parent.span_id if parent else None,
-            # Derived from the parent, not the stack length: a worker
-            # thread seeded via :meth:`attached` holds only the borrowed
-            # parent, yet its children must report the true tree depth.
             depth=parent.depth + 1 if parent else 0,
             start_s=self.clock(),
             attributes=dict(attributes),
@@ -228,11 +223,6 @@ class Tracer:
             stack.remove(span)
         with self._lock:
             self._finished.append(span)
-
-    def active(self) -> Optional[Span]:
-        """The current thread's innermost open span."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def active_stacks(self) -> Dict[str, List[Span]]:
         """Every thread's open-span stack, outermost first (thread-safe).
@@ -256,36 +246,6 @@ class Tracer:
             if copied:
                 snapshot[f"{name}#{ident}"] = copied
         return snapshot
-
-    @contextmanager
-    def attached(self, parent: Optional[Span]) -> Iterator[None]:
-        """Adopt ``parent`` as this thread's active span for a block.
-
-        The active-span stack is thread-local, so work handed to a pool
-        thread loses its caller's span context and every span it opens
-        becomes an orphaned root.  Wrapping the worker body in
-        ``tracer.attached(parent)`` seeds the worker's stack with the
-        caller's live span: spans opened inside nest under ``parent``,
-        with its depth and trace id, exactly as they would have on the
-        calling thread.  The parent span is *borrowed*, never finished
-        here -- only its owning thread's context manager closes it.
-        ``parent=None`` is a no-op, so callers can pass
-        ``tracer.active()`` straight through.
-        """
-        if parent is None:
-            yield
-            return
-        stack = self._stack()
-        stack.append(parent)
-        try:
-            yield
-        finally:
-            # Pop by identity: a misnested child span that leaked onto
-            # the stack must not unbalance the caller's context.
-            if stack and stack[-1] is parent:
-                stack.pop()
-            elif parent in stack:
-                stack.remove(parent)
 
     def finished(self) -> List[Span]:
         """Snapshot of all completed spans, completion order."""

@@ -19,9 +19,11 @@ scenario and ships only the measured channels.  Each array is one
 base64 string of its little-endian C-order bytes; the decoder takes the
 shape from the scenario's anchors and the frequency count, so a byte
 count that does not fit is rejected, as is any Inf/NaN (a missing SNR
-travels as -999 dB).  Build bodies with :func:`encode_observations`.
-Binary keeps a 4x4x37 fix at ~26 kB, and the decode is a byte copy
-instead of parsing ~2,400 JSON floats.
+travels as -999 dB) and any band outside the BLE band: the steering
+entry a band plan builds grows with the plan's span, so one stray band
+could otherwise make a request allocate gigabytes.  Build bodies with
+:func:`encode_observations`.  Binary keeps a 4x4x37 fix at ~26 kB,
+and the decode is a byte copy instead of parsing ~2,400 JSON floats.
 
 Validation failures raise :class:`SchemaError`, a typed error carrying
 the offending field, which the HTTP layer maps to a structured 400
@@ -38,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constants import BLE_BAND_END_HZ, BLE_BAND_START_HZ
 from repro.core.observations import ChannelObservations
 from repro.errors import ReproError
 from repro.rf.antenna import Anchor
@@ -164,7 +167,7 @@ def decode_observations(
     Raises:
         SchemaError: missing keys, values that are not base64
             strings, byte counts that do not fit the shapes, non-finite
-            values.
+            values, frequencies outside the BLE band.
     """
     if not isinstance(payload, dict):
         raise SchemaError(field, "must be an object")
@@ -177,6 +180,14 @@ def decode_observations(
     if frequencies.size < 1:
         raise SchemaError(
             f"{field}.frequencies_hz", "must be a non-empty 1-D array"
+        )
+    if np.any(
+        (frequencies < BLE_BAND_START_HZ) | (frequencies > BLE_BAND_END_HZ)
+    ):
+        raise SchemaError(
+            f"{field}.frequencies_hz",
+            f"every band must lie in the BLE band "
+            f"[{BLE_BAND_START_HZ:.0f}, {BLE_BAND_END_HZ:.0f}] Hz",
         )
     num_anchors = len(anchors)
     num_antennas = max(a.num_antennas for a in anchors)

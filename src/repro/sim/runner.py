@@ -5,22 +5,14 @@ result exposes ``.position`` qualifies as a localizer -- BLoc, the AoA
 baseline and the RSSI baseline all satisfy this protocol, so every
 Section 8 experiment is one :func:`evaluate` call per configuration.
 
-Sweeps parallelize across fixes with ``workers=N``: entries are fanned
-out over a thread pool (the hot path is numpy, which releases the GIL),
-records come back in dataset order regardless of completion order, and
-with observability enabled every worker writes the session observer's
-one registry and tracer -- the instruments are lock-protected, so
-parallel runs report the same totals and span tree as serial ones.
-``workers`` is the only execution knob: ``workers=1`` runs serially and
-``workers>1`` runs the thread pool (DESIGN.md §9 has the measurements).
+Sweeps run serially, one ``locate`` per fix in dataset order (DESIGN.md
+§9 has the measurements that retired the thread pool).
 """
 
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import (
     Callable,
@@ -84,14 +76,10 @@ class EvaluationRun:
     Attributes:
         label: configuration name for reports.
         records: per-fix outcomes.
-        effective_workers: worker count actually used after clamping to
-            the entry count (what capacity planning should read, not the
-            requested ``workers``).
     """
 
     label: str
     records: List[EvaluationRecord] = field(default_factory=list)
-    effective_workers: int = 1
 
     @property
     def num_failed(self) -> int:
@@ -169,15 +157,14 @@ class DiagnosticsCapture:
         observations: ChannelObservations,
         diagnostics: Optional[FixDiagnostics],
     ) -> None:
-        """Record one fix's material (thread-safe; workers call this)."""
+        """Record one fix's material (thread-safe: lock-protected)."""
         with self._lock:
             self._collected[fix_index] = (observations, diagnostics)
 
     def diagnostics_for(self, fix_index: int) -> Optional[FixDiagnostics]:
         """The captured diagnostics of one fix (None if not captured).
 
-        Read under the lock: the sweep's worker threads may still be
-        collecting when a health monitor asks mid-run.
+        Read under the lock, like every access to the collected fixes.
         """
         with self._lock:
             entry = self._collected.get(fix_index)
@@ -255,25 +242,6 @@ def _finalize_capture(
             observer.metrics.counter("diag.bundles_written").inc()
 
 
-def _resolve_workers(
-    workers: Optional[int], num_entries: Optional[int] = None
-) -> int:
-    """Validate, default and clamp the worker count (None means serial).
-
-    When the entry count is known the request is clamped to it: workers
-    beyond one-per-fix only sit idle.  The clamped value is what sweeps
-    record as ``EvaluationRun.effective_workers``.
-    """
-    if workers is None:
-        return 1
-    count = int(workers)
-    if count < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if num_entries is not None:
-        count = min(count, max(1, int(num_entries)))
-    return count
-
-
 def _resolve_limit(
     limit: Optional[int], observations: Sequence[ChannelObservations]
 ) -> Sequence[ChannelObservations]:
@@ -310,8 +278,8 @@ def _execute_fix(
 ) -> EvaluationRecord:
     """One fix of an :func:`evaluate` sweep.
 
-    ``metrics`` is the calling worker's private registry (None when
-    observability is off, in which case the span is a no-op too).
+    ``metrics`` is the session registry (None when observability is
+    off, in which case the span is a no-op too).
     """
     observer = get_observer()
     if transform is not None:
@@ -410,36 +378,6 @@ def _execute_subset_fix(
     )
 
 
-def _sweep(entries: Sequence, run_fix, workers: int) -> List[EvaluationRecord]:
-    """Run ``run_fix(index, entry, metrics)`` over all entries.
-
-    Serial when ``workers == 1``; otherwise entries fan out over a thread
-    pool.  ``pool.map`` preserves submission order, so the returned
-    records are in dataset order either way.
-    """
-    observer = get_observer()
-    metrics = observer.metrics if observer.enabled else None
-    if workers == 1 or len(entries) <= 1:
-        return [
-            run_fix(index, entry, metrics)
-            for index, entry in enumerate(entries)
-        ]
-    # The active-span stack is thread-local: without re-attaching the
-    # caller's span in each worker, every per-fix span under workers=N
-    # would be an orphaned root instead of a child of the evaluate span.
-    parent = observer.tracer.active() if observer.enabled else None
-
-    def job(item):
-        index, entry = item
-        with observer.tracer.attached(parent):
-            return run_fix(index, entry, metrics)
-
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="eval-worker"
-    ) as pool:
-        return list(pool.map(job, enumerate(entries)))
-
-
 def evaluate(
     localizer: Localizer,
     dataset: EvaluationDataset,
@@ -448,10 +386,9 @@ def evaluate(
         Callable[[ChannelObservations], ChannelObservations]
     ] = None,
     limit: Optional[int] = None,
-    workers: Optional[int] = None,
     capture: Optional[DiagnosticsCapture] = None,
 ) -> EvaluationRun:
-    """Run a localizer over every dataset entry.
+    """Run a localizer over every dataset entry, serially.
 
     Args:
         localizer: the scheme under test.
@@ -462,11 +399,6 @@ def evaluate(
         limit: evaluate only the first ``limit`` entries (0 means none,
             None means all; negative values raise
             :class:`~repro.errors.ConfigurationError`).
-        workers: worker count for parallel evaluation (None or 1 runs
-            serially), clamped to the entry count.  Records keep dataset
-            order and every worker writes the active observer (see
-            module docstring); the localizer must tolerate
-            concurrent ``locate`` calls, which BLoc and the baselines do.
         capture: opt-in per-fix diagnostics collection; see
             :class:`DiagnosticsCapture`.  Fix bundles for failures and
             the worst-N fixes are written after the sweep, and the
@@ -478,37 +410,33 @@ def evaluate(
     produce a fix is a (bad) data point, not a crash.
     """
     observer = get_observer()
+    metrics = observer.metrics if observer.enabled else None
     entries = _resolve_limit(limit, dataset.observations)
-    workers = _resolve_workers(workers, len(entries))
-    run_fix = partial(
-        _execute_fix,
-        localizer,
-        label=label,
-        transform=transform,
-        with_diagnostics=(
-            capture is not None and _accepts_diagnostics(localizer)
-        ),
-        capture=capture,
+    with_diagnostics = capture is not None and _accepts_diagnostics(
+        localizer
     )
 
-    # The evaluate root span is what per-fix spans nest under when
-    # workers fan out (each worker attaches it, see _sweep); it also gives
+    # Per-fix spans nest under the evaluate root span, which also gives
     # the sampling profiler a stable outermost frame for sweep time.  As
-    # a root span it mints the sweep's trace_id, which every worker's
-    # spans inherit -- one sweep, one trace, so `repro obs trace`
-    # reconstructs the whole fan-out from the export.
-    with observer.span(
-        "evaluate",
-        label=label,
-        workers=workers,
-        fixes=len(entries),
-    ):
-        records = _sweep(entries, run_fix, workers)
+    # a root span it mints the sweep's trace_id, which every fix span
+    # inherits -- one sweep, one trace.
+    with observer.span("evaluate", label=label, fixes=len(entries)):
+        records = [
+            _execute_fix(
+                localizer,
+                index,
+                observations,
+                metrics,
+                label=label,
+                transform=transform,
+                with_diagnostics=with_diagnostics,
+                capture=capture,
+            )
+            for index, observations in enumerate(entries)
+        ]
     if capture is not None:
         _finalize_capture(capture, localizer, label, records)
-    return EvaluationRun(
-        label=label, records=records, effective_workers=workers
-    )
+    return EvaluationRun(label=label, records=records)
 
 
 def evaluate_anchor_subsets(
@@ -517,7 +445,6 @@ def evaluate_anchor_subsets(
     subset_size: int,
     label: str = "",
     limit: Optional[int] = None,
-    workers: Optional[int] = None,
 ) -> EvaluationRun:
     """Average over all anchor subsets of a given size (Section 8.3).
 
@@ -525,26 +452,25 @@ def evaluate_anchor_subsets(
     deployed anchors and ... the average of those errors for each data
     point"; this reproduces that protocol.  Subsets must contain the
     master (its packets anchor the Eq. 10 correction).
-
-    ``workers`` parallelizes across dataset entries (each entry's subset
-    loop stays serial inside its worker), with the same ordering and
-    metric-merging guarantees as :func:`evaluate`.
     """
     observer = get_observer()
+    metrics = observer.metrics if observer.enabled else None
     entries = _resolve_limit(limit, dataset.observations)
-    workers = _resolve_workers(workers, len(entries))
-    run_fix = partial(
-        _execute_subset_fix, localizer, label=label, subset_size=subset_size
-    )
-
     with observer.span(
         "evaluate",
         label=label,
-        workers=workers,
         fixes=len(entries),
         subset_size=subset_size,
     ):
-        records = _sweep(entries, run_fix, workers)
-    return EvaluationRun(
-        label=label, records=records, effective_workers=workers
-    )
+        records = [
+            _execute_subset_fix(
+                localizer,
+                index,
+                observations,
+                metrics,
+                label=label,
+                subset_size=subset_size,
+            )
+            for index, observations in enumerate(entries)
+        ]
+    return EvaluationRun(label=label, records=records)

@@ -262,7 +262,7 @@ class TestObservedLockGraph:
     """The order check only sees acquisitions that run, so this drives
     every lock-nesting path of the package under a fresh registry:
     pool build, concurrent locate requests, telemetry with an anomaly,
-    and a threaded evaluation sweep."""
+    and an evaluation sweep."""
 
     @pytest.fixture
     def fresh_registry(self, monkeypatch) -> LockOrderRegistry:
@@ -311,7 +311,6 @@ class TestObservedLockGraph:
             evaluate(
                 BlocLocalizer(config=BlocConfig(grid_resolution_m=0.35)),
                 build_dataset(testbed, num_positions=4, seed=5),
-                workers=2,
             )
             service.close()
         assert statuses == [200, 200]

@@ -26,8 +26,8 @@ from repro.core.engine import (
 )
 from repro.core.likelihood import LikelihoodMap
 from repro.errors import ConfigurationError
-from repro.sim import ChannelMeasurementModel, build_dataset, evaluate
-from repro.sim.testbed import open_room_testbed
+from repro.sim import ChannelMeasurementModel, build_dataset
+from repro.sim.testbed import open_room_testbed, vicon_testbed
 from repro.utils.geometry2d import Point
 from repro.utils.gridmap import Grid2D
 
@@ -102,9 +102,10 @@ class TestRangeProfileOracle:
         )
         grid = Grid2D(-2.0, 2.0, -1.5, 1.5, resolution)
         entry = SteeringCache().entry_for(fix, grid)
+        stacked = entry.likelihoods(fix.alpha)
         for i, exact in enumerate(direct_flats(fix, grid)):
             bound = entry.error_bound(fix.alpha[i])
-            engine = entry.anchor_likelihood(i, fix.alpha[i])
+            engine = stacked[i]
             # 1e-9 of the peak covers floating-point rounding of the
             # ~1e3 rad carrier phases, which the bound does not model.
             assert np.abs(engine - exact).max() <= bound + 1e-9 * exact.max()
@@ -125,7 +126,7 @@ class TestRangeProfileOracle:
         assert entry.samples.shape == (2, 1)
         assert entry.error_bound(fix.alpha[1]) == 0.0
         assert np.allclose(
-            entry.anchor_likelihood(1, fix.alpha[1]),
+            entry.likelihoods(fix.alpha)[1],
             direct_flats(fix, grid)[1],
             rtol=1e-9,
         )
@@ -199,9 +200,10 @@ class TestCachedMapMatchesDirect:
         )
         entry = SteeringCache().entry_for(fix, grid)
         assert entry.gather.shape[0] == fix.num_anchors * grid.size
+        stacked = entry.likelihoods(fix.alpha)
         for i, exact in enumerate(direct_flats(fix, grid)):
             assert _block(entry, i, fix.num_antennas).shape[0] == grid.size
-            engine = entry.anchor_likelihood(i, fix.alpha[i])
+            engine = stacked[i]
             assert np.abs(engine - exact).max() <= (
                 entry.error_bound(fix.alpha[i]) + 1e-9 * exact.max()
             )
@@ -280,18 +282,6 @@ class TestBlockwiseBuild:
         assert np.abs(engine - dense).max() <= (
             entry.error_bound(alpha) + 1e-9 * np.abs(dense).max()
         )
-
-
-class TestEntryLikelihoods:
-    def test_rows_match_anchor_likelihood(self, corrected, grid):
-        entry = SteeringCache().entry_for(corrected, grid)
-        stacked = entry.likelihoods(corrected.alpha)
-        assert stacked.shape == (corrected.num_anchors, grid.size)
-        for anchor in range(corrected.num_anchors):
-            single = entry.anchor_likelihood(anchor, corrected.alpha[anchor])
-            np.testing.assert_allclose(
-                stacked[anchor], single, rtol=1e-12, atol=1e-12
-            )
 
 
 class TestCacheKeying:
@@ -456,19 +446,39 @@ class TestEngineObservability:
 
 class TestParallelEvaluationWithSharedCache:
     def test_workers_share_one_cache_and_match_serial(self):
-        dataset = build_dataset(
-            open_room_testbed(), num_positions=4, seed=5
-        )
-        serial = evaluate(BlocLocalizer(), dataset, label="serial")
-        parallel_localizer = BlocLocalizer()
-        parallel = evaluate(
-            parallel_localizer, dataset, label="parallel", workers=4
-        )
-        for field in ("estimate", "error_m", "failure_reason"):
-            assert [getattr(r, field) for r in serial.records] == [
-                getattr(r, field) for r in parallel.records
-            ], field
-        # One geometry across the whole sweep: a single build, shared by
-        # every worker thread.
-        assert parallel_localizer.engine.misses == 1
-        assert parallel_localizer.engine.hits == len(dataset) - 1
+        """Two request threads share one localizer, as the service does."""
+        import threading
+
+        fixes = build_dataset(
+            vicon_testbed(), num_positions=20, seed=5
+        ).observations
+        serial = [
+            BlocLocalizer().locate(fix, keep_map=False) for fix in fixes
+        ]
+        shared = BlocLocalizer()
+        results = [None] * len(fixes)
+        start = threading.Barrier(2)
+
+        def serve(offset):
+            start.wait()
+            for index in range(offset, len(fixes), 2):
+                results[index] = shared.locate(fixes[index], keep_map=False)
+
+        threads = [
+            threading.Thread(target=serve, args=(offset,))
+            for offset in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # One geometry for every fix: a single build, shared by both
+        # threads.
+        assert shared.engine.misses == 1
+        assert shared.engine.hits == len(fixes) - 1
+        assert [r.position for r in results] == [
+            r.position for r in serial
+        ]
+        assert [r.scored_peaks for r in results] == [
+            r.scored_peaks for r in serial
+        ]

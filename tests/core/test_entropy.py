@@ -12,7 +12,6 @@ from repro.core.entropy import (
     negentropy,
     neighborhood_negentropy,
     shannon_entropy,
-    spread_metric,
 )
 from repro.core.peaks import Peak
 from repro.errors import ConfigurationError
@@ -110,10 +109,11 @@ class TestPeakNeighborhood:
 
     def test_window_validation(self, grid):
         peak = self._peak_at(grid, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            peak_neighborhood_entropy(
-                np.ones(grid.shape), grid, peak, window=4
-            )
+        for window in (-3, 0, 1, 4):
+            with pytest.raises(ConfigurationError):
+                peak_neighborhood_entropy(
+                    np.ones(grid.shape), grid, peak, window=window
+                )
 
     def test_corner_peak_clipped_window(self, grid):
         values = np.ones(grid.shape)
@@ -121,19 +121,3 @@ class TestPeakNeighborhood:
         peak = self._peak_at(grid, 0.0, 0.0)
         h = peak_neighborhood_entropy(values, grid, peak)
         assert np.isfinite(h)
-
-    @pytest.mark.parametrize("window", [-3, 0, 1, 4])
-    def test_spread_metric_window_validation(self, grid, window):
-        peak = self._peak_at(grid, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            spread_metric(np.ones(grid.shape), grid, peak, window=window)
-
-    def test_spread_metric_orders_clusters(self, grid):
-        points = grid.points()
-        d2 = (points[:, 0] - 1.0) ** 2 + (points[:, 1] - 1.0) ** 2
-        tight = grid.reshape(np.exp(-d2 / 0.002))
-        loose = grid.reshape(np.exp(-d2 / 0.1))
-        peak = self._peak_at(grid, 1.0, 1.0)
-        assert spread_metric(tight, grid, peak) < spread_metric(
-            loose, grid, peak
-        )

@@ -66,6 +66,20 @@ class TestConstruction:
                 master_to_anchor=obs.master_to_anchor[:, :, :0],
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2.404e9])
+    def test_non_finite_or_non_positive_frequency_rejected(self, bad):
+        obs = make_observations()
+        frequencies = obs.frequencies_hz.copy()
+        frequencies[2] = bad
+        with pytest.raises(MeasurementError, match="finite and positive"):
+            ChannelObservations(
+                anchors=obs.anchors,
+                master_index=0,
+                frequencies_hz=frequencies,
+                tag_to_anchor=obs.tag_to_anchor,
+                master_to_anchor=obs.master_to_anchor,
+            )
+
     def test_bad_master_index(self):
         obs = make_observations()
         with pytest.raises(ConfigurationError):

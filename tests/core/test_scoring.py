@@ -9,7 +9,6 @@ from repro.core.peaks import Peak
 from repro.core.scoring import (
     ScoringConfig,
     score_peaks,
-    select_direct_path,
 )
 from repro.errors import ConfigurationError, LocalizationError
 from repro.rf.antenna import Anchor
@@ -107,18 +106,6 @@ class TestScore:
     def test_empty_peaks_raises(self, grid, anchors):
         with pytest.raises(LocalizationError):
             score_peaks([], np.ones(grid.shape), grid, anchors)
-
-    def test_select_direct_path(self, grid, anchors):
-        values = bump_map(grid, [((1.0, 1.0), 1.0), ((3.0, 3.0), 0.4)])
-        scored = score_peaks(
-            [peak_at(grid, 1.0, 1.0, 1.0), peak_at(grid, 3.0, 3.0, 0.4)],
-            values, grid, anchors,
-        )
-        assert select_direct_path(scored) is scored[0]
-
-    def test_select_from_empty_raises(self):
-        with pytest.raises(LocalizationError):
-            select_direct_path([])
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -148,7 +148,7 @@ class TestRegistry:
 
 
 class TestSharedRegistryAcrossThreads:
-    """Pool workers and request threads all write one registry."""
+    """The service's request threads all write one registry."""
 
     THREADS = 8
     OPS = 2_000

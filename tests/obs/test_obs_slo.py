@@ -226,7 +226,6 @@ class TestEvaluate:
 COMMITTED_BENCH_RULES = (
     "warm_fix_s",
     "warm_speedup_vs_direct",
-    "thread_speedup_vs_serial",
     "serial_fixes_per_s",
     "profiler_overhead_frac",
     "service_p95_s",

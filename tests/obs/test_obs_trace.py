@@ -54,11 +54,12 @@ class TestNesting:
 
     def test_active_tracks_innermost(self):
         tracer = Tracer(clock=FakeClock())
-        assert tracer.active() is None
-        with tracer.span("outer"):
+        assert tracer.active_stacks() == {}
+        with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
-                assert tracer.active() is inner
-        assert tracer.active() is None
+                (stack,) = tracer.active_stacks().values()
+                assert stack == [outer, inner]
+        assert tracer.active_stacks() == {}
 
 
 class TestDurationsAndStatus:
@@ -77,7 +78,7 @@ class TestDurationsAndStatus:
         spans = {s.name: s for s in tracer.finished()}
         assert spans["inner"].status == "error:ValueError"
         assert spans["outer"].status == "error:ValueError"
-        assert tracer.active() is None  # stack fully unwound
+        assert tracer.active_stacks() == {}  # stack fully unwound
 
     def test_sibling_after_exception_reparents_correctly(self):
         tracer = Tracer(clock=FakeClock())
@@ -128,58 +129,6 @@ class TestThreads:
         assert len(tracer) == 1
         tracer.reset()
         assert tracer.finished() == []
-
-
-class TestSpanHandle:
-    """A live span handed to another thread via ``Tracer.attached``."""
-
-    def test_attached_span_parents_children_under_handle(self):
-        tracer = Tracer(clock=FakeClock())
-        children = []
-
-        def worker(parent):
-            with tracer.attached(parent):
-                with tracer.span("fix") as child:
-                    children.append(child)
-
-        with tracer.span("evaluate") as parent:
-            thread = threading.Thread(
-                target=worker, args=(parent,), name="eval-worker_0"
-            )
-            thread.start()
-            thread.join()
-        (child,) = children
-        assert child.parent_id == parent.span_id
-        assert child.depth == parent.depth + 1
-        assert child.trace_id == parent.trace_id
-        assert child.thread == "eval-worker_0"
-        assert parent.thread == threading.current_thread().name
-        # The borrowed parent is finished once, by its owning thread.
-        names = [s.name for s in tracer.finished()]
-        assert names.count("evaluate") == 1
-        assert parent.status == "ok"
-
-    def test_attached_accepts_span_and_none(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("root") as root:
-            handle_parent = root
-        with tracer.attached(handle_parent):
-            with tracer.span("child") as child:
-                pass
-        assert child.parent_id == root.span_id
-        with tracer.attached(None):
-            with tracer.span("orphan") as orphan:
-                pass
-        assert orphan.parent_id is None
-
-    def test_attached_unwinds_even_on_error(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("root") as root:
-            pass
-        with pytest.raises(RuntimeError):
-            with tracer.attached(root):
-                raise RuntimeError
-        assert tracer.active() is None
 
 
 class TestActiveStacks:

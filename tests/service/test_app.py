@@ -9,6 +9,7 @@ bit-identically to serial in-process ones.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import socket
@@ -141,6 +142,36 @@ class TestErrorPaths:
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
         assert payload["error"]["field"] == "observations.master_to_anchor"
+
+    @pytest.mark.parametrize(
+        "band_hz", [-2.4e9, 0.0, 25e9], ids=["-2.4GHz", "0Hz", "25GHz"]
+    )
+    def test_out_of_band_plan_is_400_and_builds_nothing(
+        self, live_server, observations, service_pool, band_hz
+    ):
+        """A band outside the BLE band never reaches the steering cache.
+
+        The entry a band plan builds grows with the plan's span: one
+        band moved to 25 GHz would cache ~150 MB, and a few such plans
+        would evict the prewarmed entry.
+        """
+        host, port = live_server
+        frequencies = observations.frequencies_hz.copy()
+        frequencies[0] = band_hz
+        encoded = encode_observations(observations)
+        encoded["frequencies_hz"] = base64.b64encode(
+            frequencies.astype("<f8").tobytes()
+        ).decode("ascii")
+        body = json.dumps(
+            {"scenario": "vicon", "observations": encoded}
+        ).encode()
+        keys = ("misses", "entries", "bytes")
+        before = {k: service_pool.engine.info()[k] for k in keys}
+        status, payload, _ = _post(host, port, body)
+        assert status == 400
+        assert payload["error"]["field"] == "observations.frequencies_hz"
+        after = {k: service_pool.engine.info()[k] for k in keys}
+        assert after == before
 
     def test_unknown_scenario_is_404(self, live_server, observations):
         host, port = live_server

@@ -109,44 +109,30 @@ class TestEvaluate:
 
 
 class TestParallelEvaluate:
+    """Record order and accounting across a whole sweep."""
+
     def test_records_identical_to_serial(self, dataset):
         guess = Point(0.2, -0.4)
-        serial = evaluate(FixedGuess(guess), dataset)
-        parallel = evaluate(FixedGuess(guess), dataset, workers=4)
-        assert [r.error_m for r in serial.records] == [
-            r.error_m for r in parallel.records
+        first = evaluate(FixedGuess(guess), dataset)
+        repeat = evaluate(FixedGuess(guess), dataset)
+        assert [r.error_m for r in first.records] == [
+            r.error_m for r in repeat.records
         ]
-        assert [r.truth for r in serial.records] == [
-            r.truth for r in parallel.records
+        assert [r.truth for r in first.records] == [
+            o.ground_truth for o in dataset.observations
         ]
 
     def test_failures_preserved_in_order(self, dataset):
-        run = evaluate(AlwaysFails(), dataset, workers=3)
+        run = evaluate(AlwaysFails(), dataset)
         assert run.num_failed == len(dataset)
         assert run.failure_reasons() == ["nope"] * len(dataset)
 
-    def test_default_is_serial(self, dataset):
-        run = evaluate(PerfectOracle(), dataset)
-        assert run.effective_workers == 1
-
-    def test_workers_clamped_to_dataset(self, dataset):
-        run = evaluate(PerfectOracle(), dataset, workers=32)
-        assert run.effective_workers == len(dataset)
-
-    def test_invalid_worker_count(self, dataset):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            evaluate(PerfectOracle(), dataset, workers=0)
-        with pytest.raises(ConfigurationError):
-            evaluate(PerfectOracle(), dataset, workers=-2)
-
     @staticmethod
-    def _observed_sweep(localizer, dataset, workers):
+    def _observed_sweep(localizer, dataset):
         from repro.obs import observed
 
         with observed() as obs:
-            evaluate(localizer, dataset, workers=workers)
+            evaluate(localizer, dataset)
         return {
             inst.name: inst.value
             for inst in obs.metrics.instruments()
@@ -154,26 +140,18 @@ class TestParallelEvaluate:
         }, obs.metrics.get("eval.fix_latency_s").count
 
     def test_worker_metrics(self, dataset):
-        # Workers write the session registry directly: a pool sweep's
-        # counters equal a serial sweep's.
-        serial = self._observed_sweep(PerfectOracle(), dataset, workers=1)
-        parallel = self._observed_sweep(PerfectOracle(), dataset, workers=3)
-        assert parallel == serial
-        counters, latencies = parallel
+        counters, latencies = self._observed_sweep(PerfectOracle(), dataset)
         assert counters["eval.fixes_total"] == latencies == len(dataset)
 
     def test_worker_failure_counters(self, dataset):
-        serial = self._observed_sweep(AlwaysFails(), dataset, workers=1)
-        parallel = self._observed_sweep(AlwaysFails(), dataset, workers=3)
-        assert parallel == serial
-        counters, _ = parallel
+        counters, _ = self._observed_sweep(AlwaysFails(), dataset)
         assert counters["eval.failures.LocalizationError"] == len(dataset)
 
     def test_fix_spans_recorded_from_worker_threads(self, dataset):
         from repro.obs import observed
 
         with observed() as obs:
-            evaluate(PerfectOracle(), dataset, workers=2, label="par")
+            evaluate(PerfectOracle(), dataset, label="par")
         fixes = [s for s in obs.tracer.finished() if s.name == "fix"]
         assert len(fixes) == len(dataset)
         assert {s.attributes["index"] for s in fixes} == set(
@@ -181,14 +159,14 @@ class TestParallelEvaluate:
         )
 
     def test_anchor_subsets_parallel_matches_serial(self, dataset):
-        serial = evaluate_anchor_subsets(
-            FixedGuess(Point(0.1, 0.1)), dataset, subset_size=3
-        )
-        parallel = evaluate_anchor_subsets(
-            FixedGuess(Point(0.1, 0.1)), dataset, subset_size=3, workers=4
-        )
-        assert [r.error_m for r in serial.records] == [
-            r.error_m for r in parallel.records
+        runs = [
+            evaluate_anchor_subsets(
+                FixedGuess(Point(0.1, 0.1)), dataset, subset_size=3
+            )
+            for _ in range(2)
+        ]
+        assert [r.error_m for r in runs[0].records] == [
+            r.error_m for r in runs[1].records
         ]
 
     def test_anchor_subsets_limit_zero(self, dataset):
@@ -204,7 +182,6 @@ class TestParallelEvaluate:
             evaluate_anchor_subsets(
                 PerfectOracle(), dataset, subset_size=3, limit=-1
             )
-
 
 
 class FailsForSmallSubsets:
@@ -381,34 +358,16 @@ class TestParallelSpanPropagation:
 
         with observed() as obs:
             with obs.span("session") as session:
-                evaluate(PerfectOracle(), dataset, workers=3)
+                evaluate(PerfectOracle(), dataset)
         spans = obs.tracer.finished()
         roots = [s for s in spans if s.name == "evaluate"]
         assert len(roots) == 1
         assert roots[0].parent_id == session.span_id
         fixes = [s for s in spans if s.name == "fix"]
         assert len(fixes) == len(dataset)
-        # Per-fix spans nest under the evaluate root even though workers
-        # ran them: each worker attached the caller's live span.
         assert {s.parent_id for s in fixes} == {roots[0].span_id}
         assert {s.depth for s in fixes} == {roots[0].depth + 1}
-        # Workers really ran the fixes, yet parentage survived the hop.
-        assert all(s.thread.startswith("eval-worker") for s in fixes)
         assert {s.trace_id for s in fixes} == {roots[0].trace_id}
-
-    def test_serial_and_parallel_same_span_tree_shape(self, dataset):
-        from repro.obs import observed
-
-        def tree(workers):
-            with observed() as obs:
-                with obs.span("session"):
-                    evaluate(PerfectOracle(), dataset, workers=workers)
-            return sorted(
-                (s.name, s.depth)
-                for s in obs.tracer.finished()
-            )
-
-        assert tree(1) == tree(4)
 
 
 class TestDiagnosticsCapture:
@@ -510,23 +469,17 @@ class TestDiagnosticsCapture:
     def test_parallel_capture_matches_serial(
         self, bloc, small_dataset, tmp_path
     ):
+        """Two captures of one sweep write byte-identical bundles."""
         from repro.sim import DiagnosticsCapture
 
-        serial_dir = tmp_path / "serial"
-        parallel_dir = tmp_path / "parallel"
-        serial = DiagnosticsCapture(directory=serial_dir, worst_n=1)
-        parallel = DiagnosticsCapture(directory=parallel_dir, worst_n=1)
-        evaluate(bloc, small_dataset, label="x", capture=serial)
-        evaluate(
-            bloc, small_dataset, label="x", capture=parallel, workers=3
-        )
-        assert [p.name for p in serial.written] == [
-            p.name for p in parallel.written
+        first = DiagnosticsCapture(directory=tmp_path / "first", worst_n=1)
+        repeat = DiagnosticsCapture(directory=tmp_path / "repeat", worst_n=1)
+        evaluate(bloc, small_dataset, label="x", capture=first)
+        evaluate(bloc, small_dataset, label="x", capture=repeat)
+        assert [p.name for p in first.written] == [
+            p.name for p in repeat.written
         ]
-        assert (
-            serial.written[0].read_bytes()
-            == parallel.written[0].read_bytes()
-        )
+        assert first.written[0].read_bytes() == repeat.written[0].read_bytes()
 
     def test_bundle_counter_incremented_under_observer(
         self, bloc, small_dataset, tmp_path
