@@ -27,10 +27,6 @@ _EXPORTS = export_table(
     {
         "repro.baselines.aoa": ("AoaLocalizer",),
         "repro.baselines.rssi": ("RssiTrilateration",),
-        "repro.baselines.shortest": (
-            "ShortestDistanceLocalizer",
-            "shortest_distance_localizer",
-        ),
         "repro.core.correction": (
             "CorrectedChannels",
             "correct_phase_offsets",

@@ -197,10 +197,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _run_evaluate(args: argparse.Namespace) -> int:
     from repro import (
         AoaLocalizer,
+        BlocConfig,
         BlocLocalizer,
         build_dataset,
         evaluate,
-        shortest_distance_localizer,
         vicon_testbed,
     )
 
@@ -209,7 +209,9 @@ def _run_evaluate(args: argparse.Namespace) -> int:
     schemes = {
         "BLoc": BlocLocalizer(),
         "AoA baseline": AoaLocalizer(),
-        "shortest-distance": shortest_distance_localizer(),
+        "shortest-distance": BlocLocalizer(
+            config=BlocConfig(selection="shortest")
+        ),
     }
     bundle_dir = getattr(args, "bundle_dir", None)
     for name, localizer in schemes.items():
@@ -245,7 +247,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
                 f"[diag] wrote {len(capture.written)} fix bundle(s) "
                 f"to {bundle_dir}"
             )
-            for event in capture.health.events:
+            for event in capture.events:
                 print(f"[health] {event.kind}: {event.message}")
     return 0
 

@@ -1,7 +1,9 @@
-"""Compared schemes: AoA-combining, naive shortest distance, RSSI.
+"""Compared schemes: AoA-combining and RSSI.
 
 Every baseline consumes the same observations as BLoc so comparisons use
-"the same set of channel measurements" (paper Section 7).
+"the same set of channel measurements" (paper Section 7).  The naive
+shortest-distance scheme of Section 8.7 is BLoc itself with
+``BlocConfig(selection="shortest")``.
 """
 
 from typing import Any
@@ -15,10 +17,6 @@ _EXPORTS = export_table(
             "RssiResult",
             "RssiTrilateration",
             "observation_rssi_dbm",
-        ),
-        "repro.baselines.shortest": (
-            "ShortestDistanceLocalizer",
-            "shortest_distance_localizer",
         ),
     }
 )

@@ -17,11 +17,8 @@ _EXPORTS = export_table(
         ),
         "repro.ble.channels": (
             "ChannelMap",
-            "all_data_channel_frequencies",
             "channel_index_to_frequency",
             "data_channel_to_frequency",
-            "frequency_to_data_channel",
-            "is_advertising_channel",
         ),
         "repro.ble.crc": ("append_crc", "check_crc", "crc24"),
         "repro.ble.gfsk": (
@@ -29,7 +26,7 @@ _EXPORTS = export_table(
             "GfskModulator",
             "gaussian_pulse",
         ),
-        "repro.ble.hopping": ("HopSequence", "hop_cycle"),
+        "repro.ble.hopping": ("HopSequence",),
         "repro.ble.link_layer": (
             "Connection",
             "ConnectionEvent",
@@ -55,7 +52,7 @@ _EXPORTS = export_table(
             "localization_packet_duration_s",
             "throughput_with_localization",
         ),
-        "repro.ble.whitening": ("dewhiten", "longest_run", "whiten"),
+        "repro.ble.whitening": ("dewhiten", "whiten"),
     }
 )
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.constants import (
-    BLE_ADVERTISING_CHANNELS,
     BLE_BAND_END_HZ,
     BLE_BAND_START_HZ,
     BLE_CHANNEL_38_FREQ_HZ,
@@ -33,11 +32,6 @@ from repro.constants import (
     BLE_NUM_DATA_CHANNELS,
 )
 from repro.errors import ProtocolError
-
-
-def is_advertising_channel(channel_index: int) -> bool:
-    """Whether ``channel_index`` is one of the 3 advertising channels."""
-    return channel_index in BLE_ADVERTISING_CHANNELS
 
 
 def data_channel_to_frequency(data_channel: int) -> float:
@@ -68,23 +62,6 @@ def channel_index_to_frequency(channel_index: int) -> float:
     if channel_index == 39:
         return BLE_BAND_END_HZ
     return data_channel_to_frequency(channel_index)
-
-
-def frequency_to_data_channel(frequency_hz: float) -> int:
-    """Inverse of :func:`data_channel_to_frequency` (exact centres only)."""
-    for channel in range(BLE_NUM_DATA_CHANNELS):
-        if abs(data_channel_to_frequency(channel) - frequency_hz) < 1.0:
-            return channel
-    raise ProtocolError(
-        f"{frequency_hz / 1e6:.1f} MHz is not a BLE data-channel centre"
-    )
-
-
-def all_data_channel_frequencies() -> List[float]:
-    """Centre frequencies of all 37 data channels, in index order."""
-    return [
-        data_channel_to_frequency(ch) for ch in range(BLE_NUM_DATA_CHANNELS)
-    ]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -236,24 +236,3 @@ class GfskDemodulator:
         return 10.0 * math.log10(
             signal_power / max(noise_power, 1e-12 * signal_power)
         )
-
-
-def frequency_error_rms(
-    modulator: GfskModulator, bits: Sequence[int], iq: np.ndarray
-) -> float:
-    """RMS error [Hz] between ideal and observed instantaneous frequency.
-
-    A diagnostic used by the PHY tests: for a clean loopback this should be
-    at the numerical-noise level.
-    """
-    demod = GfskDemodulator(samples_per_symbol=modulator.samples_per_symbol)
-    ideal = modulator.instantaneous_frequency(bits)
-    observed = demod.discriminate(iq)[: ideal.size]
-    if observed.size != ideal.size:
-        raise DemodulationError("IQ shorter than the ideal waveform")
-    # The discriminator output lags the ideal waveform by half a sample;
-    # compare on the overlap, skipping the first symbol transient.
-    sps = modulator.samples_per_symbol
-    return float(
-        np.sqrt(np.mean((ideal[sps:-sps] - observed[sps:-sps]) ** 2))
-    )

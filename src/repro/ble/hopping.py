@@ -13,7 +13,7 @@ exploits to stitch an 80 MHz aperture out of 2 MHz channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import Iterator
 
 from repro.constants import BLE_NUM_DATA_CHANNELS
 from repro.errors import ProtocolError
@@ -74,36 +74,3 @@ class HopSequence:
         for _ in range(count):
             yield self.current()
             self.advance()
-
-    def full_cycle(self) -> List[int]:
-        """Channels of one complete 37-event cycle, starting at the current
-        event, without disturbing the generator state."""
-        unmapped = self._unmapped
-        cycle = []
-        for _ in range(BLE_NUM_DATA_CHANNELS):
-            cycle.append(self.channel_map.remap(unmapped))
-            unmapped = (unmapped + self.hop_increment) % BLE_NUM_DATA_CHANNELS
-        return cycle
-
-
-def hop_cycle(hop_increment: int, start_channel: int = 0) -> List[int]:
-    """One full 37-channel cycle of unmapped CSA#1 channels.
-
-    Convenience for tests and for planning measurement campaigns: with a
-    full channel map, the returned list is a permutation of ``0..36``.
-    """
-    sequence = HopSequence(
-        hop_increment=hop_increment, start_channel=start_channel
-    )
-    return sequence.full_cycle()
-
-
-def events_to_cover_channels(channel_map: ChannelMap) -> int:
-    """Number of connection events needed to visit every usable channel.
-
-    With a full map this is exactly 37; with a reduced map the remapping can
-    visit some channels more than once per cycle, but a full 37-event cycle
-    is always sufficient because ``unmapped mod num_used`` cycles through
-    all residues when 37 is coprime to the hop increment.
-    """
-    return BLE_NUM_DATA_CHANNELS

@@ -19,7 +19,7 @@ bits (settling on f1).  Two practical wrinkles this module handles:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -156,12 +156,3 @@ def find_tone_segments(
                     )
             run_start = i
     return segments
-
-
-def segments_per_tone(
-    segments: Sequence[ToneSegment],
-) -> Tuple[List[ToneSegment], List[ToneSegment]]:
-    """Split segments into (f0 segments, f1 segments)."""
-    zeros = [s for s in segments if s.bit_value == 0]
-    ones = [s for s in segments if s.bit_value == 1]
-    return zeros, ones

@@ -13,7 +13,7 @@ anchor and the tag transmit in the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class OnAirPacket:
     def num_bits(self) -> int:
         """Total transmitted bit count."""
         return int(self.bits.size)
-
-    def payload_bit_offset(self) -> int:
-        """Index of the first payload bit within :attr:`bits`."""
-        return 8 + 32 + 16
 
 
 def assemble_packet(

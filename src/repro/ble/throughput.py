@@ -17,7 +17,6 @@ from repro.constants import (
     BLE_CRC_LENGTH_BITS,
     BLE_NUM_DATA_CHANNELS,
     BLE_SYMBOL_RATE,
-    BLOC_TONE_DWELL_S,
 )
 from repro.errors import ConfigurationError
 
@@ -117,8 +116,3 @@ def throughput_with_localization(
         sweeps_per_second=sweeps_per_second,
         localization_packet_us=localization_packet * 1e6,
     )
-
-
-def tone_dwell_matches_paper(run_length: int = 8) -> bool:
-    """Check Section 6's "8 usec for each 0 and 1" at 1 Mbps."""
-    return abs(run_length / BLE_SYMBOL_RATE - BLOC_TONE_DWELL_S) < 1e-9

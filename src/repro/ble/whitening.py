@@ -64,16 +64,6 @@ def whiten(bits: Sequence[int], channel_index: int) -> np.ndarray:
 dewhiten = whiten
 
 
-def longest_run(bits: Sequence[int]) -> int:
-    """Length of the longest run of identical bits (localization metric)."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size == 0:
-        return 0
-    change = np.flatnonzero(np.diff(arr))
-    edges = np.concatenate([[-1], change, [arr.size - 1]])
-    return int(np.max(np.diff(edges)))
-
-
 def runs(bits: Sequence[int]) -> List[tuple]:
     """Run-length encoding: list of ``(bit_value, run_length)`` tuples."""
     arr = np.asarray(bits, dtype=np.uint8)

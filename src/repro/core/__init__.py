@@ -23,7 +23,6 @@ _EXPORTS = export_table(
             "combine_tone_channels",
             "extract_band_csi",
             "measure_segment_channel",
-            "stack_band_csi",
         ),
         "repro.core.engine": (
             "SteeringCache",
@@ -55,8 +54,6 @@ _EXPORTS = export_table(
         ),
         "repro.core.steering": (
             "aliasing_distance_m",
-            "angle_spectrum",
-            "distance_spectrum",
             "range_resolution_m",
         ),
     }

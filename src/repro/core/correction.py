@@ -262,16 +262,3 @@ def _record_correction_metrics(observer, tag: np.ndarray, alpha: np.ndarray):
         )
         for value in per_hop_rms:
             histogram.observe(float(value))
-
-
-def residual_offset_spread(
-    corrected: CorrectedChannels, reference: CorrectedChannels
-) -> float:
-    """RMS phase difference [rad] between two corrected-channel sets.
-
-    Diagnostic used by tests: correcting the same physical channels under
-    two different random offset realisations must give (numerically)
-    identical alphas, so this spread should be ~0.
-    """
-    a = np.angle(corrected.alpha * np.conj(reference.alpha))
-    return float(np.sqrt(np.mean(a**2)))

@@ -16,7 +16,7 @@ phase separately (Section 5, notation paragraph).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -148,12 +148,3 @@ def extract_band_csi(
         tone0=tone0,
         tone1=tone1,
     )
-
-
-def stack_band_csi(bands: Sequence[BandCsi]) -> np.ndarray:
-    """Stack per-band CSI into a ``(num_antennas, num_bands)`` array,
-    ordered by frequency."""
-    if not bands:
-        raise CsiExtractionError("no bands to stack")
-    ordered = sorted(bands, key=lambda b: b.frequency_hz)
-    return np.column_stack([b.channels for b in ordered])

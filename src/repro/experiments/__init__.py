@@ -7,7 +7,6 @@ them all from the command line with ``python -m repro.experiments``.
 
 from repro.experiments import (
     ablations,
-    export,
     fig04_gfsk,
     fig06_profiles,
     fig08_micro,
@@ -42,7 +41,6 @@ EXPERIMENTS = {
 __all__ = [
     "EXPERIMENTS",
     "PAPER",
-    "export",
     "ExperimentResult",
     "ExperimentRow",
     "default_dataset",

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.baselines import AoaLocalizer, shortest_distance_localizer
+from repro.baselines import AoaLocalizer
 from repro.constants import BLE_TOTAL_SPAN_HZ
 from repro.core import BlocConfig, BlocLocalizer
 from repro.core.observations import ChannelObservations
@@ -168,12 +168,10 @@ def default_dataset(num_positions: Optional[int] = None) -> EvaluationDataset:
     return _CACHE[key]
 
 
-def make_bloc(selection: str = "score") -> BlocLocalizer:
+def make_bloc() -> BlocLocalizer:
     """A BLoc localizer at the experiment grid resolution."""
     return BlocLocalizer(
-        config=BlocConfig(
-            grid_resolution_m=grid_resolution(), selection=selection
-        )
+        config=BlocConfig(grid_resolution_m=grid_resolution())
     )
 
 
@@ -196,10 +194,18 @@ TRANSFORMS: Dict[str, Callable[[ChannelObservations], ChannelObservations]] = {
 }
 
 _SCHEMES = {
-    "bloc": lambda: make_bloc("score"),
+    "bloc": make_bloc,
     "aoa": make_aoa,
-    "shortest": lambda: make_bloc("shortest"),
-    "maxlik": lambda: make_bloc("max_likelihood"),
+    "shortest": lambda: BlocLocalizer(
+        config=BlocConfig(
+            grid_resolution_m=grid_resolution(), selection="shortest"
+        )
+    ),
+    "maxlik": lambda: BlocLocalizer(
+        config=BlocConfig(
+            grid_resolution_m=grid_resolution(), selection="max_likelihood"
+        )
+    ),
 }
 
 

@@ -136,8 +136,9 @@ class AnchorHealthMonitor:
             when omitted, so the monitor works under ``observed()``
             blocks without being rebuilt.
 
-    Attributes:
-        events: every anomaly fired so far, detection order.
+    The monitor keeps no event history: ``observe()`` returns what
+    fired and the ``health.anomalies.<kind>`` counters count it, so a
+    long-running service holds only the bounded per-anchor state.
     """
 
     def __init__(
@@ -146,10 +147,8 @@ class AnchorHealthMonitor:
         observer: Optional[Observability] = None,
     ):
         self.thresholds = thresholds
-        self.events: List[AnomalyEvent] = []
         self._observer = observer
         self._anchors: Dict[str, _AnchorState] = {}
-        self._fixes_seen = 0
 
     # -- internals --------------------------------------------------------
 
@@ -200,7 +199,6 @@ class AnchorHealthMonitor:
             threshold=float(threshold),
             message=message(),
         )
-        self.events.append(event)
         if observer is not None:
             observer.metrics.counter(f"health.anomalies.{kind}").inc()
         return event
@@ -218,7 +216,6 @@ class AnchorHealthMonitor:
         thresholds = self.thresholds
         observer = self._resolve_observer()
         fired: List[AnomalyEvent] = []
-        self._fixes_seen += 1
         bq = diag.band_quality
         corr = diag.correction
         anchor_snr = bq.anchor_snr_db() if bq is not None else None
@@ -325,40 +322,3 @@ class AnchorHealthMonitor:
             metrics.gauge(f"health.anchor.{name}.residual_phase_rad").set(
                 float(np.mean(state.residual_rad))
             )
-
-    def events_for(
-        self, kind: Optional[str] = None, anchor: Optional[str] = None
-    ) -> List[AnomalyEvent]:
-        """Filter fired events by kind and/or anchor name."""
-        return [
-            e
-            for e in self.events
-            if (kind is None or e.kind == kind)
-            and (anchor is None or e.anchor == anchor)
-        ]
-
-    def summary_rows(self) -> List[List[str]]:
-        """Per-anchor table rows (anchor, fixes, snr, coverage, residual,
-        anomalies) for reports."""
-        rows = []
-        for name, state in self._anchors.items():
-            anomalies = len([e for e in self.events if e.anchor == name])
-            rows.append(
-                [
-                    name,
-                    str(max(len(state.coverage), len(state.residual_rad))),
-                    f"{np.mean(state.snr_db):.1f}" if state.snr_db else "-",
-                    (
-                        f"{np.mean(state.coverage):.2f}"
-                        if state.coverage
-                        else "-"
-                    ),
-                    (
-                        f"{np.mean(state.residual_rad):.3f}"
-                        if state.residual_rad
-                        else "-"
-                    ),
-                    str(anomalies),
-                ]
-            )
-        return rows

@@ -23,20 +23,16 @@ _EXPORTS = export_table(
             "MATERIALS",
             "METAL",
             "Material",
-            "material_by_name",
         ),
         "repro.rf.noise": (
             "add_awgn",
             "channel_estimation_noise",
-            "measure_snr_db",
         ),
         "repro.rf.oscillator": ("Oscillator",),
         "repro.rf.paths": (
             "PathKind",
             "PropagationPath",
-            "dominant_path",
             "paths_to_channel",
-            "shortest_path",
         ),
     }
 )

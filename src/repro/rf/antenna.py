@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
 from repro.constants import SPEED_OF_LIGHT
 from repro.errors import ConfigurationError
 from repro.utils.geometry2d import Point
@@ -76,10 +74,6 @@ class Anchor:
     def antenna_positions(self) -> List[Point]:
         """Positions of all elements, index order."""
         return [self.antenna_position(j) for j in range(self.num_antennas)]
-
-    def antenna_array(self) -> np.ndarray:
-        """Element positions as an ``(num_antennas, 2)`` array."""
-        return np.array([tuple(p) for p in self.antenna_positions()])
 
     def with_antennas(self, num_antennas: int) -> "Anchor":
         """Copy of this anchor with a different element count, array centre

@@ -57,10 +57,6 @@ class ChannelSimulator:
             self._path_cache[key] = cached
         return cached
 
-    def clear_cache(self) -> None:
-        """Drop memoised paths (call after mutating the environment)."""
-        self._path_cache.clear()
-
     def channel(
         self, tx: Point, rx: Point, frequency_hz
     ) -> np.ndarray:
@@ -89,22 +85,6 @@ class ChannelSimulator:
         for j, rx in enumerate(anchor.antenna_positions()):
             out[j] = np.atleast_1d(self.channel(tx, rx, freqs))
         return out
-
-    def anchor_to_anchor(
-        self,
-        tx_anchor: Anchor,
-        rx_anchor: Anchor,
-        frequencies_hz: Sequence[float],
-        tx_antenna: int = 0,
-    ) -> np.ndarray:
-        """Channels from one antenna of ``tx_anchor`` to all antennas of
-        ``rx_anchor`` -- the overheard master-response channels of Fig. 5.
-
-        Returns:
-            Complex array of shape ``(num_rx_antennas, num_frequencies)``.
-        """
-        tx = tx_anchor.antenna_position(tx_antenna)
-        return self.channels_to_anchor(tx, rx_anchor, frequencies_hz)
 
     def rssi_dbm(
         self,

@@ -158,8 +158,3 @@ class Environment:
                 continue
             factor *= reflector.material.transmission
         return factor
-
-    def line_of_sight(self, a: Point, b: Point) -> bool:
-        """Whether the straight path keeps most of its energy (no opaque
-        face crossed)."""
-        return self.transmission_along(a, b) > 0.5

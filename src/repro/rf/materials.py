@@ -113,17 +113,3 @@ ABSORBER = Material(
 MATERIALS = {
     m.name: m for m in (CONCRETE, DRYWALL, METAL, GLASS, ABSORBER)
 }
-
-
-def material_by_name(name: str) -> Material:
-    """Look up a built-in material.
-
-    Raises:
-        ConfigurationError: for unknown names.
-    """
-    try:
-        return MATERIALS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown material {name!r}; available: {sorted(MATERIALS)}"
-        ) from None

@@ -82,17 +82,3 @@ def channel_estimation_noise(
         0.0, std, arr.shape
     )
     return arr + noise
-
-
-def measure_snr_db(clean: np.ndarray, noisy: np.ndarray) -> float:
-    """Empirical SNR between a clean signal and its noisy version."""
-    clean = np.asarray(clean, dtype=complex)
-    noisy = np.asarray(noisy, dtype=complex)
-    if clean.shape != noisy.shape:
-        raise ConfigurationError("shapes must match")
-    noise = noisy - clean
-    noise_power = float(np.mean(np.abs(noise) ** 2))
-    if noise_power == 0:
-        return float("inf")
-    signal_power = float(np.mean(np.abs(clean) ** 2))
-    return 10.0 * np.log10(signal_power / noise_power)

@@ -54,10 +54,6 @@ class PropagationPath:
             -2j * np.pi * f * self.length_m / SPEED_OF_LIGHT
         )
 
-    def delay_s(self) -> float:
-        """Propagation delay of the path."""
-        return self.length_m / SPEED_OF_LIGHT
-
 
 def paths_to_channel(
     paths: Sequence[PropagationPath], frequency_hz
@@ -83,22 +79,3 @@ def paths_to_channel(
     if np.isscalar(frequency_hz) or np.asarray(frequency_hz).ndim == 0:
         return h[0]
     return h
-
-
-def dominant_path(paths: Sequence[PropagationPath]) -> PropagationPath:
-    """The strongest path by |gain| (for diagnostics)."""
-    if not paths:
-        raise ValueError("no paths")
-    return max(paths, key=lambda p: abs(p.gain))
-
-
-def shortest_path(paths: Sequence[PropagationPath]) -> PropagationPath:
-    """The geometrically shortest path (the 'direct path' heuristic)."""
-    if not paths:
-        raise ValueError("no paths")
-    return min(paths, key=lambda p: p.length_m)
-
-
-def total_power(paths: Sequence[PropagationPath]) -> float:
-    """Sum of per-path powers (incoherent)."""
-    return float(sum(abs(p.gain) ** 2 for p in paths))

@@ -1,4 +1,4 @@
-"""Software-radio layer: IQ captures, front end, packet acquisition, traces.
+"""Software-radio layer: IQ captures, front end, packet acquisition.
 
 Plays the role of the paper's USRP N210 platform: everything between the
 BLE bit stream and the complex baseband samples the localizer's CSI
@@ -7,15 +7,11 @@ extractor consumes.
 
 from repro.sdr.frontend import RadioFrontEnd, apply_channel_frequency_domain
 from repro.sdr.iq import IqCapture
-from repro.sdr.receiver import PacketDetector, verify_payload_bits
-from repro.sdr.trace import load_captures, save_captures
+from repro.sdr.receiver import PacketDetector
 
 __all__ = [
     "IqCapture",
     "PacketDetector",
     "RadioFrontEnd",
     "apply_channel_frequency_domain",
-    "load_captures",
-    "save_captures",
-    "verify_payload_bits",
 ]

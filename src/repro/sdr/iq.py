@@ -84,10 +84,3 @@ class IqCapture:
             source=self.source,
             start_sample_offset=offset,
         )
-
-    def power_dbfs(self) -> float:
-        """Mean power of the capture in dB relative to unit amplitude."""
-        power = float(np.mean(np.abs(self.samples) ** 2))
-        if power <= 0:
-            return float("-inf")
-        return 10.0 * float(np.log10(power))

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.ble.gfsk import GfskDemodulator, GfskModulator
+from repro.ble.gfsk import GfskModulator
 from repro.ble.pdu import OnAirPacket
 from repro.errors import DemodulationError
 from repro.sdr.iq import IqCapture
@@ -87,23 +87,3 @@ class PacketDetector:
         aligned = capture.sliced(start, stop)
         aligned.start_sample_offset = 0
         return aligned
-
-
-def verify_payload_bits(
-    capture: IqCapture, packet: OnAirPacket, max_bit_errors: int = 0
-) -> int:
-    """Demodulate an *aligned* capture and count bit errors vs the packet.
-
-    A cheap link-quality check used by tests and the measurement layer to
-    confirm the IQ pipeline is coherent end to end.
-    """
-    demodulator = GfskDemodulator(
-        samples_per_symbol=int(capture.sample_rate / 1e6)
-    )
-    bits = demodulator.demodulate(capture.antenna(0), packet.num_bits)
-    errors = int(np.count_nonzero(bits != packet.bits))
-    if errors > max_bit_errors:
-        raise DemodulationError(
-            f"{errors} bit errors exceed the allowed {max_bit_errors}"
-        )
-    return errors

@@ -43,7 +43,6 @@ from typing import Any, Dict, FrozenSet, Optional, Tuple, Type, Union
 
 from repro.errors import LocalizationError, ReproError
 from repro.obs import LATENCY_BUCKETS_S, Observability, get_observer
-from repro.obs.health import AnchorHealthMonitor
 from repro.obs.promexport import (
     OPENMETRICS_CONTENT_TYPE,
     render_openmetrics,
@@ -201,10 +200,7 @@ class LocalizationService:
         # unconditionally recorded here.
         self._service_obs = Observability(enabled=True)
         self.metrics = self._service_obs.metrics
-        self.telemetry = AccuracyTelemetry(
-            metrics=self.metrics,
-            monitor=AnchorHealthMonitor(observer=self._service_obs),
-        )
+        self.telemetry = AccuracyTelemetry(self._service_obs)
         self._access_log = (
             RotatingNdjsonLog(
                 self.config.access_log_path,

@@ -36,9 +36,13 @@ import numpy as np
 from repro.analysis.runtime_locks import guarded_by, make_lock
 from repro.constants import BLOC_SCORE_DISTANCE_WEIGHT
 from repro.core.observations import ChannelObservations
+from repro.obs.context import Observability
 from repro.obs.diag import FixDiagnostics, band_quality
-from repro.obs.health import AnchorHealthMonitor, AnomalyEvent
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.health import (
+    ANOMALY_KINDS,
+    AnchorHealthMonitor,
+    AnomalyEvent,
+)
 from repro.utils.geometry2d import Point
 
 #: Bucket edges for per-band usable fractions (a share in [0, 1]).
@@ -50,10 +54,9 @@ class AccuracyTelemetry:
     """Folds one locate decision at a time into accuracy instruments.
 
     Args:
-        metrics: the registry gauges/histograms are written to (the
-            service's always-on registry).
-        monitor: anomaly detectors to feed; a fresh monitor bound to
-            nothing (events only) when omitted.
+        observer: the enabled observability whose registry the gauges,
+            histograms and the health monitor's ``health.anomalies.*``
+            counters are written to (the service's always-on one).
 
     Thread-safety: ``record_fix`` may be called from server handler
     threads concurrently; the monitor's streak detectors assume fix
@@ -61,13 +64,9 @@ class AccuracyTelemetry:
     instruments guard themselves).
     """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        monitor: Optional[AnchorHealthMonitor] = None,
-    ):
-        self.metrics = metrics
-        self.monitor = monitor or AnchorHealthMonitor()
+    def __init__(self, observer: Observability):
+        self.metrics = observer.metrics
+        self.monitor = AnchorHealthMonitor(observer=observer)
         self._lock = make_lock("AccuracyTelemetry._lock")
         self._fixes = 0
 
@@ -143,15 +142,20 @@ class AccuracyTelemetry:
         return events
 
     def info(self) -> dict:
-        """Plain-data telemetry state for ``/v1/stats``."""
+        """Plain-data telemetry state for ``/v1/stats``.
+
+        Anomaly counts are read from the ``health.anomalies.<kind>``
+        counters the monitor increments, so no event history is kept.
+        """
         with self._lock:
             fixes = self._fixes
-        events = self.monitor.events
-        by_kind: dict = {}
-        for event in events:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
+        by_kind = {}
+        for kind in ANOMALY_KINDS:
+            counter = self.metrics.get(f"health.anomalies.{kind}")
+            if counter is not None and counter.value:
+                by_kind[kind] = int(counter.value)
         return {
             "fixes_recorded": fixes,
-            "anomalies_total": len(events),
+            "anomalies_total": sum(by_kind.values()),
             "anomalies_by_kind": dict(sorted(by_kind.items())),
         }

@@ -18,9 +18,6 @@ _EXPORTS = export_table(
         ),
         "repro.sim.metrics": (
             "ErrorStats",
-            "cdf_table",
-            "errors_from_fixes",
-            "format_comparison_row",
             "spatial_rmse_map",
         ),
         "repro.sim.runner": (
@@ -30,7 +27,7 @@ _EXPORTS = export_table(
             "evaluate",
             "evaluate_anchor_subsets",
         ),
-        "repro.sim.scenario": ("grid_tag_positions", "sample_tag_positions"),
+        "repro.sim.scenario": ("sample_tag_positions",),
         "repro.sim.testbed": ("Testbed", "open_room_testbed", "vicon_testbed"),
     }
 )

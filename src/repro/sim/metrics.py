@@ -1,14 +1,13 @@
-"""Localization-error metrics: CDFs, percentiles, spatial error maps.
+"""Localization-error metrics: percentiles and spatial error maps.
 
-Everything Section 8 reports is computed here: median and 90th-percentile
-errors, full CDFs (Fig. 9a/9b/9c, Fig. 12), and the spatially binned RMSE
-map of Fig. 13.
+Section 8's median and 90th-percentile errors and the spatially binned
+RMSE map of Fig. 13 are computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -50,19 +49,6 @@ class ErrorStats:
         """Mean error [m]."""
         return float(np.mean(self.errors_m))
 
-    def rmse_m(self) -> float:
-        """Root-mean-square error [m]."""
-        return float(np.sqrt(np.mean(self.errors_m**2)))
-
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Empirical CDF as ``(errors, cumulative probability)``."""
-        n = self.errors_m.size
-        return self.errors_m, np.arange(1, n + 1) / n
-
-    def fraction_below(self, threshold_m: float) -> float:
-        """Fraction of fixes with error below a threshold."""
-        return float(np.mean(self.errors_m < threshold_m))
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -70,19 +56,6 @@ class ErrorStats:
             f"p90={self.percentile_m(90) * 100:.0f}cm "
             f"mean={self.mean_m() * 100:.0f}cm"
         )
-
-
-def errors_from_fixes(
-    estimates: Sequence[Point], truths: Sequence[Point]
-) -> ErrorStats:
-    """Per-fix Euclidean errors from paired estimate/truth positions."""
-    if len(estimates) != len(truths):
-        raise ConfigurationError("estimate/truth counts differ")
-    errors = [
-        (estimate - truth).norm()
-        for estimate, truth in zip(estimates, truths)
-    ]
-    return ErrorStats(np.array(errors))
 
 
 def spatial_rmse_map(
@@ -121,27 +94,3 @@ def spatial_rmse_map(
         rmse = np.sqrt(sums / counts)
     rmse[counts == 0] = np.nan
     return x_edges, y_edges, rmse
-
-
-def cdf_table(
-    stats: ErrorStats, thresholds_m: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """``(threshold, fraction below)`` rows for printing CDF curves."""
-    return [(t, stats.fraction_below(t)) for t in thresholds_m]
-
-
-def format_comparison_row(
-    label: str,
-    paper_median_cm: Optional[float],
-    stats: ErrorStats,
-    paper_p90_cm: Optional[float] = None,
-) -> str:
-    """A paper-vs-measured row used by every benchmark's report."""
-    parts = [f"{label:<34}"]
-    if paper_median_cm is not None:
-        parts.append(f"paper median={paper_median_cm:6.0f}cm")
-    parts.append(f"measured median={stats.median_m() * 100:6.1f}cm")
-    if paper_p90_cm is not None:
-        parts.append(f"paper p90={paper_p90_cm:6.0f}cm")
-    parts.append(f"measured p90={stats.percentile_m(90) * 100:6.1f}cm")
-    return "  ".join(parts)

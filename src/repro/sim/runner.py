@@ -37,7 +37,7 @@ from repro.obs.diag import (
     bundle_from_fix,
     save_fix_bundle,
 )
-from repro.obs.health import AnchorHealthMonitor
+from repro.obs.health import AnchorHealthMonitor, AnomalyEvent
 from repro.sim.dataset import EvaluationDataset
 from repro.sim.metrics import ErrorStats
 from repro.utils.geometry2d import Point
@@ -91,10 +91,6 @@ class EvaluationRun:
         """
         return sum(1 for r in self.records if not np.isfinite(r.error_m))
 
-    def failure_reasons(self) -> List[Optional[str]]:
-        """Per-record failure reasons (None for successful fixes)."""
-        return [r.failure_reason for r in self.records]
-
     def stats(self, failure_error_m: float = 10.0) -> ErrorStats:
         """Error statistics; failed fixes count as ``failure_error_m``."""
         errors = [
@@ -136,6 +132,8 @@ class DiagnosticsCapture:
         capture_failures: bundle every failed fix.
         health: optional anchor health monitor to feed.
         written: paths of the bundles written, filled by the sweep.
+        events: the anomalies ``health`` fired over the sweep, in fix
+            order, filled by the sweep.
     """
 
     directory: Optional[Union[str, Path]] = None
@@ -143,6 +141,7 @@ class DiagnosticsCapture:
     capture_failures: bool = True
     health: Optional[AnchorHealthMonitor] = None
     written: List[Path] = field(default_factory=list)
+    events: List[AnomalyEvent] = field(default_factory=list, init=False)
     _collected: Dict[
         int, Tuple[ChannelObservations, Optional[FixDiagnostics]]
     ] = field(default_factory=dict, repr=False)
@@ -191,7 +190,7 @@ def _finalize_capture(
         for index in sorted(capture._collected):
             diag = capture._collected[index][1]
             if diag is not None:
-                capture.health.observe(diag, index)
+                capture.events.extend(capture.health.observe(diag, index))
     if capture.directory is None:
         return
     # Bundles replay through the bundled config, so only a localizer

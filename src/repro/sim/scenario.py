@@ -3,15 +3,12 @@
 The paper measures 1700 pseudo-random tag placements covering the whole
 room with ~10 cm nearest-neighbour spacing (Section 7).  We reproduce the
 coverage with seeded uniform sampling plus an optional minimum-separation
-constraint, and also provide grid sweeps for the spatial-error map
-(Fig. 13).
+constraint.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from repro.errors import ConfigurationError
 from repro.sim.testbed import Testbed
@@ -62,18 +59,3 @@ def sample_tag_positions(
             continue
         positions.append(candidate)
     return positions
-
-
-def grid_tag_positions(
-    testbed: Testbed,
-    spacing_m: float = 0.5,
-    margin_m: float = 0.35,
-) -> List[Point]:
-    """Regular grid of tag positions (for spatial-error maps, Fig. 13)."""
-    if spacing_m <= 0:
-        raise ConfigurationError("spacing must be > 0")
-    x_min, x_max, y_min, y_max = testbed.tag_area_bounds(margin_m)
-    xs = np.arange(x_min, x_max + 1e-9, spacing_m)
-    ys = np.arange(y_min, y_max + 1e-9, spacing_m)
-    return [Point(float(x), float(y)) for y in ys for x in xs]
-

@@ -1,4 +1,4 @@
-"""Shared utilities: geometry, complex math, grids, RNG and validation."""
+"""Shared utilities: geometry, complex math, grids and RNG."""
 
 from typing import Any
 
@@ -8,31 +8,18 @@ _EXPORTS = export_table(
     {
         "repro.utils.complexutils": (
             "circular_mean",
-            "db",
-            "mag2db",
             "normalize_peak",
-            "phase_deg",
-            "unwrap_phase",
             "wrap_phase",
         ),
         "repro.utils.geometry2d": (
             "Point",
             "Segment",
             "distance",
-            "distance_matrix",
             "mirror_point",
-            "pairwise_distances",
-            "reflect_across_segment",
             "segment_intersection",
         ),
         "repro.utils.gridmap": ("Grid2D",),
         "repro.utils.rng": ("derive_rng", "make_rng"),
-        "repro.utils.validation": (
-            "check_finite",
-            "check_in_range",
-            "check_positive",
-            "check_shape",
-        ),
     }
 )
 

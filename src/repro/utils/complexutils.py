@@ -1,4 +1,4 @@
-"""Helpers for complex-valued channel math: phases, dB scales, averaging.
+"""Helpers for complex-valued channel math: phases and averaging.
 
 The paper manipulates complex wireless channels ``h = |h| e^{j phase}``
 throughout Section 5; these helpers keep that manipulation readable.
@@ -13,26 +13,6 @@ def wrap_phase(phase_rad: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi]."""
     phase = np.asarray(phase_rad, dtype=float)
     return np.angle(np.exp(1j * phase))
-
-
-def unwrap_phase(phase_rad: np.ndarray) -> np.ndarray:
-    """Unwrap a 1-D phase sequence (thin wrapper over numpy for symmetry)."""
-    return np.unwrap(np.asarray(phase_rad, dtype=float))
-
-
-def phase_deg(values: np.ndarray) -> np.ndarray:
-    """Phase of complex values in degrees."""
-    return np.degrees(np.angle(np.asarray(values)))
-
-
-def db(power_ratio: np.ndarray) -> np.ndarray:
-    """Power ratio to decibels: ``10 log10(x)``."""
-    return 10.0 * np.log10(np.asarray(power_ratio, dtype=float))
-
-
-def mag2db(amplitude_ratio: np.ndarray) -> np.ndarray:
-    """Amplitude ratio to decibels: ``20 log10(x)``."""
-    return 20.0 * np.log10(np.abs(np.asarray(amplitude_ratio)))
 
 
 def circular_mean(phase_rad: np.ndarray, axis=None) -> np.ndarray:
@@ -60,13 +40,3 @@ def normalize_peak(values: np.ndarray) -> np.ndarray:
     if peak <= 0.0:
         return arr.copy()
     return arr / peak
-
-
-def random_phases(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform random phases in [-pi, pi) with the given shape."""
-    return rng.uniform(-np.pi, np.pi, size=shape)
-
-
-def unit_phasor(phase_rad) -> np.ndarray:
-    """``e^{j phase}`` as a complex array."""
-    return np.exp(1j * np.asarray(phase_rad, dtype=float))

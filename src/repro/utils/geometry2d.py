@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class Point:
         """The point as a ``shape (2,)`` float array."""
         return np.array([self.x, self.y], dtype=float)
 
-    @staticmethod
-    def from_array(arr: Iterable[float]) -> "Point":
-        """Build a point from any 2-element iterable."""
-        x, y = tuple(arr)
-        return Point(float(x), float(y))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -112,19 +106,10 @@ class Segment:
         """Unit normal (90 degrees counter-clockwise from the direction)."""
         return self.direction().perpendicular()
 
-    def midpoint(self) -> Point:
-        """Midpoint of the segment."""
-        return (self.a + self.b) / 2.0
-
     def project_parameter(self, p: Point) -> float:
         """Parameter t in [0, 1] of the closest point on the *line* AB."""
         ab = self.b - self.a
         return (p - self.a).dot(ab) / ab.dot(ab)
-
-    def contains_projection(self, p: Point, tolerance: float = 1e-9) -> bool:
-        """Whether ``p`` projects onto the segment (not just the line)."""
-        t = self.project_parameter(p)
-        return -tolerance <= t <= 1.0 + tolerance
 
     def point_at(self, t: float) -> Point:
         """Point at parameter ``t`` along the segment."""
@@ -151,20 +136,6 @@ def mirror_point(p: Point, segment: Segment) -> Point:
     return segment.a + parallel - perpendicular
 
 
-def reflect_across_segment(
-    source: Point, target: Point, segment: Segment
-) -> Optional[Point]:
-    """Specular reflection point of the path ``source -> wall -> target``.
-
-    Returns the point on ``segment`` where the specular bounce occurs, or
-    ``None`` when the geometric reflection misses the finite segment or the
-    two endpoints are on the same side of the wall (no reflection exists).
-    """
-    image = mirror_point(source, segment)
-    hit = segment_intersection(Segment(image, target), segment)
-    return hit
-
-
 def segment_intersection(s1: Segment, s2: Segment) -> Optional[Point]:
     """Intersection point of two finite segments, or ``None``.
 
@@ -181,46 +152,3 @@ def segment_intersection(s1: Segment, s2: Segment) -> Optional[Point]:
     if -1e-9 <= t <= 1.0 + 1e-9 and -1e-9 <= u <= 1.0 + 1e-9:
         return p + r * t
     return None
-
-
-def segments_cross(s1: Segment, s2: Segment) -> bool:
-    """Whether two finite segments intersect at an interior point."""
-    return segment_intersection(s1, s2) is not None
-
-
-def distance_matrix(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """All pairwise distances between two ``(n, 2)`` / ``(m, 2)`` arrays.
-
-    Returns:
-        Array of shape ``(n, m)`` with ``out[i, j] = |a_i - b_j|``.
-    """
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or b.ndim != 2 or b.shape[1] != 2:
-        raise GeometryError("distance_matrix expects (n, 2) arrays")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric distance matrix of a single ``(n, 2)`` point set."""
-    return distance_matrix(points, points)
-
-
-def bearing_deg(origin: Point, target: Point) -> float:
-    """Bearing from ``origin`` to ``target`` in degrees in (-180, 180]."""
-    return math.degrees(origin.angle_to(target))
-
-
-def polygon_contains(vertices: Tuple[Point, ...], p: Point) -> bool:
-    """Even-odd rule point-in-polygon test for a simple polygon."""
-    inside = False
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        if (a.y > p.y) != (b.y > p.y):
-            x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if p.x < x_cross:
-                inside = not inside
-    return inside

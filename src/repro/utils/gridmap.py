@@ -114,27 +114,6 @@ class Grid2D:
             and self.y_min <= point.y <= self.y_max
         )
 
-    # -- neighbourhoods ---------------------------------------------------
-
-    def window(
-        self, values: np.ndarray, row: int, col: int, half_width: int
-    ) -> np.ndarray:
-        """Square neighbourhood of ``values`` around ``(row, col)``.
-
-        The window is clipped at the map borders, so corner peaks get a
-        smaller (but never empty) neighbourhood.
-        """
-        arr = np.asarray(values)
-        if arr.shape != self.shape:
-            raise ConfigurationError(
-                f"values shape {arr.shape} does not match grid {self.shape}"
-            )
-        r0 = max(row - half_width, 0)
-        r1 = min(row + half_width + 1, self.num_y)
-        c0 = max(col - half_width, 0)
-        c1 = min(col + half_width + 1, self.num_x)
-        return arr[r0:r1, c0:c1]
-
     # -- constructors -------------------------------------------------------
 
     @staticmethod

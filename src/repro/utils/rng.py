@@ -10,7 +10,7 @@ scenario placed the tag.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -51,9 +51,3 @@ def _label_to_int(label) -> int:
     for byte in str(label).encode("utf-8"):
         value = ((value ^ byte) * 16777619) & 0xFFFFFFFF
     return value
-
-
-def spawn_seeds(seed: RngLike, count: int) -> list:
-    """Produce ``count`` reproducible integer seeds from one master seed."""
-    rng = make_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**31 - 1, size=count)]

@@ -19,6 +19,7 @@ from repro.core import (
     build_steering_entry,
     correct_phase_offsets,
 )
+from repro.obs.context import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.service.telemetry import AccuracyTelemetry
 from repro.sim import ChannelMeasurementModel
@@ -132,7 +133,7 @@ class TestLockedCounterReads:
 
 class TestTelemetryFixCounter:
     def test_fixes_recorded_is_exact_across_threads(self, observations):
-        telemetry = AccuracyTelemetry(MetricsRegistry())
+        telemetry = AccuracyTelemetry(Observability())
 
         def record(count):
             for _ in range(count):

@@ -13,7 +13,6 @@ from repro.baselines.aoa import (
     AoaLocalizer,
 )
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.steering import angle_spectrum
 from repro.errors import ConfigurationError
 from repro.sim import ChannelMeasurementModel
 from repro.sim.testbed import open_room_testbed
@@ -163,13 +162,6 @@ class TestSteeringCache:
                 got_angles, got = aoa.anchor_spectrum(observations, i)
                 assert np.array_equal(got_angles, angles)
                 assert np.array_equal(got, expected)
-                _, public = angle_spectrum(
-                    observations.tag_to_anchor[i],
-                    spacing_m,
-                    observations.frequencies_hz,
-                    angles_rad=angles,
-                )
-                assert np.array_equal(public, expected)
         info = aoa._steering.info()
         assert info["misses"] == 1 and info["entries"] == 1
 

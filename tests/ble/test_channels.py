@@ -6,11 +6,8 @@ import pytest
 
 from repro.ble.channels import (
     ChannelMap,
-    all_data_channel_frequencies,
     channel_index_to_frequency,
     data_channel_to_frequency,
-    frequency_to_data_channel,
-    is_advertising_channel,
 )
 from repro.errors import ProtocolError
 
@@ -42,24 +39,11 @@ class TestFrequencies:
             channel_index_to_frequency(40)
 
     def test_all_frequencies_unique_and_spaced(self):
-        freqs = all_data_channel_frequencies()
+        freqs = [data_channel_to_frequency(ch) for ch in range(37)]
         assert len(freqs) == 37
         assert len(set(freqs)) == 37
         diffs = [b - a for a, b in zip(freqs, freqs[1:])]
         assert all(d >= 2e6 - 1 for d in diffs)
-
-    def test_roundtrip(self):
-        for channel in range(37):
-            f = data_channel_to_frequency(channel)
-            assert frequency_to_data_channel(f) == channel
-
-    def test_frequency_to_channel_rejects_offset(self):
-        with pytest.raises(ProtocolError):
-            frequency_to_data_channel(2404.5e6)
-
-    def test_is_advertising(self):
-        assert is_advertising_channel(37)
-        assert not is_advertising_channel(0)
 
     def test_span_is_80_mhz_with_advertising(self):
         lo = channel_index_to_frequency(37)

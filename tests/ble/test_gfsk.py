@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.ble.gfsk import (
     GfskDemodulator,
     GfskModulator,
-    frequency_error_rms,
     gaussian_pulse,
     nrz,
 )
@@ -141,12 +140,6 @@ class TestDemodulator:
         iq = mod.modulate([1, 0, 1])
         with pytest.raises(DemodulationError):
             demod.demodulate(iq, 10)
-
-    def test_frequency_error_rms_clean(self):
-        mod = GfskModulator()
-        bits = [0, 1, 1, 0, 0, 0, 1, 0, 1, 1] * 4
-        iq = mod.modulate(bits)
-        assert frequency_error_rms(mod, bits, iq) < 20e3
 
 
 class TestDemodSnrMetric:

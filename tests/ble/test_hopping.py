@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ble.channels import ChannelMap
-from repro.ble.hopping import (
-    HopSequence,
-    events_to_cover_channels,
-    hop_cycle,
-)
+from repro.ble.hopping import HopSequence
 from repro.errors import ProtocolError
 
 hop_increments = st.integers(min_value=5, max_value=16)
@@ -51,17 +47,12 @@ class TestHopSequence:
         assert events == [0, 5, 10]
         assert seq.current() == 15
 
-    def test_full_cycle_does_not_disturb_state(self):
-        seq = HopSequence(hop_increment=11, start_channel=6)
-        before = seq.current()
-        seq.full_cycle()
-        assert seq.current() == before
-
     @given(hop_increments, start_channels)
     @settings(max_examples=60)
     def test_prime_walk_visits_every_channel(self, hop, start):
         """The paper's Section 2.1 property: 37 prime => full coverage."""
-        cycle = hop_cycle(hop, start)
+        seq = HopSequence(hop_increment=hop, start_channel=start)
+        cycle = list(seq.events(37))
         assert sorted(cycle) == list(range(37))
 
     @given(hop_increments, start_channels)
@@ -84,6 +75,3 @@ class TestRemappedHopping:
         seq = HopSequence(hop_increment=7, channel_map=cm)
         visited = set(seq.events(37))
         assert visited == set(cm.used)
-
-    def test_events_to_cover(self):
-        assert events_to_cover_channels(ChannelMap.all_channels()) == 37

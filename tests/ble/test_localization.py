@@ -12,11 +12,10 @@ from repro.ble.localization import (
     design_payload,
     find_tone_segments,
     localization_pdu,
-    segments_per_tone,
     tone_pattern,
 )
 from repro.ble.pdu import DataPdu
-from repro.ble.whitening import longest_run, whiten
+from repro.ble.whitening import whiten
 from repro.errors import ConfigurationError
 
 channels = st.integers(min_value=0, max_value=39)
@@ -61,9 +60,8 @@ class TestFindToneSegments:
     def test_finds_both_tones(self):
         bits = tone_pattern(run_length=8, num_pairs=2)
         segments = find_tone_segments(bits, min_run=4, settle_bits=2)
-        zeros, ones = segments_per_tone(segments)
-        assert len(zeros) == 2
-        assert len(ones) == 2
+        assert sum(1 for s in segments if s.bit_value == 0) == 2
+        assert sum(1 for s in segments if s.bit_value == 1) == 2
 
     def test_settling_trim(self):
         bits = np.concatenate(

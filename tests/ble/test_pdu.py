@@ -136,8 +136,3 @@ class TestPacketAssembly:
     def test_too_short_stream(self):
         with pytest.raises(ProtocolError):
             disassemble_packet(np.zeros(40, dtype=np.uint8), channel_index=0)
-
-    def test_payload_bit_offset(self):
-        pdu = DataPdu(payload=b"q")
-        packet = assemble_packet(pdu, access_address=AA, channel_index=0)
-        assert packet.payload_bit_offset() == 56

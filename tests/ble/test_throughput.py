@@ -7,7 +7,6 @@ import pytest
 from repro.ble.throughput import (
     localization_packet_duration_s,
     throughput_with_localization,
-    tone_dwell_matches_paper,
 )
 from repro.errors import ConfigurationError
 
@@ -24,11 +23,6 @@ class TestPacketDuration:
     def test_invalid_pattern(self):
         with pytest.raises(ConfigurationError):
             localization_packet_duration_s(run_length=1)
-
-    def test_paper_tone_dwell(self):
-        """Section 6: 8 us per tone at 1 Mbps = 8-bit runs."""
-        assert tone_dwell_matches_paper(run_length=8)
-        assert not tone_dwell_matches_paper(run_length=5)
 
 
 class TestThroughput:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.ble.whitening import (
     WHITENING_PERIOD,
     dewhiten,
-    longest_run,
     runs,
     whiten,
     whitening_initial_state,
@@ -72,21 +71,13 @@ class TestWhiten:
     def test_whitening_breaks_runs(self):
         constant = np.zeros(64, dtype=np.uint8)
         whitened = whiten(constant, 3)
-        assert longest_run(whitened) < 10
+        assert max(length for _, length in runs(whitened)) < 10
 
     def test_whiten_empty(self):
         assert whiten(np.array([], dtype=np.uint8), 0).size == 0
 
 
 class TestRunHelpers:
-    def test_longest_run_basic(self):
-        assert longest_run([0, 0, 0, 1, 1, 0]) == 3
-
-    def test_longest_run_single_value(self):
-        assert longest_run([1] * 7) == 7
-
-    def test_longest_run_empty(self):
-        assert longest_run([]) == 0
 
     def test_runs_rle(self):
         assert runs([0, 0, 1, 1, 1, 0]) == [(0, 2), (1, 3), (0, 1)]

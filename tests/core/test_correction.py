@@ -16,7 +16,6 @@ import pytest
 from repro.core.correction import (
     anchor_baselines,
     correct_phase_offsets,
-    residual_offset_spread,
 )
 from repro.core.observations import ChannelObservations
 from repro.errors import LocalizationError
@@ -123,11 +122,6 @@ class TestEquation10:
             * np.conj(h00)[None, :]
         )
         assert np.allclose(corrected.alpha[2], expected, atol=1e-10)
-
-    def test_residual_spread_zero_for_same_channels(self, rng):
-        observations, _, _ = make_observations(rng)
-        corrected = correct_phase_offsets(observations)
-        assert residual_offset_spread(corrected, corrected) < 1e-12
 
 
 class TestBaselines:

@@ -12,7 +12,6 @@ from repro.core.csi import (
     combine_tone_channels,
     extract_band_csi,
     measure_segment_channel,
-    stack_band_csi,
 )
 from repro.errors import CsiExtractionError
 from repro.rf.noise import add_awgn
@@ -126,25 +125,3 @@ class TestExtractBandCsi:
         csi = extract_band_csi(capture, packet)
         assert csi.channel_index == 10
         assert csi.frequency_hz == capture.carrier_frequency_hz
-
-
-class TestStack:
-    def test_stack_orders_by_frequency(self):
-        capture_a, packet_a, _ = make_aligned_capture(channel=4)
-        capture_b, packet_b, _ = make_aligned_capture(channel=20)
-        csi_a = extract_band_csi(capture_a, packet_a)
-        csi_b = extract_band_csi(capture_b, packet_b)
-        csi_b = type(csi_b)(
-            channel_index=csi_b.channel_index,
-            frequency_hz=2.45e9,
-            channels=csi_b.channels,
-            tone0=csi_b.tone0,
-            tone1=csi_b.tone1,
-        )
-        stacked = stack_band_csi([csi_b, csi_a])
-        assert stacked.shape == (1, 2)
-        assert stacked[0, 0] == csi_a.channels[0]
-
-    def test_stack_empty_rejected(self):
-        with pytest.raises(CsiExtractionError):
-            stack_band_csi([])

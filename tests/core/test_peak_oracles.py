@@ -72,13 +72,52 @@ def select_peaks_oracle(values, local_max, grid, config) -> List[Peak]:
     return selected
 
 
+def window(grid, values, row, col, half_width):
+    """Square neighbourhood of ``values`` around ``(row, col)``.
+
+    The window is clipped at the map borders, so corner peaks get a
+    smaller (but never empty) neighbourhood.
+    """
+    arr = np.asarray(values)
+    if arr.shape != grid.shape:
+        raise ConfigurationError(
+            f"values shape {arr.shape} does not match grid {grid.shape}"
+        )
+    r0 = max(row - half_width, 0)
+    r1 = min(row + half_width + 1, grid.num_y)
+    c0 = max(col - half_width, 0)
+    c1 = min(col + half_width + 1, grid.num_x)
+    return arr[r0:r1, c0:c1]
+
+
+class TestWindow:
+    @pytest.fixture()
+    def grid(self):
+        return Grid2D(-1.0, 1.0, 0.0, 0.5, 0.25)
+
+    def test_interior_window_full_size(self, grid):
+        values = np.arange(grid.size, dtype=float).reshape(grid.shape)
+        w = window(grid, values, 1, 4, 1)
+        assert w.shape == (3, 3)
+        assert w[1, 1] == values[1, 4]
+
+    def test_corner_window_clipped(self, grid):
+        values = np.zeros(grid.shape)
+        w = window(grid, values, 0, 0, 2)
+        assert w.shape == (3, 3)
+
+    def test_window_shape_mismatch(self, grid):
+        with pytest.raises(ConfigurationError):
+            window(grid, np.zeros((2, 2)), 0, 0, 1)
+
+
 def score_peaks_oracle(peaks, values, grid, anchors, config):
     """The per-peak Eq. 18 loop (reference)."""
     anchor_positions = np.array([tuple(a.position) for a in anchors])
     scored: List[ScoredPeak] = []
     for peak in peaks:
         half = config.entropy_window // 2
-        entropy = negentropy(grid.window(values, peak.row, peak.col, half))
+        entropy = negentropy(window(grid, values, peak.row, peak.col, half))
         deltas = anchor_positions - np.array(tuple(peak.position))[None, :]
         distance_sum = float(np.linalg.norm(deltas, axis=1).sum())
         score = peak.value * float(

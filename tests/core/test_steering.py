@@ -1,4 +1,4 @@
-"""Tests for repro.core.steering: angle and distance spectra."""
+"""Tests for repro.core.steering: the Eq. 3 angle spectrum and Eq. 6."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import pytest
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.steering import (
     aliasing_distance_m,
-    angle_spectrum,
-    distance_spectrum,
+    angle_steering,
     range_resolution_m,
+    steered_spectrum,
 )
 from repro.errors import ConfigurationError
 
@@ -21,6 +21,21 @@ def ula_channels(theta_rad, num_antennas=4, spacing=0.0614, f=2.44e9):
     wavelength = SPEED_OF_LIGHT / f
     j = np.arange(num_antennas)
     return np.exp(2j * np.pi * j * spacing * np.sin(theta_rad) / wavelength)
+
+
+def angle_spectrum(channels, spacing_m, frequency_hz, angles_rad=None):
+    """Eq. 3 through the steering pair the AoA baseline caches.
+
+    ``channels`` is ``(J,)`` for one band or ``(J, K)`` for ``K`` bands.
+    """
+    h = np.asarray(channels, dtype=complex)
+    if h.ndim == 1:
+        h = h[:, None]
+    freqs = np.broadcast_to(np.atleast_1d(frequency_hz), (h.shape[1],))
+    if angles_rad is None:
+        angles_rad = np.linspace(-np.pi / 2.0, np.pi / 2.0, 181)
+    steering = angle_steering(h.shape[0], spacing_m, freqs, angles_rad)
+    return angles_rad, steered_spectrum(h, steering)
 
 
 class TestAngleSpectrum:
@@ -58,12 +73,7 @@ class TestAngleSpectrum:
         h = ula_channels(0.0)
         grid = np.linspace(-0.5, 0.5, 21)
         angles, spectrum = angle_spectrum(h, 0.0614, 2.44e9, angles_rad=grid)
-        assert angles is grid or np.array_equal(angles, grid)
         assert spectrum.size == 21
-
-    def test_three_dimensional_input_rejected(self):
-        with pytest.raises(ConfigurationError):
-            angle_spectrum(np.ones((2, 3, 4), complex), 0.0614, 2.44e9)
 
     def test_vectorised_matches_per_band_loop(self):
         """The einsum over all bands must equal the per-band reference."""
@@ -95,54 +105,6 @@ class TestAngleSpectrum:
 
         _, spectrum = angle_spectrum(h, spacing, freqs, angles_rad=angles)
         assert np.allclose(spectrum, reference)
-
-
-class TestDistanceSpectrum:
-    def test_peak_at_relative_distance(self):
-        freqs = 2.404e9 + 2e6 * np.arange(37)
-        rel_distance = 3.7
-        h = np.exp(-2j * np.pi * freqs * rel_distance / SPEED_OF_LIGHT)
-        distances, spectrum = distance_spectrum(h, freqs)
-        peak = distances[int(np.argmax(spectrum))]
-        assert peak == pytest.approx(rel_distance, abs=0.1)
-
-    def test_negative_relative_distance(self):
-        freqs = 2.404e9 + 2e6 * np.arange(37)
-        h = np.exp(-2j * np.pi * freqs * (-2.2) / SPEED_OF_LIGHT)
-        distances, spectrum = distance_spectrum(h, freqs)
-        peak = distances[int(np.argmax(spectrum))]
-        assert peak == pytest.approx(-2.2, abs=0.1)
-
-    def test_two_paths_resolved_with_wide_band(self):
-        freqs = 2.404e9 + 2e6 * np.arange(37)  # 72 MHz span
-        d1, d2 = 1.0, 7.0  # separation >> c/72MHz ~ 4.2 m
-        h = np.exp(-2j * np.pi * freqs * d1 / SPEED_OF_LIGHT) + 0.8 * np.exp(
-            -2j * np.pi * freqs * d2 / SPEED_OF_LIGHT
-        )
-        distances, spectrum = distance_spectrum(h, freqs)
-        near_d1 = spectrum[np.abs(distances - d1) < 0.5].max()
-        near_d2 = spectrum[np.abs(distances - d2) < 0.5].max()
-        trough = spectrum[np.abs(distances - (d1 + d2) / 2) < 0.5].min()
-        assert near_d1 > 0.8
-        assert near_d2 > 0.6
-        assert trough < near_d2
-
-    def test_narrowband_cannot_resolve(self):
-        """The paper's Eq. 6: 2 MHz cannot separate indoor paths."""
-        freqs = np.array([2.404e9, 2.405e9])  # single-channel tones
-        d1, d2 = 1.0, 7.0
-        h = np.exp(-2j * np.pi * freqs * d1 / SPEED_OF_LIGHT) + np.exp(
-            -2j * np.pi * freqs * d2 / SPEED_OF_LIGHT
-        )
-        distances, spectrum = distance_spectrum(h, freqs)
-        # With ~1 MHz of bandwidth the spectrum is essentially flat over
-        # indoor scales: no deep separation between the two paths.
-        within = spectrum[np.abs(distances) < 10]
-        assert within.min() > 0.3
-
-    def test_mismatched_sizes(self):
-        with pytest.raises(ConfigurationError):
-            distance_spectrum(np.ones(5, complex), np.ones(4))
 
 
 class TestResolutionFormulas:

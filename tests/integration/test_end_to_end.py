@@ -17,7 +17,6 @@ from repro import (
     BlocLocalizer,
     build_dataset,
     evaluate,
-    shortest_distance_localizer,
 )
 from repro.ble.channels import ChannelMap
 from repro.core import correct_phase_offsets
@@ -82,7 +81,12 @@ class TestSchemeOrdering:
             "bloc": evaluate(BlocLocalizer(config=config), mini_dataset),
             "aoa": evaluate(AoaLocalizer(), mini_dataset),
             "shortest": evaluate(
-                shortest_distance_localizer(config=config), mini_dataset
+                BlocLocalizer(
+                    config=BlocConfig(
+                        grid_resolution_m=0.08, selection="shortest"
+                    )
+                ),
+                mini_dataset,
             ),
         }
 

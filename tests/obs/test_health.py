@@ -91,7 +91,6 @@ class TestBandOutage:
         assert [e.kind for e in events] == ["band_outage"]
         assert events[0].anchor == "AP0"
         assert "4/8 bands unusable" in events[0].message
-        assert monitor.events_for("band_outage", "AP1") == []
 
     def test_below_fraction_does_not_fire(self):
         monitor = AnchorHealthMonitor()
@@ -108,7 +107,6 @@ class TestBandOutage:
         # ... so a relapse fires again.
         relapse = monitor.observe(broken, 3)
         assert [e.kind for e in relapse] == ["band_outage"]
-        assert len(monitor.events_for("band_outage")) == 2
 
 
 class TestDriftAndStreaks:
@@ -172,12 +170,6 @@ class TestMetricsExport:
         assert len(events) == 1  # detection still works
         names = {m["name"] for m in observer.metrics.snapshot()}
         assert not any(n.startswith("health.anchor.") for n in names)
-
-    def test_summary_rows_cover_all_anchors(self):
-        monitor = AnchorHealthMonitor()
-        monitor.observe(make_diag(), 0)
-        rows = monitor.summary_rows()
-        assert [row[0] for row in rows] == ANCHORS
 
 
 class TestAcceptanceInjectedOutage:

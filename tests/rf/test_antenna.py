@@ -30,14 +30,14 @@ class TestAnchor:
 
     def test_elements_centred(self):
         anchor = Anchor(position=Point(1, 2), num_antennas=4, spacing_m=0.1)
-        positions = anchor.antenna_array()
+        positions = np.array([tuple(p) for p in anchor.antenna_positions()])
         centroid = positions.mean(axis=0)
         assert centroid[0] == pytest.approx(1.0)
         assert centroid[1] == pytest.approx(2.0)
 
     def test_element_spacing(self):
         anchor = Anchor(position=Point(0, 0), num_antennas=4, spacing_m=0.1)
-        positions = anchor.antenna_array()
+        positions = np.array([tuple(p) for p in anchor.antenna_positions()])
         gaps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
         assert np.allclose(gaps, 0.1)
 

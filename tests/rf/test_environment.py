@@ -90,10 +90,5 @@ class TestTransmission:
         factor = room.transmission_along(Point(0, 0), Point(1, 0))
         assert factor == 1.0
 
-    def test_line_of_sight(self, room):
-        assert room.line_of_sight(Point(-2, 0), Point(2, 0))
-        room.add_reflector(Point(0, -1.5), Point(0, 1.5), METAL)
-        assert not room.line_of_sight(Point(-2, 0), Point(2, 0))
-
     def test_zero_length_path(self, room):
         assert room.transmission_along(Point(0, 0), Point(0, 0)) == 1.0

@@ -10,7 +10,6 @@ from repro.rf.materials import (
     MATERIALS,
     METAL,
     Material,
-    material_by_name,
 )
 
 
@@ -46,13 +45,6 @@ class TestBuiltins:
         assert set(MATERIALS) >= {
             "concrete", "drywall", "metal", "glass", "absorber"
         }
-
-    def test_lookup(self):
-        assert material_by_name("metal") is METAL
-
-    def test_lookup_unknown(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            material_by_name("vibranium")
 
     def test_all_builtins_passive(self):
         for material in MATERIALS.values():

@@ -9,10 +9,7 @@ from repro.constants import SPEED_OF_LIGHT
 from repro.rf.paths import (
     PathKind,
     PropagationPath,
-    dominant_path,
     paths_to_channel,
-    shortest_path,
-    total_power,
 )
 
 
@@ -31,10 +28,6 @@ class TestPhasor:
             np.angle(np.exp(1j * expected_phase))
         )
         assert abs(h) == pytest.approx(1.0 / 3.0)
-
-    def test_delay(self):
-        path = make_path(SPEED_OF_LIGHT)
-        assert path.delay_s() == pytest.approx(1.0)
 
     def test_vectorised_over_frequency(self):
         path = make_path(2.0)
@@ -81,23 +74,3 @@ class TestChannelSynthesis:
     def test_scalar_in_scalar_out(self):
         h = paths_to_channel([make_path(1.0)], 2.4e9)
         assert np.ndim(h) == 0
-
-
-class TestSelectors:
-    def test_dominant(self):
-        paths = [make_path(1, 0.2), make_path(2, 0.9), make_path(3, 0.5)]
-        assert dominant_path(paths).length_m == 2
-
-    def test_shortest(self):
-        paths = [make_path(5, 0.9), make_path(2, 0.1)]
-        assert shortest_path(paths).length_m == 2
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            dominant_path([])
-        with pytest.raises(ValueError):
-            shortest_path([])
-
-    def test_total_power(self):
-        paths = [make_path(1, 0.6), make_path(2, 0.8)]
-        assert total_power(paths) == pytest.approx(1.0)

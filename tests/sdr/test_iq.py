@@ -66,21 +66,3 @@ class TestIqCapture:
     def test_sliced_bad_range(self):
         with pytest.raises(ConfigurationError):
             make_capture().sliced(10, 5)
-
-    def test_power_dbfs(self):
-        capture = IqCapture(
-            samples=np.ones((1, 8), complex),
-            sample_rate=8e6,
-            channel_index=0,
-            carrier_frequency_hz=2.4e9,
-        )
-        assert capture.power_dbfs() == pytest.approx(0.0)
-
-    def test_power_of_silence(self):
-        capture = IqCapture(
-            samples=np.zeros((1, 8), complex),
-            sample_rate=8e6,
-            channel_index=0,
-            carrier_frequency_hz=2.4e9,
-        )
-        assert capture.power_dbfs() == float("-inf")

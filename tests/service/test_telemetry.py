@@ -9,7 +9,8 @@ import pytest
 
 from repro.obs import Observability
 from repro.obs.diag import FixDiagnostics, band_quality
-from repro.obs.health import AnchorHealthMonitor
+from repro.obs.health import ANOMALY_KINDS, AnchorHealthMonitor
+from repro.service import LocalizationService
 from repro.service.telemetry import AccuracyTelemetry
 from repro.sim import ChannelMeasurementModel
 from repro.sim.interference import inject_band_outage
@@ -58,10 +59,7 @@ def _median_snr(observations, anchor_index):
 def test_gauges_and_events_match_the_replayed_stream(stream):
     fixes, tags = stream
     service_obs = Observability(enabled=True)
-    telemetry = AccuracyTelemetry(
-        metrics=service_obs.metrics,
-        monitor=AnchorHealthMonitor(observer=service_obs),
-    )
+    telemetry = AccuracyTelemetry(service_obs)
     fired = []
     for observations, tag in zip(fixes, tags):
         fired.extend(telemetry.record_fix(observations, tag))
@@ -97,3 +95,39 @@ def test_anchor_snr_is_computed_once_per_fix(stream):
     )
     with pytest.raises(ValueError):
         first[0] = 0.0
+
+
+def test_long_outage_stream_keeps_no_event_history(service_pool, stream):
+    """A service fed a long clean/outage alternation holds only bounded
+    per-anchor state, and ``/v1/stats`` reads the anomaly counters."""
+    fixes, tags = stream
+    clean, broken = fixes[0], fixes[3]
+    service = LocalizationService(pool=service_pool)
+    try:
+        for k in range(400):
+            service.telemetry.record_fix(broken if k % 2 else clean, tags[0])
+        monitor = service.telemetry.monitor
+        assert set(vars(monitor)) == {"thresholds", "_observer", "_anchors"}
+        assert len(monitor._anchors) == clean.num_anchors
+        window = monitor.thresholds.window
+        for state in monitor._anchors.values():
+            assert len(state.snr_db) <= window
+            assert len(state.coverage) <= window
+            assert len(state.residual_rad) <= window
+        status, payload, _ = service.handle_stats()
+    finally:
+        service.close()
+    assert status == 200
+    counters = {
+        kind: service.metrics.get(f"health.anomalies.{kind}")
+        for kind in ANOMALY_KINDS
+    }
+    expected = {
+        kind: int(counter.value)
+        for kind, counter in counters.items()
+        if counter is not None and counter.value
+    }
+    telemetry = payload["telemetry"]
+    assert telemetry["anomalies_by_kind"] == expected
+    assert expected["band_outage"] == 200  # re-armed by every clean fix
+    assert telemetry["anomalies_total"] == sum(expected.values())

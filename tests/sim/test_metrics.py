@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.sim.metrics import (
     ErrorStats,
-    cdf_table,
-    errors_from_fixes,
-    format_comparison_row,
     spatial_rmse_map,
 )
 from repro.utils.geometry2d import Point
@@ -31,11 +28,6 @@ class TestErrorStats:
         stats = ErrorStats(np.arange(1, 101, dtype=float))
         assert stats.percentile_m(90) == pytest.approx(90.1)
 
-    def test_rmse_vs_mean(self):
-        stats = ErrorStats(np.array([0.0, 2.0]))
-        assert stats.mean_m() == 1.0
-        assert stats.rmse_m() == pytest.approx(np.sqrt(2.0))
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             ErrorStats(np.array([]))
@@ -43,16 +35,6 @@ class TestErrorStats:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             ErrorStats(np.array([-0.1]))
-
-    def test_cdf_monotone_to_one(self):
-        stats = ErrorStats(np.array([3.0, 1.0, 2.0]))
-        xs, ps = stats.cdf()
-        assert np.all(np.diff(xs) >= 0)
-        assert ps[-1] == 1.0
-
-    def test_fraction_below(self):
-        stats = ErrorStats(np.array([0.5, 1.5, 2.5, 3.5]))
-        assert stats.fraction_below(2.0) == 0.5
 
     def test_summary_format(self):
         stats = ErrorStats(np.array([0.86]))
@@ -64,25 +46,6 @@ class TestErrorStats:
     def test_median_between_extremes(self, errors):
         stats = ErrorStats(np.array(errors))
         assert stats.errors_m[0] <= stats.median_m() <= stats.errors_m[-1]
-
-    @given(error_samples)
-    @settings(max_examples=50)
-    def test_rmse_at_least_mean(self, errors):
-        stats = ErrorStats(np.array(errors))
-        assert stats.rmse_m() >= stats.mean_m() - 1e-9
-
-
-class TestErrorsFromFixes:
-    def test_pairwise_distance(self):
-        stats = errors_from_fixes(
-            [Point(0, 0), Point(1, 1)], [Point(3, 4), Point(1, 1)]
-        )
-        assert stats.errors_m[0] == 0.0
-        assert stats.errors_m[1] == pytest.approx(5.0)
-
-    def test_count_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            errors_from_fixes([Point(0, 0)], [])
 
 
 class TestSpatialRmse:
@@ -110,17 +73,3 @@ class TestSpatialRmse:
             [Point(2.0, 2.0)], [1.0], bounds=(0, 2, 0, 2), bin_size_m=1.0
         )
         assert rmse[1, 1] == pytest.approx(1.0)
-
-
-class TestReports:
-    def test_cdf_table(self):
-        stats = ErrorStats(np.array([0.5, 1.5]))
-        table = cdf_table(stats, [1.0, 2.0])
-        assert table == [(1.0, 0.5), (2.0, 1.0)]
-
-    def test_format_row_contains_both(self):
-        stats = ErrorStats(np.array([0.86]))
-        row = format_comparison_row("BLoc", 86.0, stats, paper_p90_cm=170.0)
-        assert "paper median" in row
-        assert "measured median" in row
-        assert "86" in row

@@ -125,7 +125,8 @@ class TestParallelEvaluate:
     def test_failures_preserved_in_order(self, dataset):
         run = evaluate(AlwaysFails(), dataset)
         assert run.num_failed == len(dataset)
-        assert run.failure_reasons() == ["nope"] * len(dataset)
+        reasons = [r.failure_reason for r in run.records]
+        assert reasons == ["nope"] * len(dataset)
 
     @staticmethod
     def _observed_sweep(localizer, dataset):
@@ -208,17 +209,16 @@ class TestFailureReasons:
     def test_failure_reason_attached(self, dataset):
         run = evaluate(AlwaysFails(), dataset)
         assert all(r.failure_reason == "nope" for r in run.records)
-        assert run.failure_reasons() == ["nope"] * len(dataset)
 
     def test_success_has_no_reason(self, dataset):
         run = evaluate(PerfectOracle(), dataset)
-        assert run.failure_reasons() == [None] * len(dataset)
+        assert all(r.failure_reason is None for r in run.records)
 
     def test_reason_round_trips_through_stats(self, dataset):
         run = evaluate(AlwaysFails(), dataset)
-        before = run.failure_reasons()
+        before = [r.failure_reason for r in run.records]
         run.stats(failure_error_m=5.0)  # must not mutate the records
-        assert run.failure_reasons() == before
+        assert [r.failure_reason for r in run.records] == before
         assert [r.error_m for r in run.records] == [float("inf")] * len(
             dataset
         )
@@ -427,12 +427,26 @@ class TestDiagnosticsCapture:
         from repro.obs import AnchorHealthMonitor
         from repro.sim import DiagnosticsCapture
 
-        monitor = AnchorHealthMonitor()
+        class RecordingMonitor(AnchorHealthMonitor):
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+                self.fired = []
+
+            def observe(self, diag, fix_index):
+                self.seen.append((fix_index, len(diag.anchor_names)))
+                events = super().observe(diag, fix_index)
+                self.fired.extend(events)
+                return events
+
+        monitor = RecordingMonitor()
         capture = DiagnosticsCapture(health=monitor)
         evaluate(bloc, small_dataset, capture=capture)
-        rows = monitor.summary_rows()
-        assert len(rows) == small_dataset.observations[0].num_anchors
-        assert all(row[1] == str(len(small_dataset)) for row in rows)
+        num_anchors = small_dataset.observations[0].num_anchors
+        assert monitor.seen == [
+            (index, num_anchors) for index in range(len(small_dataset))
+        ]
+        assert capture.events == monitor.fired
 
     def test_failed_fixes_bundled_with_reason(
         self, bloc, small_dataset, tmp_path

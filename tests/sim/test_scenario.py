@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.scenario import (
-    grid_tag_positions,
     sample_tag_positions,
 )
 from repro.sim.testbed import open_room_testbed
@@ -58,15 +57,3 @@ class TestSampling:
             testbed, 200, seed=5, min_separation_m=0.1
         )
         assert len(positions) == 200
-
-
-class TestGridPositions:
-    def test_spacing(self, testbed):
-        positions = grid_tag_positions(testbed, spacing_m=1.0)
-        xs = sorted(set(round(p.x, 6) for p in positions))
-        assert np.allclose(np.diff(xs), 1.0)
-
-    def test_invalid_spacing(self, testbed):
-        with pytest.raises(ConfigurationError):
-            grid_tag_positions(testbed, spacing_m=0)
-

@@ -103,23 +103,6 @@ class TestConversions:
         assert abs(node.y - y) <= 0.125 + 1e-9
 
 
-class TestWindow:
-    def test_interior_window_full_size(self, grid):
-        values = np.arange(grid.size, dtype=float).reshape(grid.shape)
-        w = grid.window(values, 1, 4, 1)
-        assert w.shape == (3, 3)
-        assert w[1, 1] == values[1, 4]
-
-    def test_corner_window_clipped(self, grid):
-        values = np.zeros(grid.shape)
-        w = grid.window(values, 0, 0, 2)
-        assert w.shape == (3, 3)
-
-    def test_window_shape_mismatch(self, grid):
-        with pytest.raises(ConfigurationError):
-            grid.window(np.zeros((2, 2)), 0, 0, 1)
-
-
 class TestCoarsen:
     def test_coarsened_resolution(self, grid):
         coarse = grid.coarsened(2)

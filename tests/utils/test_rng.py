@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import derive_rng, make_rng, spawn_seeds
+from repro.utils.rng import derive_rng, make_rng
 
 
 class TestMakeRng:
@@ -44,14 +43,3 @@ class TestDeriveRng:
         # These may or may not collide in principle; they must both work.
         assert isinstance(a, np.random.Generator)
         assert isinstance(b, np.random.Generator)
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        seeds = spawn_seeds(9, 6)
-        assert len(seeds) == 6
-        assert seeds == spawn_seeds(9, 6)
-
-    def test_distinct(self):
-        seeds = spawn_seeds(9, 20)
-        assert len(set(seeds)) == 20
