@@ -85,5 +85,6 @@ class TestAlign:
     def test_aligned_capture_verifies(self):
         capture, packet = make_capture(offset=42, snr_db=25.0, rng=5)
         aligned = PacketDetector().align(capture, packet)
-        bits = GfskDemodulator().demodulate(aligned.antenna(0), packet.num_bits)
+        demodulator = GfskDemodulator()
+        bits = demodulator.demodulate(aligned.antenna(0), packet.num_bits)
         assert np.count_nonzero(bits != packet.bits) <= 2
